@@ -540,6 +540,7 @@ func (s *sim) activate(d *device) {
 	s.activeList = append(s.activeList, 0)
 	copy(s.activeList[i+1:], s.activeList[i:])
 	s.activeList[i] = d.id
+	s.ix.activate(d.id)
 }
 
 func (s *sim) deactivate(d *device) {

@@ -449,8 +449,18 @@ func runSharded(cfg Config, assign func(id int, home geo.Point) int) (*Result, *
 			if p, ok := s.devPos(z, s.ixNow); ok {
 				return p, true
 			}
-			if sm, ok := z.node.(mobility.StaticModel); ok && !z.failed {
+			// A churned device stays indexed: phase A may have failed it
+			// at an instant after the broadcasts phase C still walks, and
+			// the overhear loop checks liveness exactly.
+			if sm, ok := z.node.(mobility.StaticModel); ok {
 				return sm.FixedPosition(), true
+			}
+			// Phase A activates the whole window before phase C
+			// rebuilds at a broadcast instant, so a device may be listed
+			// before it enters service. Index it where it will start:
+			// from there it drifts no faster than the index allows.
+			if start, _ := z.node.Window(); start > s.ixNow {
+				return s.devPos(z, start)
 			}
 			return geo.Point{}, false
 		}

@@ -118,17 +118,21 @@ func (s *shard) activate(d *device) {
 	s.activeList = append(s.activeList, 0)
 	copy(s.activeList[i+1:], s.activeList[i:])
 	s.activeList[i] = d.id
+	s.ix.activate(d.id)
 }
 
 func (s *shard) deactivate(d *device) {
 	s.activeDead++
 	if s.activeDead*2 > len(s.activeList) {
-		now := s.es.Now()
+		// Phase C of this window still overhears at instants from the
+		// window start on, so keep every device alive at that instant,
+		// not only those alive at the kernel's clock.
+		w := s.eng.windowStart
 		kept := s.activeList[:0]
 		for _, id := range s.activeList {
 			z := s.eng.devices[id]
 			_, end := z.node.Window()
-			if !z.failed && now < end {
+			if s.eng.aliveAt(id, w) && w < end {
 				kept = append(kept, id)
 			}
 		}

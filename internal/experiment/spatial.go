@@ -67,6 +67,12 @@ type devIndex struct {
 	entries []devEntry // indexed ids and their cells, ascending by id
 	cursors []int32    // per-cell write cursor for the placement passes
 
+	// pending holds the devices that entered service since the last
+	// rebuild, ascending by id. Every query merges them in unfiltered (the
+	// caller's exact checks judge them), so a device overhears from its
+	// first instant in service instead of from the next rebuild on.
+	pending []int32
+
 	scratch []int
 }
 
@@ -117,6 +123,7 @@ func (ix *devIndex) refresh(now time.Duration, ids []int, pos func(id int) (geo.
 	if !ix.stale(now) {
 		return
 	}
+	ix.pending = ix.pending[:0]
 	// Pass 1: collect (id, cell) for every positioned device and the
 	// occupied-cell bounding box.
 	ix.entries = ix.entries[:0]
@@ -271,6 +278,49 @@ func (ix *devIndex) refresh(now time.Duration, ids []int, pos func(id int) (geo.
 //
 //mlorass:hotpath
 func (ix *devIndex) candidates(now time.Duration, p geo.Point, radius float64) []int {
+	ix.scratch = ix.indexed(now, p, radius)
+	// Merge the devices activated since the rebuild into the ascending
+	// list by insertion (a handful at most); the two sets are disjoint
+	// unless a test re-activates, so duplicates are skipped, not assumed.
+	for _, pid := range ix.pending {
+		id := int(pid)
+		j := len(ix.scratch)
+		for j > 0 && ix.scratch[j-1] > id {
+			j--
+		}
+		if j > 0 && ix.scratch[j-1] == id {
+			continue
+		}
+		ix.scratch = append(ix.scratch, 0)
+		copy(ix.scratch[j+1:], ix.scratch[j:])
+		ix.scratch[j] = id
+	}
+	return ix.scratch
+}
+
+// activate records a device entering service: until the next rebuild every
+// query returns it. Before the first rebuild there is nothing to add to —
+// that rebuild reads the caller's active list.
+//
+//mlorass:hotpath
+func (ix *devIndex) activate(id int) {
+	if !ix.valid {
+		return
+	}
+	i := len(ix.pending)
+	for i > 0 && int(ix.pending[i-1]) > id {
+		i--
+	}
+	ix.pending = append(ix.pending, 0)
+	copy(ix.pending[i+1:], ix.pending[i:])
+	ix.pending[i] = int32(id)
+}
+
+// indexed returns the indexed devices possibly within radius of p at query
+// time, ascending by id.
+//
+//mlorass:hotpath
+func (ix *devIndex) indexed(now time.Duration, p geo.Point, radius float64) []int {
 	ix.scratch = ix.scratch[:0]
 	if ix.cols == 0 {
 		return ix.scratch

@@ -28,7 +28,10 @@ import (
 // Version 3: the sharded execution engine (Config.Shards in the key —
 // sharded results are deliberately distinct from serial ones, so the
 // engine choice is semantic).
-const storeSchemaVersion = 3
+//
+// Version 4: devices overhear from their first instant in service, not from
+// the next spatial-index rebuild after it.
+const storeSchemaVersion = 4
 
 // storeKey is the canonical, deterministic description of everything that
 // determines a Run's Result. Field order is fixed by the struct; every
