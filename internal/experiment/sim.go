@@ -180,10 +180,9 @@ type sim struct {
 	activeList []int
 	activeDead int
 	ix         *devIndex
-	// posFn is the prebuilt position source for index rebuilds; it reads
-	// the rebuild instant from ixNow so no per-rebuild closure exists.
-	posFn func(id int) (geo.Point, bool)
-	ixNow time.Duration
+	// motionFn is the prebuilt motion source for index rebuilds, so no
+	// per-rebuild closure exists.
+	motionFn motionSource
 
 	// gwCands is the gateway-candidate scratch reused by every
 	// receiveAtGateways call.
@@ -340,7 +339,7 @@ func Run(cfg Config) (*Result, error) {
 		retry:              lorawan.DefaultRetryPolicy(),
 		contactCapacityPPS: cmaxPPS,
 		throughput:         throughput,
-		ix:                 newDevIndex(cfg.D2DRangeM, 30*time.Second, idxSpeed),
+		ix:                 newDevIndex(cfg.D2DRangeM, ixRebuildEvery, idxSpeed),
 		d2dShadow:          rng.New(cfg.Seed ^ 0x0d2d),
 		d2dLoss:            loss,
 	}
@@ -438,18 +437,8 @@ func Run(cfg Config) (*Result, error) {
 		s.scheduleTick(d, first)
 	}
 
-	s.posFn = func(id int) (geo.Point, bool) {
-		z := s.devices[id]
-		if p, ok := s.devPos(z, s.ixNow); ok {
-			return p, true
-		}
-		// A node asleep at rebuild time but with a known fixed position
-		// stays indexed: it may wake before the next rebuild, and the
-		// overhear loop re-checks live activity anyway.
-		if sm, ok := z.node.(mobility.StaticModel); ok && !z.failed {
-			return sm.FixedPosition(), true
-		}
-		return geo.Point{}, false
+	s.motionFn = func(id int, now, mid time.Duration) (mobility.Motion, bool) {
+		return indexMotion(s.devices[id], now, mid)
 	}
 
 	if err := s.scheduleDisruption(); err != nil {
@@ -528,6 +517,30 @@ func (s *sim) devPos(d *device, at time.Duration) (geo.Point, bool) {
 	return p, ok
 }
 
+// indexMotion is both engines' motion source for the spatial index: device
+// d's motion at the instant nearest mid inside its service window. Devices
+// whose window has closed by now are left out. Churned devices stay in: the
+// overhear loops check liveness exactly, and the tile engine's may still ask
+// about instants before the failure.
+//
+//mlorass:hotpath
+func indexMotion(d *device, now, mid time.Duration) (mobility.Motion, bool) {
+	start, end := d.node.Window()
+	if end <= now {
+		return mobility.Motion{}, false
+	}
+	at := min(max(mid, start), end-1)
+	if m, ok := d.cursor.MotionAt(at); ok {
+		return m, true
+	}
+	// A node asleep at that instant but with a known fixed position stays
+	// indexed: it may wake before the next rebuild.
+	if sm, ok := d.node.(mobility.StaticModel); ok {
+		return mobility.Stationary(at, sm.FixedPosition()), true
+	}
+	return mobility.Motion{}, false
+}
+
 func (s *sim) activate(d *device) {
 	d.everActive = true
 	// Sorted insertion keeps the active list ascending by id; most
@@ -540,7 +553,7 @@ func (s *sim) activate(d *device) {
 	s.activeList = append(s.activeList, 0)
 	copy(s.activeList[i+1:], s.activeList[i:])
 	s.activeList[i] = d.id
-	s.ix.activate(d.id)
+	s.ix.activate(d.id, s.es.Now(), s.motionFn)
 }
 
 func (s *sim) deactivate(d *device) {
@@ -999,8 +1012,7 @@ func (s *sim) overhear(sender *device, tx *radio.Transmission, frame lorawan.Fra
 	}
 	maxR := s.cfg.D2DRangeM
 	if s.ix.stale(now) {
-		s.ixNow = now
-		s.ix.refresh(now, s.activeList, s.posFn)
+		s.ix.refresh(now, s.activeList, s.motionFn)
 	}
 	for _, zi := range s.ix.candidates(now, tx.Pos, maxR) {
 		if zi == sender.id || zi == dest {

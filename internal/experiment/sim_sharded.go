@@ -436,7 +436,7 @@ func runSharded(cfg Config, assign func(id int, home geo.Point) int) (*Result, *
 			idx:    i,
 			es:     eventsim.New(),
 			medium: medium,
-			ix:     newDevIndex(cfg.D2DRangeM, 30*time.Second, idxSpeed),
+			ix:     newDevIndex(cfg.D2DRangeM, ixRebuildEvery, idxSpeed),
 		}
 		if !cfg.Telemetry.Disabled {
 			s.rec = telemetry.NewRecorder()
@@ -444,25 +444,8 @@ func runSharded(cfg Config, assign func(id int, home geo.Point) int) (*Result, *
 		if e.tracer != nil && s.rec != nil {
 			s.es.SetProbe(s.rec)
 		}
-		s.posFn = func(id int) (geo.Point, bool) {
-			z := e.devices[id]
-			if p, ok := s.devPos(z, s.ixNow); ok {
-				return p, true
-			}
-			// A churned device stays indexed: phase A may have failed it
-			// at an instant after the broadcasts phase C still walks, and
-			// the overhear loop checks liveness exactly.
-			if sm, ok := z.node.(mobility.StaticModel); ok {
-				return sm.FixedPosition(), true
-			}
-			// Phase A activates the whole window before phase C
-			// rebuilds at a broadcast instant, so a device may be listed
-			// before it enters service. Index it where it will start:
-			// from there it drifts no faster than the index allows.
-			if start, _ := z.node.Window(); start > s.ixNow {
-				return s.devPos(z, start)
-			}
-			return geo.Point{}, false
+		s.motionFn = func(id int, now, mid time.Duration) (mobility.Motion, bool) {
+			return indexMotion(e.devices[id], now, mid)
 		}
 		e.shards[i] = s
 	}

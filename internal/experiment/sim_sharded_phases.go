@@ -32,8 +32,7 @@ type shard struct {
 	activeList []int
 	activeDead int
 	ix         *devIndex
-	posFn      func(id int) (geo.Point, bool)
-	ixNow      time.Duration
+	motionFn   motionSource
 
 	gwCands []gwCand
 
@@ -118,7 +117,7 @@ func (s *shard) activate(d *device) {
 	s.activeList = append(s.activeList, 0)
 	copy(s.activeList[i+1:], s.activeList[i:])
 	s.activeList[i] = d.id
-	s.ix.activate(d.id)
+	s.ix.activate(d.id, s.es.Now(), s.motionFn)
 }
 
 func (s *shard) deactivate(d *device) {
@@ -773,8 +772,7 @@ func (s *shard) overhearBcast(b *bcastRec) {
 	maxR := e.cfg.D2DRangeM
 	now := b.at
 	if s.ix.stale(now) {
-		s.ixNow = now
-		s.ix.refresh(now, s.activeList, s.posFn)
+		s.ix.refresh(now, s.activeList, s.motionFn)
 	}
 	fk := frameKey(b.from, b.seq)
 	frame := lorawan.Frame{

@@ -2,390 +2,355 @@ package experiment
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"mlorass/internal/geo"
+	"mlorass/internal/mobility"
 )
 
-// devIndex is a uniform-grid spatial index over active device positions.
+// devIndex is a kinematic neighbour index over the active devices: a Verlet
+// neighbour list whose skin is each device's own motion.
 //
-// Device positions change continuously, so the index is rebuilt lazily every
-// rebuildEvery of virtual time and queries widen their radius by the maximum
-// distance a bus can travel in that window. Queries therefore over-approximate
-// the candidate set; callers verify exact distances against live positions.
-// This turns the per-transmission neighbourhood scan from O(active devices)
-// into O(nearby devices), which is what makes paper-scale fleet densities
-// affordable.
+// A rebuild, once per period of virtual time, reads every listed device's
+// straight-line motion (mobility.Motion) at the middle of the coming period
+// and stores the device once, in the grid cell of that mid-period position,
+// together with the line. A query at instant t around p then
 //
-// The grid is a flat dense arena over the bounding box of occupied cells:
-// one []int32 backing array holds every indexed device id grouped by cell
-// (cellStart[c]..cellStart[c+1] delimits cell c's group), rebuilt by a
-// counting sort. A second arena precomputes each cell's *neighbourhood* —
-// the ascending id list of every device within nbSpan cells — by appending
-// ids in ascending order during the rebuild, so the common query (radius
-// close to the cell size, the simulator's device-to-device range) returns a
-// precomputed ascending list with no per-query sort or merge. Queries whose
-// widened radius exceeds the precomputed span fall back to
-// concatenate-and-sort over the covered cell groups. Every buffer is reused
-// across refreshes: steady-state rebuilds and queries allocate nothing.
+//   - scans only the cells within radius + vmax·|t − mid| of p, because no
+//     device gets further than vmax·|t − mid| from where it was placed;
+//   - keeps a device whose line at t lies within radius + ε, widened by
+//     2·vmax per second that t lies outside the span over which the line
+//     is the device's path: off the span both still move at ≤ vmax from
+//     the point where they split.
+//
+// A bus's span is its current route segment, so for most devices most of
+// the time the bound is the radius itself. Queries return a superset of the
+// devices within the radius, ascending by id; callers check exact distances
+// against live positions. Every buffer is reused across refreshes:
+// steady-state rebuilds and queries allocate nothing.
 type devIndex struct {
-	cellM        float64
-	rebuildEvery time.Duration
-	maxSpeedMPS  float64
+	rowM, colM     float64 // grid row height and column width
+	perRow, perCol float64 // their inverses
+	period         time.Duration
+	maxSpeedMPS    float64
 
-	// nbSpan is the neighbourhood half-width in cells: it covers a query
-	// of radius cellM (the nominal query radius — the simulator uses
-	// cellM = the device-to-device range) plus the maximum drift slack a
-	// query can accumulate before the next rebuild.
-	nbSpan int
+	builtAt, mid time.Duration
+	valid        bool
 
-	builtAt time.Duration
-	valid   bool
-
-	// Dense-grid arena, rebuilt by refresh.
+	// The grid spans the placed devices' bounding box, row-major:
+	// cellStart[c]..cellStart[c+1] delimits cell c's entries in ents, so
+	// one row's run of cells is one contiguous stretch of ents.
 	minCX, minCY int
 	cols, rows   int
-	cellStart    []int32 // len cols*rows+1: group offsets into ids
-	ids          []int32 // indexed device ids, grouped by cell
+	cellStart    []int32
+	ents         []ixEntry
 
-	// Neighbourhood arena: nbStart[c]..nbStart[c+1] delimits cell c's
-	// precomputed ascending candidate list in nbIDs. nbPosX/nbPosY carry
-	// each member's build-time position (float32 — posEpsilonM absorbs
-	// the rounding), so a query filters the neighbourhood down to the
-	// exact widened-radius circle: tighter than any cell box, with a few
-	// flops per member and no per-query sort or merge.
-	nbStart []int32
-	nbIDs   []int32
-	nbPosX  []float32
-	nbPosY  []float32
-	// posEps is this rebuild's circle-filter widening: posEpsilonM plus
-	// the worst-case float32 rounding of the stored positions.
-	posEps float64
+	// slot maps a device id to its entry's index in ents, so a rebuild can
+	// slide a line that stays exact instead of reading the motion again.
+	// Entries of devices missing from the last rebuild fail the id check.
+	slot []int32
 
 	// Rebuild scratch, reused across refreshes.
-	entries []devEntry // indexed ids and their cells, ascending by id
-	cursors []int32    // per-cell write cursor for the placement passes
+	placed []ixEntry
+	cells  []ixCell // placed[i]'s cell
+	cursor []int32  // per-cell write cursor
 
 	// pending holds the devices that entered service since the last
-	// rebuild, ascending by id. Every query merges them in unfiltered (the
-	// caller's exact checks judge them), so a device overhears from its
-	// first instant in service instead of from the next rebuild on.
-	pending []int32
+	// rebuild, checked by every query outside the grid, so a device
+	// overhears from its first instant in service on.
+	pending []ixEntry
 
 	scratch []int
 }
 
-// devEntry is one indexed device during a rebuild.
-type devEntry struct {
-	id     int32
-	cx, cy int32
-	px, py float32 // build-time position
+// ixEntry is one indexed device: its line as the position at the index's
+// mid instant plus a velocity, and the span over which the line is exact.
+type ixEntry struct {
+	x, y, vx, vy float64
+	from, until  time.Duration
+	id           int32
 }
 
-// posEpsilonM is the floor of the circle pre-filter's over-widening; the
-// rebuild adds a term proportional to the largest coordinate magnitude so
-// the float32 rounding of stored build positions (ulp = |x|·2⁻²³) is always
-// covered: candidates are only ever added by the widening, never lost.
-const posEpsilonM = 0.05
+// ixCell is a grid cell during a rebuild: column and row, then flat index.
+type ixCell struct{ cx, cy int32 }
 
-// newDevIndex sizes the grid by the largest query radius.
-func newDevIndex(cellM float64, rebuildEvery time.Duration, maxSpeedMPS float64) *devIndex {
-	if cellM <= 0 {
-		cellM = 1000
+// motionSource reads device id's motion for a rebuild at now: its motion at
+// the instant nearest mid at which it is in service. ok is false for a
+// device out of service from now on.
+type motionSource func(id int, now, mid time.Duration) (mobility.Motion, bool)
+
+// Index tuning, measured on the paper-scale day.
+const (
+	// ixRowFrac and ixColFrac size the grid's rows and columns relative
+	// to the query radius. Narrow cells fit the scanned area to the query
+	// disc; each scanned row costs a square root and two offset reads.
+	ixRowFrac = 1
+	ixColFrac = 0.125
+	// posEpsilonM widens the line filter past the floating-point rounding
+	// of extrapolated positions, which stays far below a millimetre.
+	posEpsilonM = 0.05
+)
+
+// ixRebuildEvery is the rebuild period. Queries return a superset of the
+// true neighbours whatever its value, so results do not depend on it; it is
+// a variable only so a test can prove that.
+var ixRebuildEvery = 30 * time.Second
+
+// newDevIndex sizes the grid by the nominal query radius.
+func newDevIndex(radiusM float64, period time.Duration, maxSpeedMPS float64) *devIndex {
+	if radiusM <= 0 {
+		radiusM = 1000
 	}
-	maxSlack := maxSpeedMPS * rebuildEvery.Seconds()
-	return &devIndex{
-		cellM:        cellM,
-		rebuildEvery: rebuildEvery,
-		maxSpeedMPS:  maxSpeedMPS,
-		nbSpan:       int(math.Ceil((cellM + maxSlack) / cellM)),
+	ix := &devIndex{
+		rowM:        radiusM * ixRowFrac,
+		colM:        radiusM * ixColFrac,
+		period:      period,
+		maxSpeedMPS: maxSpeedMPS,
 	}
+	ix.perRow, ix.perCol = 1/ix.rowM, 1/ix.colM
+	return ix
 }
 
-func (ix *devIndex) cellOf(p geo.Point) [2]int {
-	return [2]int{int(p.X / ix.cellM), int(p.Y / ix.cellM)}
+func (ix *devIndex) colOf(x float64) int { return floorInt(x * ix.perCol) }
+func (ix *devIndex) rowOf(y float64) int { return floorInt(y * ix.perRow) }
+
+// floorInt is int(math.Floor(x)) for x in int range, without the call.
+func floorInt(x float64) int {
+	i := int(x)
+	if float64(i) > x {
+		i--
+	}
+	return i
 }
 
 // stale reports whether refresh would rebuild at the given instant. Callers
-// on the hot path check it before assembling the position source.
+// on the hot path check it before assembling the motion source.
 func (ix *devIndex) stale(now time.Duration) bool {
-	return !ix.valid || now-ix.builtAt >= ix.rebuildEvery
+	return !ix.valid || now-ix.builtAt >= ix.period
 }
 
-// refresh rebuilds the index when stale. positions must yield the live
-// position of each listed device (ok=false entries are skipped). The caller
-// usually lists ids in ascending order (the simulator's active list); any
-// other order costs one extra sort pass per rebuild.
+// refresh rebuilds the index when stale, from the motions src reads for
+// the listed devices (ok=false entries are skipped).
 //
 //mlorass:hotpath
-func (ix *devIndex) refresh(now time.Duration, ids []int, pos func(id int) (geo.Point, bool)) {
+func (ix *devIndex) refresh(now time.Duration, ids []int, src motionSource) {
 	if !ix.stale(now) {
 		return
 	}
+	prevMid := ix.mid
+	ix.builtAt, ix.mid, ix.valid = now, now+ix.period/2, true
+	shift := (ix.mid - prevMid).Seconds()
 	ix.pending = ix.pending[:0]
-	// Pass 1: collect (id, cell) for every positioned device and the
-	// occupied-cell bounding box.
-	ix.entries = ix.entries[:0]
-	minCX, minCY := 1<<30, 1<<30
-	maxCX, maxCY := -(1 << 30), -(1 << 30)
-	maxAbs := 0.0
-	ascending := true
-	prev := int32(-1 << 31)
+	ix.placed = ix.placed[:0]
+	ix.cells = ix.cells[:0]
+	minCX, minCY := math.MaxInt32, math.MaxInt32
+	maxCX, maxCY := math.MinInt32, math.MinInt32
+	maxID := -1
 	for _, id := range ids {
-		p, ok := pos(id)
-		if !ok {
-			continue
+		var e ixEntry
+		var at geo.Point // where the device is placed
+		if k := ix.slotOf(id); k >= 0 && ix.ents[k].from <= now && ix.ents[k].until >= ix.mid {
+			// The line stays exact from now through the new mid:
+			// slide it along instead of reading the motion again.
+			e = ix.ents[k]
+			e.x += e.vx * shift
+			e.y += e.vy * shift
+			at = geo.Point{X: e.x, Y: e.y}
+		} else {
+			m, ok := src(id, now, ix.mid)
+			if !ok {
+				continue
+			}
+			// Placed where the device is at m.At (mid, or the instant
+			// nearest mid it is in service), stored as its line
+			// through mid.
+			at = m.Pos
+			ref := m.Pos
+			if m.At != ix.mid {
+				ref = m.PosAt(ix.mid)
+			}
+			e = ixEntry{
+				x: ref.X, y: ref.Y, vx: m.Vel.X, vy: m.Vel.Y,
+				from: m.From, until: m.Until, id: int32(id),
+			}
 		}
-		if a := math.Abs(p.X); a > maxAbs {
-			maxAbs = a
-		}
-		if a := math.Abs(p.Y); a > maxAbs {
-			maxAbs = a
-		}
-		c := ix.cellOf(p)
-		if c[0] < minCX {
-			minCX = c[0]
-		}
-		if c[0] > maxCX {
-			maxCX = c[0]
-		}
-		if c[1] < minCY {
-			minCY = c[1]
-		}
-		if c[1] > maxCY {
-			maxCY = c[1]
-		}
-		if int32(id) < prev {
-			ascending = false
-		}
-		prev = int32(id)
-		ix.entries = append(ix.entries, devEntry{
-			id: int32(id), cx: int32(c[0]), cy: int32(c[1]),
-			px: float32(p.X), py: float32(p.Y),
-		})
+		cx, cy := ix.colOf(at.X), ix.rowOf(at.Y)
+		minCX, maxCX = min(minCX, cx), max(maxCX, cx)
+		minCY, maxCY = min(minCY, cy), max(maxCY, cy)
+		maxID = max(maxID, id)
+		ix.placed = append(ix.placed, e)
+		ix.cells = append(ix.cells, ixCell{int32(cx), int32(cy)})
 	}
-	ix.builtAt = now
-	ix.valid = true
-	// Per-coordinate float32 error ≤ |x|·2⁻²³ ≈ |x|·1.2e-7; the factor 4
-	// covers both axes plus margin.
-	ix.posEps = posEpsilonM + maxAbs*4e-7
-	if len(ix.entries) == 0 {
+	if len(ix.placed) == 0 {
 		ix.cols, ix.rows = 0, 0
-		ix.cellStart = ix.cellStart[:0]
-		ix.ids = ix.ids[:0]
-		ix.nbStart = ix.nbStart[:0]
-		ix.nbIDs = ix.nbIDs[:0]
-		ix.nbPosX = ix.nbPosX[:0]
-		ix.nbPosY = ix.nbPosY[:0]
+		ix.ents = ix.ents[:0]
 		return
 	}
-	if !ascending {
-		//lint:ignore hotpathlint capture-free comparator on the cold path: the simulator's active list is already ascending
-		slices.SortFunc(ix.entries, func(a, b devEntry) int { return int(a.id) - int(b.id) })
-	}
 	ix.minCX, ix.minCY = minCX, minCY
-	ix.cols = maxCX - minCX + 1
-	ix.rows = maxCY - minCY + 1
+	ix.cols, ix.rows = maxCX-minCX+1, maxCY-minCY+1
 
-	// Counting sort. Pass 2: per-cell counts and prefix sums.
+	// Counting sort into row-major cell order.
 	nCells := ix.cols * ix.rows
 	ix.cellStart = resize(ix.cellStart, nCells+1)
-	ix.cursors = resize(ix.cursors, nCells+1)
-	for i := range ix.entries {
-		e := &ix.entries[i]
-		flat := (int(e.cy)-minCY)*ix.cols + (int(e.cx) - minCX)
-		e.cx = int32(flat) // reuse the slot for the flat cell
-		ix.cellStart[flat+1]++
+	ix.cursor = resize(ix.cursor, nCells)
+	for i := range ix.cells {
+		c := &ix.cells[i]
+		c.cx = int32((int(c.cy)-minCY)*ix.cols + int(c.cx) - minCX)
+		ix.cellStart[c.cx+1]++
 	}
 	for c := 1; c <= nCells; c++ {
 		ix.cellStart[c] += ix.cellStart[c-1]
 	}
-	// Pass 3: stable placement — entries are ascending by id, so every
-	// cell's group comes out ascending.
-	copy(ix.cursors, ix.cellStart)
-	n := len(ix.entries)
-	if cap(ix.ids) < n {
+	copy(ix.cursor, ix.cellStart)
+	n := len(ix.placed)
+	if cap(ix.ents) < n {
 		//lint:ignore hotpathlint amortized growth to the run's high-water device count; steady state reuses
-		ix.ids = make([]int32, n)
-	} else {
-		ix.ids = ix.ids[:n]
+		ix.ents = make([]ixEntry, n)
 	}
-	for i := range ix.entries {
-		e := &ix.entries[i]
-		ix.ids[ix.cursors[e.cx]] = e.id
-		ix.cursors[e.cx]++
+	ix.ents = ix.ents[:n]
+	if maxID >= len(ix.slot) {
+		//lint:ignore hotpathlint amortized growth to the run's highest device id; steady state reuses
+		ix.slot = append(ix.slot, make([]int32, maxID+1-len(ix.slot))...)
 	}
+	for i, c := range ix.cells {
+		k := ix.cursor[c.cx]
+		ix.cursor[c.cx]++
+		ix.ents[k] = ix.placed[i]
+		ix.slot[ix.placed[i].id] = k
+	}
+}
 
-	// Passes 4–5: neighbourhood lists. Count each entry into every cell
-	// within nbSpan, prefix-sum, then place — again in ascending id
-	// order, so each neighbourhood is ascending with no sort.
-	span := ix.nbSpan
-	ix.nbStart = resize(ix.nbStart, nCells+1)
-	for i := range ix.entries {
-		e := &ix.entries[i]
-		cx, cy := int(e.cx)%ix.cols, int(e.cx)/ix.cols
-		x0, x1 := max(cx-span, 0), min(cx+span, ix.cols-1)
-		y0, y1 := max(cy-span, 0), min(cy+span, ix.rows-1)
-		for y := y0; y <= y1; y++ {
-			row := y * ix.cols
-			for x := x0; x <= x1; x++ {
-				ix.nbStart[row+x+1]++
-			}
-		}
+// slotOf returns the index in ents of device id's entry from the last
+// rebuild, or -1 when it has none.
+func (ix *devIndex) slotOf(id int) int {
+	if id >= len(ix.slot) {
+		return -1
 	}
-	for c := 1; c <= nCells; c++ {
-		ix.nbStart[c] += ix.nbStart[c-1]
+	k := int(ix.slot[id])
+	if k >= len(ix.ents) || ix.ents[k].id != int32(id) {
+		return -1
 	}
-	total := int(ix.nbStart[nCells])
-	if cap(ix.nbIDs) < total {
-		//lint:ignore hotpathlint amortized growth to the neighbourhood high-water mark; steady state reuses
-		ix.nbIDs = make([]int32, total)
-		//lint:ignore hotpathlint amortized growth to the neighbourhood high-water mark; steady state reuses
-		ix.nbPosX = make([]float32, total)
-		//lint:ignore hotpathlint amortized growth to the neighbourhood high-water mark; steady state reuses
-		ix.nbPosY = make([]float32, total)
-	} else {
-		ix.nbIDs = ix.nbIDs[:total]
-		ix.nbPosX = ix.nbPosX[:total]
-		ix.nbPosY = ix.nbPosY[:total]
-	}
-	copy(ix.cursors, ix.nbStart)
-	for i := range ix.entries {
-		e := &ix.entries[i]
-		cx, cy := int(e.cx)%ix.cols, int(e.cx)/ix.cols
-		x0, x1 := max(cx-span, 0), min(cx+span, ix.cols-1)
-		y0, y1 := max(cy-span, 0), min(cy+span, ix.rows-1)
-		for y := y0; y <= y1; y++ {
-			row := y * ix.cols
-			for x := x0; x <= x1; x++ {
-				cur := ix.cursors[row+x]
-				ix.nbIDs[cur] = e.id
-				ix.nbPosX[cur] = e.px
-				ix.nbPosY[cur] = e.py
-				ix.cursors[row+x] = cur + 1
-			}
-		}
-	}
+	return k
 }
 
 // candidates returns device ids possibly within radius of p at query time,
 // in ascending id order for deterministic iteration. The result is a
 // superset of the devices within the radius (callers filter by exact
-// distance); the fast path serves it straight from the precomputed
-// neighbourhood arena. The result slice is reused across calls; callers
-// must not retain it.
+// distance). The result slice is reused across calls; callers must not
+// retain it.
 //
 //mlorass:hotpath
 func (ix *devIndex) candidates(now time.Duration, p geo.Point, radius float64) []int {
-	ix.scratch = ix.indexed(now, p, radius)
-	// Merge the devices activated since the rebuild into the ascending
-	// list by insertion (a handful at most); the two sets are disjoint
-	// unless a test re-activates, so duplicates are skipped, not assumed.
-	for _, pid := range ix.pending {
-		id := int(pid)
-		j := len(ix.scratch)
-		for j > 0 && ix.scratch[j-1] > id {
-			j--
-		}
-		if j > 0 && ix.scratch[j-1] == id {
-			continue
-		}
-		ix.scratch = append(ix.scratch, 0)
-		copy(ix.scratch[j+1:], ix.scratch[j:])
-		ix.scratch[j] = id
+	out := ix.scratch[:0]
+	if !ix.valid {
+		ix.scratch = out
+		return out
 	}
-	return ix.scratch
+	q := ixQuery{now: now, dt: (now - ix.mid).Seconds(), p: p, tight: radius + posEpsilonM}
+	q.tight2 = q.tight * q.tight
+	if ix.cols > 0 {
+		out = ix.scan(out, &q)
+	}
+	out = ix.keep(out, ix.pending, &q)
+	// A dozen survivors in cell order: insertion sort is the cheapest
+	// sort.
+	for i := 1; i < len(out); i++ {
+		id, j := out[i], i
+		for ; j > 0 && out[j-1] > id; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = id
+	}
+	ix.scratch = out
+	return out
 }
 
-// activate records a device entering service: until the next rebuild every
-// query returns it. Before the first rebuild there is nothing to add to —
-// that rebuild reads the caller's active list.
+// ixQuery is one query's constants.
+type ixQuery struct {
+	now           time.Duration
+	dt            float64 // now − mid, seconds
+	p             geo.Point
+	tight, tight2 float64 // radius + ε, squared
+}
+
+// scan appends to out, in cell order, the indexed devices whose lines pass
+// the filter, visiting the cells within reach row by row.
 //
 //mlorass:hotpath
-func (ix *devIndex) activate(id int) {
+func (ix *devIndex) scan(out []int, q *ixQuery) []int {
+	p := q.p
+	reach := q.tight + ix.maxSpeedMPS*math.Abs(q.dt)
+	reach2 := reach * reach
+	cy0 := max(ix.rowOf(p.Y-reach), ix.minCY)
+	cy1 := min(ix.rowOf(p.Y+reach), ix.minCY+ix.rows-1)
+	for cy := cy0; cy <= cy1; cy++ {
+		// The row's cells within reach: the chord of the reach circle
+		// across the row band's nearest edge.
+		dy := 0.0
+		if lo := float64(cy) * ix.rowM; p.Y < lo {
+			dy = lo - p.Y
+		} else if hi := lo + ix.rowM; p.Y > hi {
+			dy = p.Y - hi
+		}
+		half := math.Sqrt(max(reach2-dy*dy, 0))
+		cx0 := max(ix.colOf(p.X-half), ix.minCX)
+		cx1 := min(ix.colOf(p.X+half), ix.minCX+ix.cols-1)
+		if cx0 > cx1 {
+			continue
+		}
+		row := (cy-ix.minCY)*ix.cols - ix.minCX
+		out = ix.keep(out, ix.ents[ix.cellStart[row+cx0]:ix.cellStart[row+cx1+1]], q)
+	}
+	return out
+}
+
+// keep appends the entries whose line at the query instant lies within
+// the tight radius of the query point, or within the slack their span
+// allows when the instant lies off it.
+//
+//mlorass:hotpath
+func (ix *devIndex) keep(out []int, ents []ixEntry, q *ixQuery) []int {
+	for i := range ents {
+		e := &ents[i]
+		ex := e.x + e.vx*q.dt - q.p.X
+		ey := e.y + e.vy*q.dt - q.p.Y
+		if d2 := ex*ex + ey*ey; d2 <= q.tight2 || ix.offSpan(e, q.now, d2, q.tight) {
+			out = append(out, int(e.id))
+		}
+	}
+	return out
+}
+
+// offSpan reports whether an entry whose line misses the tight radius may
+// still be in range because now lies off the line's exact span.
+func (ix *devIndex) offSpan(e *ixEntry, now time.Duration, d2, tight float64) bool {
+	off := max(now-e.until, e.from-now)
+	if off <= 0 {
+		return false
+	}
+	r := tight + 2*ix.maxSpeedMPS*off.Seconds()
+	return d2 <= r*r
+}
+
+// activate adds a device entering service at now, once per entry: until
+// the next rebuild every query checks its line alongside the grid's. Before
+// the first rebuild there is nothing to add to — that rebuild reads the
+// caller's active list.
+//
+//mlorass:hotpath
+func (ix *devIndex) activate(id int, now time.Duration, src motionSource) {
 	if !ix.valid {
 		return
 	}
-	i := len(ix.pending)
-	for i > 0 && int(ix.pending[i-1]) > id {
-		i--
+	m, ok := src(id, now, ix.mid)
+	if !ok {
+		return
 	}
-	ix.pending = append(ix.pending, 0)
-	copy(ix.pending[i+1:], ix.pending[i:])
-	ix.pending[i] = int32(id)
-}
-
-// indexed returns the indexed devices possibly within radius of p at query
-// time, ascending by id.
-//
-//mlorass:hotpath
-func (ix *devIndex) indexed(now time.Duration, p geo.Point, radius float64) []int {
-	ix.scratch = ix.scratch[:0]
-	if ix.cols == 0 {
-		return ix.scratch
-	}
-	slack := ix.maxSpeedMPS * (now - ix.builtAt).Seconds()
-	r := radius + slack
-	lo := ix.cellOf(geo.Point{X: p.X - r, Y: p.Y - r})
-	hi := ix.cellOf(geo.Point{X: p.X + r, Y: p.Y + r})
-	c := ix.cellOf(p)
-	cx, cy := c[0]-ix.minCX, c[1]-ix.minCY
-	if cx >= 0 && cx < ix.cols && cy >= 0 && cy < ix.rows &&
-		lo[0] >= c[0]-ix.nbSpan && lo[1] >= c[1]-ix.nbSpan &&
-		hi[0] <= c[0]+ix.nbSpan && hi[1] <= c[1]+ix.nbSpan {
-		// Filter the precomputed neighbourhood down to the widened
-		// circle around p by build-time position: any device within
-		// radius of p now was within radius+slack of p at build time,
-		// so the circle keeps every true candidate while discarding
-		// the cell-quantisation fringe a box filter would pass. The
-		// result stays ascending (a subsequence of an ascending list).
-		r2 := (r + ix.posEps) * (r + ix.posEps)
-		flat := cy*ix.cols + cx
-		s, e := ix.nbStart[flat], ix.nbStart[flat+1]
-		xs, ys, ids := ix.nbPosX[s:e], ix.nbPosY[s:e], ix.nbIDs[s:e]
-		for i := range xs {
-			dx := p.X - float64(xs[i])
-			dy := p.Y - float64(ys[i])
-			if dx*dx+dy*dy > r2 {
-				continue
-			}
-			ix.scratch = append(ix.scratch, int(ids[i]))
-		}
-		return ix.scratch
-	}
-	return ix.candidatesSlow(lo, hi)
-}
-
-// candidatesSlow serves queries outside the precomputed neighbourhood span
-// (wider radius, or a centre cell outside the occupied bounding box):
-// concatenate every covered cell group, then sort.
-//
-//mlorass:hotpath
-func (ix *devIndex) candidatesSlow(lo, hi [2]int) []int {
-	if lo[0] < ix.minCX {
-		lo[0] = ix.minCX
-	}
-	if lo[1] < ix.minCY {
-		lo[1] = ix.minCY
-	}
-	if hi[0] > ix.minCX+ix.cols-1 {
-		hi[0] = ix.minCX + ix.cols - 1
-	}
-	if hi[1] > ix.minCY+ix.rows-1 {
-		hi[1] = ix.minCY + ix.rows - 1
-	}
-	for cy := lo[1]; cy <= hi[1]; cy++ {
-		rowBase := (cy - ix.minCY) * ix.cols
-		for cx := lo[0]; cx <= hi[0]; cx++ {
-			cell := rowBase + cx - ix.minCX
-			for _, id := range ix.ids[ix.cellStart[cell]:ix.cellStart[cell+1]] {
-				ix.scratch = append(ix.scratch, int(id))
-			}
-		}
-	}
-	slices.Sort(ix.scratch)
-	return ix.scratch
+	ref := m.PosAt(ix.mid)
+	ix.pending = append(ix.pending, ixEntry{
+		x: ref.X, y: ref.Y, vx: m.Vel.X, vy: m.Vel.Y,
+		from: m.From, until: m.Until, id: int32(id),
+	})
 }
 
 // resize returns s with exactly n zeroed elements, reusing capacity.

@@ -195,6 +195,16 @@ func (pl *Polyline) AtHint(d float64, hint *int) Point {
 	return pl.interpolate(i, d)
 }
 
+// Segment returns segment i's arc-length span [from, to] and its unit
+// direction (zero for a segment of zero length). AtHint's hint is a valid i.
+func (pl *Polyline) Segment(i int) (from, to float64, dir Point) {
+	from, to = pl.cum[i], pl.cum[i+1]
+	if to > from {
+		dir = pl.pts[i+1].Sub(pl.pts[i]).Scale(1 / (to - from))
+	}
+	return from, to, dir
+}
+
 // segmentOf binary-searches the segment containing arc length d: the
 // largest index i with cum[i] <= d. Callers have excluded the clamped ends.
 func (pl *Polyline) segmentOf(d float64) int {

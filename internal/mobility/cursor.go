@@ -25,6 +25,33 @@ type Cursor interface {
 	// false when the node is out of service. Identical to
 	// Model().PositionAt(at) for every at.
 	PositionAt(at time.Duration) (geo.Point, bool)
+	// MotionAt returns the node's motion at the given instant: the same
+	// position PositionAt returns, plus the velocity and the span over
+	// which the node keeps it. ok is false exactly when PositionAt's is.
+	MotionAt(at time.Duration) (Motion, bool)
+}
+
+// Motion is a node's straight-line motion around one instant: at At it is
+// at Pos, and for every t in [From, Until] its position is Pos + Vel·(t−At)
+// up to floating-point rounding. Outside that span the node keeps moving no
+// faster than its Model's SpeedMPS, so the straight line is still a bound
+// there: the node is within 2·SpeedMPS·(distance of t from the span) of it.
+type Motion struct {
+	At          time.Duration
+	Pos         geo.Point
+	Vel         geo.Point // metres per second
+	From, Until time.Duration
+}
+
+// Stationary returns the motion of a node parked at p for all time.
+func Stationary(at time.Duration, p geo.Point) Motion {
+	return Motion{At: at, Pos: p, From: math.MinInt64, Until: math.MaxInt64}
+}
+
+// PosAt extrapolates the straight line to instant t.
+func (m Motion) PosAt(t time.Duration) geo.Point {
+	dt := (t - m.At).Seconds()
+	return geo.Point{X: m.Pos.X + m.Vel.X*dt, Y: m.Pos.Y + m.Vel.Y*dt}
 }
 
 // cursorable is implemented by models that carry an optimised cursor.
@@ -32,18 +59,39 @@ type cursorable interface {
 	newCursor() Cursor
 }
 
-// NewCursor builds the cursor for a model. Models without cached-walk
-// support (static sensors, external implementations) get a stateless
-// adapter, so callers can hold Cursors uniformly for any fleet.
+// NewCursor builds the cursor for a model. Static models get a cursor that
+// reports them parked for all time; models without cached-walk support
+// (external implementations) get a stateless adapter, so callers can hold
+// Cursors uniformly for any fleet.
 func NewCursor(m Model) Cursor {
 	if c, ok := m.(cursorable); ok {
 		return c.newCursor()
 	}
+	if sm, ok := m.(StaticModel); ok {
+		return staticCursor{m: sm}
+	}
 	return statelessCursor{m: m}
 }
 
-// statelessCursor adapts a Model with no resumable state (position lookup
-// already O(1), e.g. fixed sensors).
+// staticCursor reads a StaticModel: zero velocity, valid forever.
+type staticCursor struct {
+	m StaticModel
+}
+
+func (c staticCursor) Model() Model { return c.m }
+
+func (c staticCursor) PositionAt(at time.Duration) (geo.Point, bool) {
+	return c.m.PositionAt(at)
+}
+
+func (c staticCursor) MotionAt(at time.Duration) (Motion, bool) {
+	p, ok := c.m.PositionAt(at)
+	return Stationary(at, p), ok
+}
+
+// statelessCursor adapts a Model with no resumable state and no known
+// motion: its motion holds only at the queried instant, so users fall back
+// to the model's speed bound.
 type statelessCursor struct {
 	m Model
 }
@@ -52,6 +100,11 @@ func (c statelessCursor) Model() Model { return c.m }
 
 func (c statelessCursor) PositionAt(at time.Duration) (geo.Point, bool) {
 	return c.m.PositionAt(at)
+}
+
+func (c statelessCursor) MotionAt(at time.Duration) (Motion, bool) {
+	p, ok := c.m.PositionAt(at)
+	return Motion{At: at, Pos: p, From: at, Until: at}, ok
 }
 
 // busCursor resumes the route polyline walk from the previously hit
@@ -69,11 +122,36 @@ func (c *busCursor) Model() Model { return c.b }
 
 //mlorass:hotpath
 func (c *busCursor) PositionAt(at time.Duration) (geo.Point, bool) {
-	m, ok := c.b.arc(at)
+	m, _, ok := c.b.arc(at)
 	if !ok {
 		return geo.Point{}, false
 	}
 	return c.b.route.AtHint(m, &c.hint), true
+}
+
+// MotionAt follows the current route segment in the current direction of
+// travel, from the vertex or turnaround the bus last passed to the next.
+//
+//mlorass:hotpath
+func (c *busCursor) MotionAt(at time.Duration) (Motion, bool) {
+	b := c.b
+	m, outbound, ok := b.arc(at)
+	if !ok {
+		return Motion{}, false
+	}
+	mo := Motion{At: at, Pos: b.route.AtHint(m, &c.hint), From: at, Until: at}
+	from, to, dir := b.route.Segment(c.hint)
+	if dir == (geo.Point{}) || b.speedMPS <= 0 {
+		return mo, true
+	}
+	behind, ahead, speed := m-from, to-m, b.speedMPS
+	if !outbound {
+		behind, ahead, speed = ahead, behind, -speed
+	}
+	mo.Vel = dir.Scale(speed)
+	mo.From -= time.Duration(behind / b.speedMPS * float64(time.Second))
+	mo.Until += time.Duration(ahead / b.speedMPS * float64(time.Second))
+	return mo, true
 }
 
 // waypointCursor resumes the precomputed leg walk from the previous leg.
@@ -89,10 +167,34 @@ func (c *waypointCursor) Model() Model { return c.n }
 
 //mlorass:hotpath
 func (c *waypointCursor) PositionAt(at time.Duration) (geo.Point, bool) {
-	n := c.n
-	if !n.Active(at) {
+	if !c.n.Active(at) {
 		return geo.Point{}, false
 	}
+	return c.n.posInLeg(c.leg(at), at), true
+}
+
+// MotionAt follows the current leg (a pause is a leg standing still).
+//
+//mlorass:hotpath
+func (c *waypointCursor) MotionAt(at time.Duration) (Motion, bool) {
+	n := c.n
+	if !n.Active(at) {
+		return Motion{}, false
+	}
+	i := c.leg(at)
+	l := n.legs[i]
+	mo := Motion{At: at, Pos: n.posInLeg(i, at), From: l.start, Until: l.end}
+	if span := (l.end - l.start).Seconds(); span > 0 {
+		mo.Vel = l.to.Sub(l.from).Scale(1 / span)
+	}
+	return mo, true
+}
+
+// leg returns the index of the leg covering at, resuming from the hint.
+//
+//mlorass:hotpath
+func (c *waypointCursor) leg(at time.Duration) int {
+	n := c.n
 	// walkLimit mirrors geo.Polyline.AtHint: resume linearly while the
 	// query stays near the hinted leg, binary-search on real jumps.
 	const walkLimit = 8
@@ -118,31 +220,56 @@ func (c *waypointCursor) PositionAt(at time.Duration) (geo.Point, bool) {
 		}
 	}
 	c.hint = i
-	return n.posInLeg(i, at), true
+	return i
 }
 
-// arc maps an instant to the bus's arc-length position along the route: the
-// shared triangle-wave math behind both the stateless Position and the
-// cursor, so the two stay bit-identical by construction.
+// arc maps an instant to the bus's arc-length position along the route and
+// whether arc length is growing there: the shared triangle-wave math behind
+// both the stateless Position and the cursor, so the two stay bit-identical
+// by construction.
 //
 //mlorass:hotpath
-func (b *Bus) arc(at time.Duration) (float64, bool) {
+func (b *Bus) arc(at time.Duration) (m float64, outbound, ok bool) {
 	if at < b.trip.Start || at >= b.tripEnd {
-		return 0, false
+		return 0, false, false
 	}
 	length := b.length
-	progress := b.speedMPS * (at - b.trip.Start).Seconds()
-	m := progress
+	m = b.speedMPS * (at - b.trip.Start).Seconds()
 	if m >= 2*length {
-		// math.Mod(x, y) == x for 0 <= x < y, so the reduction is
-		// needed — and paid — only from the second round trip on.
-		m = math.Mod(progress, 2*length)
+		// The reduction is needed — and paid — only from the second
+		// round trip on.
+		m = exactMod(m, 2*length)
 	}
+	outbound = m < length
 	if m > length {
 		m = 2*length - m
 	}
 	if b.trip.Reverse {
 		m = length - m
+		outbound = !outbound
 	}
-	return m, true
+	return m, outbound, true
+}
+
+// exactMod returns math.Mod(x, y), bit for bit, for x ≥ y > 0, at a
+// fraction of its cost when the quotient is small. With n the true integer
+// quotient, the remainder x − n·y is exactly representable, so one fused
+// multiply-add computes it exactly; trunc(x/y) is the true quotient or off
+// by one, and the sign of the remainder says which way. Quotients from 2⁵²
+// up (and NaN or infinite operands) take math.Mod itself.
+//
+//mlorass:hotpath
+func exactMod(x, y float64) float64 {
+	q := x / y
+	if !(q < 1<<52) {
+		return math.Mod(x, y)
+	}
+	n := math.Trunc(q)
+	r := math.FMA(-n, y, x)
+	if r < 0 {
+		r = math.FMA(-(n - 1), y, x)
+	} else if r >= y {
+		r = math.FMA(-(n + 1), y, x)
+	}
+	return r
 }

@@ -99,7 +99,7 @@ func (b *Bus) PositionAt(at time.Duration) (geo.Point, bool) { return b.Position
 // whose shift outlasts one end-to-end run turns around and serves the route
 // in the opposite direction, exactly like a timetabled bus block.
 func (b *Bus) Position(at time.Duration) (geo.Point, bool) {
-	m, ok := b.arc(at)
+	m, _, ok := b.arc(at)
 	if !ok {
 		return geo.Point{}, false
 	}
