@@ -174,9 +174,8 @@ type sim struct {
 	// one full bundle per duty-cycled transmission opportunity.
 	contactCapacityPPS float64
 
-	// activeList holds the in-service device ids in ascending order
-	// (sorted insertion on activation), so spatial-index rebuilds consume
-	// ids pre-sorted and candidate queries come back ordered for free.
+	// activeList holds the in-service device ids, in activation order;
+	// spatial-index rebuilds read it.
 	activeList []int
 	activeDead int
 	ix         *devIndex
@@ -543,16 +542,7 @@ func indexMotion(d *device, now, mid time.Duration) (mobility.Motion, bool) {
 
 func (s *sim) activate(d *device) {
 	d.everActive = true
-	// Sorted insertion keeps the active list ascending by id; most
-	// activations append (ids tie-break in creation order at equal
-	// instants), so the memmove is rare and short.
-	i := len(s.activeList)
-	for i > 0 && s.activeList[i-1] > d.id {
-		i--
-	}
-	s.activeList = append(s.activeList, 0)
-	copy(s.activeList[i+1:], s.activeList[i:])
-	s.activeList[i] = d.id
+	s.activeList = append(s.activeList, d.id)
 	s.ix.activate(d.id, s.es.Now(), s.motionFn)
 }
 

@@ -110,13 +110,7 @@ func (s *shard) devPos(d *device, at time.Duration) (geo.Point, bool) {
 
 func (s *shard) activate(d *device) {
 	d.everActive = true
-	i := len(s.activeList)
-	for i > 0 && s.activeList[i-1] > d.id {
-		i--
-	}
-	s.activeList = append(s.activeList, 0)
-	copy(s.activeList[i+1:], s.activeList[i:])
-	s.activeList[i] = d.id
+	s.activeList = append(s.activeList, d.id)
 	s.ix.activate(d.id, s.es.Now(), s.motionFn)
 }
 

@@ -324,8 +324,15 @@ func (ix *devIndex) keep(out []int, ents []ixEntry, q *ixQuery) []int {
 // offSpan reports whether an entry whose line misses the tight radius may
 // still be in range because now lies off the line's exact span.
 func (ix *devIndex) offSpan(e *ixEntry, now time.Duration, d2, tight float64) bool {
-	off := max(now-e.until, e.from-now)
-	if off <= 0 {
+	// Compared before subtracting: a stationary line's span runs to the
+	// ends of time.Duration, where the difference would overflow.
+	var off time.Duration
+	switch {
+	case now > e.until:
+		off = now - e.until
+	case now < e.from:
+		off = e.from - now
+	default:
 		return false
 	}
 	r := tight + 2*ix.maxSpeedMPS*off.Seconds()

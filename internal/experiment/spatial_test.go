@@ -26,14 +26,15 @@ func TestDevIndexFindsNeighbours(t *testing.T) {
 		1: {X: 100, Y: 100},
 		2: {X: 500, Y: 100},
 		3: {X: 5000, Y: 5000},
+		4: {X: 900, Y: 0}, // in a scanned cell, but parked out of range
 	}
-	ix.refresh(0, []int{1, 2, 3}, world.motion)
-	got := ix.candidates(0, geo.Point{X: 0, Y: 0}, 800)
+	ix.refresh(time.Minute, []int{1, 2, 3, 4}, world.motion)
+	got := ix.candidates(time.Minute, geo.Point{X: 0, Y: 0}, 800)
 	if !containsInt(got, 1) || !containsInt(got, 2) {
 		t.Fatalf("candidates %v missing nearby devices", got)
 	}
-	if containsInt(got, 3) {
-		t.Fatalf("candidates %v include the far device", got)
+	if containsInt(got, 3) || containsInt(got, 4) {
+		t.Fatalf("candidates %v include a far device", got)
 	}
 }
 
