@@ -165,10 +165,7 @@ func (ix *devIndex) refresh(now time.Duration, ids []int, src motionSource) {
 			// nearest mid it is in service), stored as its line
 			// through mid.
 			at = m.Pos
-			ref := m.Pos
-			if m.At != ix.mid {
-				ref = m.PosAt(ix.mid)
-			}
+			ref := m.PosAt(ix.mid)
 			e = ixEntry{
 				x: ref.X, y: ref.Y, vx: m.Vel.X, vy: m.Vel.Y,
 				from: m.From, until: m.Until, id: int32(id),
