@@ -16,17 +16,10 @@
 //	go test -bench . | benchjson -out BENCH_new.json -baseline BENCH_old.json -regress 25
 //	benchjson -injson BENCH_new.json -baseline BENCH_old.json
 //
-// When a benchmark is renamed — or a new benchmark must be gated against a
-// prior benchmark's baseline, as when the sharded kernel's
-// BenchmarkFullDayRunShards1 inherits BenchmarkFullDayRun's budget — the
-// repeatable -alias New=Old flag maps the current name onto the baseline
-// name for diffing and the -regress gate:
-//
-//	benchjson -injson new.json -baseline old.json \
-//	    -alias BenchmarkFullDayRunShards1=BenchmarkFullDayRun -regress 25
-//
 // Non-benchmark lines (PASS, ok, build noise) are ignored; goos/goarch/pkg/
-// cpu headers are captured into the artefact's environment block.
+// cpu headers are captured into the artefact's environment block, and
+// converting bench text also records the converting machine's CPU count as
+// "nproc" there.
 package main
 
 import (
@@ -36,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -86,8 +80,6 @@ func run(args []string, stdin io.Reader) error {
 	out := fs.String("out", "", "JSON artefact path (default: stdout; with -baseline, default: none)")
 	baseline := fs.String("baseline", "", "prior JSON artefact to diff against")
 	regress := fs.Float64("regress", -1, "fail (exit nonzero) when any shared benchmark's ns/op grew by more than this percentage; negative = report only")
-	aliases := aliasFlag{}
-	fs.Var(aliases, "alias", "map a current benchmark onto a baseline name for diffing, as New=Old (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -99,9 +91,6 @@ func run(args []string, stdin io.Reader) error {
 	}
 	if *regress >= 0 && *baseline == "" {
 		return fmt.Errorf("-regress needs -baseline")
-	}
-	if len(aliases) > 0 && *baseline == "" {
-		return fmt.Errorf("-alias needs -baseline")
 	}
 
 	var art *Artifact
@@ -125,6 +114,12 @@ func run(args []string, stdin io.Reader) error {
 		if err != nil {
 			return err
 		}
+		if a.Env == nil {
+			a.Env = map[string]string{}
+		}
+		// Benchmarks run on the converting machine, so its CPU count is
+		// the one the numbers were measured on.
+		a.Env["nproc"] = strconv.Itoa(runtime.NumCPU())
 		art = a
 	}
 
@@ -150,7 +145,7 @@ func run(args []string, stdin io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
-	diffs := DiffAliased(base, art, aliases)
+	diffs := Diff(base, art)
 	WriteDiff(os.Stderr, diffs)
 	if *regress >= 0 {
 		var worst *DiffEntry
@@ -221,27 +216,6 @@ func nsPerOp(b Benchmark) float64 {
 	return 0
 }
 
-// aliasFlag collects the repeatable -alias New=Old mappings (current
-// benchmark name → baseline benchmark name, both without the -N suffix).
-type aliasFlag map[string]string
-
-func (a aliasFlag) String() string {
-	parts := make([]string, 0, len(a))
-	for k, v := range a {
-		parts = append(parts, k+"="+v)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (a aliasFlag) Set(s string) error {
-	newName, oldName, ok := strings.Cut(s, "=")
-	if !ok || newName == "" || oldName == "" {
-		return fmt.Errorf("alias %q must be New=Old", s)
-	}
-	a[newName] = oldName
-	return nil
-}
-
 // stripProcs removes the trailing -N GOMAXPROCS suffix so artefacts recorded
 // on machines with different core counts still line up.
 func stripProcs(name string) string {
@@ -265,15 +239,6 @@ func diffKey(b Benchmark) string {
 // Diff compares two artefacts' ns/op by benchmark name, in the new
 // artefact's order, then any baseline-only benchmarks in baseline order.
 func Diff(base, cur *Artifact) []DiffEntry {
-	return DiffAliased(base, cur, nil)
-}
-
-// DiffAliased is Diff with -alias mappings applied: a current benchmark whose
-// own name is absent from the baseline falls back to its aliased baseline
-// name (same package), and the consumed baseline entry is not reported as
-// gone. A same-name baseline entry wins over the alias, so the mapping
-// retires itself once the baseline is refreshed with the new name.
-func DiffAliased(base, cur *Artifact, aliases map[string]string) []DiffEntry {
 	old := make(map[string]float64, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		if ns := nsPerOp(b); ns > 0 {
@@ -288,17 +253,6 @@ func DiffAliased(base, cur *Artifact, aliases map[string]string) []DiffEntry {
 			continue
 		}
 		k := diffKey(b)
-		if _, have := old[k]; !have {
-			if target, ok := aliases[stripProcs(b.Name)]; ok {
-				ak := target
-				if b.Pkg != "" {
-					ak = b.Pkg + " " + target
-				}
-				if _, have := old[ak]; have {
-					k = ak
-				}
-			}
-		}
 		seen[k] = true
 		out = append(out, DiffEntry{Name: b.Name, OldNs: old[k], NewNs: ns})
 	}

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -161,101 +163,15 @@ func TestRunRegressGate(t *testing.T) {
 		strings.NewReader("BenchmarkHot-8 10 105 ns/op\n")); err != nil {
 		t.Fatalf("text-input gate run failed: %v", err)
 	}
-	if _, err := os.Stat(outPath); err != nil {
+	art, err := loadArtifact(outPath)
+	if err != nil {
 		t.Fatalf("artefact not written in gate mode: %v", err)
+	}
+	// Converted bench text records the CPU count it was measured on.
+	if art.Env["nproc"] != strconv.Itoa(runtime.NumCPU()) {
+		t.Fatalf("converted artefact env = %v, want nproc %d", art.Env, runtime.NumCPU())
 	}
 	if err := run([]string{"-regress", "25"}, strings.NewReader("")); err == nil {
 		t.Fatal("-regress without -baseline accepted")
-	}
-}
-
-// TestDiffAliased covers the -alias machinery: a renamed benchmark inherits
-// its aliased baseline's budget, the consumed baseline entry is not reported
-// as gone, and a same-name baseline entry overrides the alias (so the
-// mapping retires itself once the baseline carries the new name).
-func TestDiffAliased(t *testing.T) {
-	aliases := map[string]string{"BenchmarkShards1": "BenchmarkClassic"}
-	base := &Artifact{Benchmarks: []Benchmark{
-		{Name: "BenchmarkClassic-8", Pkg: "p1", Metrics: []Metric{{Value: 200, Unit: "ns/op"}}},
-	}}
-	cur := &Artifact{Benchmarks: []Benchmark{
-		{Name: "BenchmarkShards1-8", Pkg: "p1", Metrics: []Metric{{Value: 100, Unit: "ns/op"}}},
-	}}
-	diffs := DiffAliased(base, cur, aliases)
-	if len(diffs) != 1 {
-		t.Fatalf("diff entries = %d, want 1 (aliased baseline must not also report gone): %+v", len(diffs), diffs)
-	}
-	if d := diffs[0]; !d.InBoth() || d.OldNs != 200 || d.DeltaPct() != -50 {
-		t.Fatalf("aliased diff = %+v, want old=200 delta=-50%%", d)
-	}
-
-	// Once the baseline carries the new name, the alias is ignored.
-	base.Benchmarks = append(base.Benchmarks,
-		Benchmark{Name: "BenchmarkShards1-8", Pkg: "p1", Metrics: []Metric{{Value: 120, Unit: "ns/op"}}})
-	diffs = DiffAliased(base, cur, aliases)
-	if len(diffs) != 2 {
-		t.Fatalf("diff entries = %d, want 2: %+v", len(diffs), diffs)
-	}
-	if d := diffs[0]; d.OldNs != 120 {
-		t.Fatalf("same-name baseline should win over alias: %+v", d)
-	}
-	// The untouched classic entry now reports as gone.
-	if d := diffs[1]; d.InBoth() || d.OldNs != 200 {
-		t.Fatalf("classic entry should be baseline-only: %+v", d)
-	}
-
-	// Aliases never cross packages.
-	cur.Benchmarks[0].Pkg = "p2"
-	diffs = DiffAliased(&Artifact{Benchmarks: base.Benchmarks[:1]}, cur, aliases)
-	if d := diffs[0]; d.InBoth() {
-		t.Fatalf("alias crossed packages: %+v", d)
-	}
-}
-
-// TestRunAliasGate covers the CLI face of -alias: the regress gate fires on
-// the aliased baseline, and -alias validates its shape and -baseline
-// dependency.
-func TestRunAliasGate(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, art *Artifact) string {
-		path := dir + "/" + name
-		data, err := json.Marshal(art)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	oldPath := write("old.json", &Artifact{Benchmarks: []Benchmark{
-		{Name: "BenchmarkClassic-8", Iterations: 1, Metrics: []Metric{{Value: 100, Unit: "ns/op"}}},
-	}})
-	slowPath := write("slow.json", &Artifact{Benchmarks: []Benchmark{
-		{Name: "BenchmarkShards1-8", Iterations: 1, Metrics: []Metric{{Value: 140, Unit: "ns/op"}}},
-	}})
-
-	// Without the alias the new benchmark is one-sided: no gate.
-	if err := run([]string{"-injson", slowPath, "-baseline", oldPath, "-regress", "25"},
-		strings.NewReader("")); err != nil {
-		t.Fatalf("one-sided benchmark tripped the gate: %v", err)
-	}
-	// With the alias it inherits the classic budget and fails.
-	err := run([]string{"-injson", slowPath, "-baseline", oldPath, "-regress", "25",
-		"-alias", "BenchmarkShards1=BenchmarkClassic"}, strings.NewReader(""))
-	if err == nil {
-		t.Fatal("aliased 40% regression passed a 25% gate")
-	}
-	if !strings.Contains(err.Error(), "BenchmarkShards1-8") {
-		t.Fatalf("gate error %q does not name the current benchmark", err)
-	}
-
-	if err := run([]string{"-injson", slowPath, "-baseline", oldPath,
-		"-alias", "NoEqualsSign"}, strings.NewReader("")); err == nil {
-		t.Fatal("malformed -alias accepted")
-	}
-	if err := run([]string{"-injson", slowPath,
-		"-alias", "BenchmarkShards1=BenchmarkClassic"}, strings.NewReader("")); err == nil {
-		t.Fatal("-alias without -baseline accepted")
 	}
 }

@@ -58,12 +58,29 @@
 //	expsweep -fig 8 -reps 5 -listen :9109    # watch at http://localhost:9109/
 //	expsweep -fig 8 -quick -progress         # terminal status line
 //	expsweep -fig 8 -quick -shards 4 -spans spans.jsonl
+//
+// The same binary splits a figure sweep across processes over TCP through
+// the crash-tolerant sweep farm (see README "Sweep farm"): -serve runs the
+// coordinator, which leases cells, merges each result exactly once and
+// prints the tables; -connect runs a disposable worker, any number of them.
+// Both sides take the same sweep and config flags, and with -store a shared
+// store directory:
+//
+//	expsweep -fig 8 -env urban -store /shared/cache -serve :7600           # coordinator
+//	expsweep -fig 8 -env urban -store /shared/cache -connect host:7600     # worker
+//
+// The coordinator's stdout is byte-identical to the single-process sweep's.
+// A worker refuses any leased cell whose key or label differs from the grid
+// its own flags derive, so a config mismatch fails loudly. Kill -9 a worker
+// and its leases expire (-lease-ttl) and re-run elsewhere; a worker exits
+// with an error once the coordinator has been unreachable for -giveup.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -111,6 +128,12 @@ func run(args []string) (err error) {
 		listen      = fs.String("listen", "", "serve live observability on this address (host:port) while the command runs: / is an HTML dashboard, /metrics a Prometheus exposition, /spans the flight-recorder dump, /debug/pprof/* profiling")
 		progress    = fs.Bool("progress", false, "render the figure sweeps (figs 8/9/12/13) as one live status line on stderr instead of per-replication lines")
 		spansFile   = fs.String("spans", "", "dump the recorded phase spans as JSONL to this file on exit ('-' = stderr)")
+		serve       = fs.String("serve", "", "coordinate a figure sweep (figs 8/9/12/13, one -env) across processes: lease its cells to expsweep -connect workers on this address and print the tables here")
+		connect     = fs.String("connect", "", "run as a worker process against an expsweep -serve coordinator at this address, computing up to 2 cells at once until the sweep is done (give it the coordinator's sweep and config flags)")
+		workerID    = fs.String("id", "", "worker name in leases and events for -connect (default: hostname-pid)")
+		giveUp      = fs.Duration("giveup", time.Minute, "with -connect: exit with an error after this long without one successful coordinator call (the supervision signal that the coordinator is gone)")
+		drain       = fs.Duration("drain", 2*time.Second, "with -serve: keep answering workers for this long after the sweep completes, so connected workers learn it is done and exit cleanly")
+		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "with -serve: cell lease lifetime between heartbeats; an expired lease (a dead worker) re-queues its cell")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -145,6 +168,30 @@ func run(args []string) (err error) {
 	}
 	if *progress && *quiet {
 		return fmt.Errorf("-progress and -quiet are contradictory: one asks for a live status line, the other for silence")
+	}
+	if *serve != "" || *connect != "" {
+		if *serve != "" && *connect != "" {
+			return fmt.Errorf("-serve and -connect are exclusive: a process is the coordinator or a worker, not both")
+		}
+		switch *fig {
+		case "8", "9", "12", "13":
+		default:
+			return fmt.Errorf("-serve/-connect farm the figure sweeps (figs 8/9/12/13); -fig %s runs in one process", *fig)
+		}
+		// Cell indexes restart per environment, so a remote worker cannot
+		// tell which environment's grid a lease belongs to; the wire mode
+		// pins one per process.
+		if *envName != "urban" && *envName != "rural" {
+			return fmt.Errorf("-serve/-connect need a single environment (-env urban or -env rural); %q is ambiguous over the wire", *envName)
+		}
+	}
+	if *connect != "" {
+		if *listen != "" {
+			return fmt.Errorf("-connect is a worker process; -listen (observability) belongs on the -serve side, which sees every worker's events")
+		}
+		if *progress {
+			return fmt.Errorf("-connect is a worker process; -progress belongs on the -serve side, which tracks the whole sweep")
+		}
 	}
 	if *spansFile != "" && *spansFile != "-" && *spansFile == *traceFile {
 		return fmt.Errorf("-spans and -trace both point at %q; the JSONL streams would interleave", *spansFile)
@@ -301,6 +348,21 @@ func run(args []string) (err error) {
 		store: store, percentiles: *percentiles,
 		figName: *fig, tracker: tracker, progress: *progress}
 
+	switch {
+	case *serve != "":
+		ln, err := net.Listen("tcp", *serve)
+		if err != nil {
+			return err
+		}
+		return sw.serveSweep(ln, base, envs[0], *leaseTTL, *drain)
+	case *connect != "":
+		id := *workerID
+		if id == "" {
+			id = defaultWorkerID()
+		}
+		return sw.connectSweep(*connect, base, envs[0], id, *giveUp)
+	}
+
 	switch *fig {
 	case "7", "10", "11", "ablations":
 		// These artefacts run outside the sweep engine; say so rather
@@ -430,7 +492,8 @@ func fig7(base experiment.Config) error {
 	return nil
 }
 
-// sweeper runs the figure sweeps through the parallel engine.
+// sweeper runs the figure sweeps through the parallel engine, or across
+// processes through the wire farm (wire.go).
 type sweeper struct {
 	workers     int
 	reps        int

@@ -41,6 +41,12 @@ func TestFlagValidationErrors(t *testing.T) {
 		{"progress non-sweep fig", []string{"-fig", "7", "-progress"}, "has no sweep cells"},
 		{"progress with quiet", []string{"-fig", "8", "-progress", "-quiet"}, "contradictory"},
 		{"spans clashes with trace", []string{"-fig", "8", "-spans", "t.jsonl", "-trace", "t.jsonl"}, "would interleave"},
+		{"serve with connect", []string{"-serve", "x:1", "-connect", "y:1"}, "exclusive"},
+		{"serve env both", []string{"-serve", "x:1"}, "ambiguous over the wire"},
+		{"connect env both", []string{"-connect", "y:1"}, "ambiguous over the wire"},
+		{"connect with listen", []string{"-connect", "y:1", "-env", "urban", "-listen", ":0"}, "-listen (observability) belongs on the -serve side"},
+		{"connect with progress", []string{"-connect", "y:1", "-env", "urban", "-progress"}, "-progress belongs on the -serve side"},
+		{"serve non-figure fig", []string{"-serve", "x:1", "-env", "urban", "-fig", "resilience"}, "-fig resilience runs in one process"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,21 +104,9 @@ func TestFigADRRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick ADR grid")
 	}
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	runErr := run([]string{"-fig", "adr", "-quick", "-env", "urban", "-quiet"})
-	w.Close()
-	os.Stdout = old
-	out, _ := io.ReadAll(r)
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
+	out := captureRun(t, "-fig", "adr", "-quick", "-env", "urban", "-quiet")
 	for _, want := range []string{"ADR: delivery %", "fixed-SF", "ADR+confirmed", "retx"} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Fatalf("ADR table missing %q:\n%s", want, out)
 		}
 	}
@@ -142,24 +136,8 @@ func TestShardsFlagThreadsThrough(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick throughput series twice")
 	}
-	render := func(shards string) string {
-		t.Helper()
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := os.Stdout
-		os.Stdout = w
-		runErr := run([]string{"-fig", "10", "-quick", "-shards", shards})
-		w.Close()
-		os.Stdout = old
-		out, _ := io.ReadAll(r)
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		return string(out)
-	}
-	one, four := render("1"), render("4")
+	one := captureRun(t, "-fig", "10", "-quick", "-shards", "1")
+	four := captureRun(t, "-fig", "10", "-quick", "-shards", "4")
 	if one != four {
 		t.Fatalf("-shards changed the figure output:\n--- shards=1\n%s\n--- shards=4\n%s", one, four)
 	}

@@ -49,7 +49,8 @@ func layoutSweep(base Config, env Environment, reps int) (cells []AggregatePoint
 // the store decoder's integrity checks, and merges verified artefacts into
 // AggregatePoints — idempotently, deduped by store key, so a cell result
 // that arrives twice (duplicate completion, coordinator restart replaying
-// recovery) changes nothing.
+// recovery) changes nothing. expsweep -serve/-connect build one on each side
+// of the wire from the same flags.
 type FarmSweep struct {
 	cells []AggregatePoint
 	jobs  []sweepJob
@@ -164,11 +165,12 @@ func (f *FarmSweep) Points() []AggregatePoint {
 // RenderFigureTables writes the figure sweep's complete stdout block for one
 // environment: the Fig 8/9/12/13 aggregate tables, the optional pooled
 // percentile table, the matched-coverage table over replication 0, and the
-// overhead-ratio lines. expsweep and sweepd both print through this one
-// function, which is what makes their outputs byte-identical by
-// construction rather than by test alone. Cells with no replication-0 result
-// (quarantined under the farm) are omitted from the matched-coverage table;
-// every other table renders them as "-".
+// overhead-ratio lines. expsweep prints through this one function both
+// after a pool sweep and as a -serve coordinator, which is what makes the
+// two outputs byte-identical by construction rather than by test alone.
+// Cells with no replication-0 result (quarantined under the farm) are
+// omitted from the matched-coverage table; every other table renders them
+// as "-".
 func RenderFigureTables(w io.Writer, points []AggregatePoint, reps int, percentiles bool) {
 	fmt.Fprintln(w, Fig8AggTable(points))
 	if percentiles {

@@ -24,8 +24,8 @@ type SweepTracker struct {
 	delay   telemetry.Histogram
 	started time.Time
 	active  bool
-	// Farm bookkeeping (sweepd): lease churn per worker plus the
-	// robustness counters. Zero-valued when the sweep runs in-process.
+	// Farm bookkeeping (expsweep -serve): lease churn per worker plus the
+	// robustness counters. Zero-valued when the sweep runs on the pool.
 	farm       bool
 	leases     map[string]int // worker -> live leases
 	retries    int
