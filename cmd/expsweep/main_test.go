@@ -41,12 +41,6 @@ func TestFlagValidationErrors(t *testing.T) {
 		{"progress non-sweep fig", []string{"-fig", "7", "-progress"}, "has no sweep cells"},
 		{"progress with quiet", []string{"-fig", "8", "-progress", "-quiet"}, "contradictory"},
 		{"spans clashes with trace", []string{"-fig", "8", "-spans", "t.jsonl", "-trace", "t.jsonl"}, "would interleave"},
-		{"serve with connect", []string{"-serve", "x:1", "-connect", "y:1"}, "exclusive"},
-		{"serve env both", []string{"-serve", "x:1"}, "ambiguous over the wire"},
-		{"connect env both", []string{"-connect", "y:1"}, "ambiguous over the wire"},
-		{"connect with listen", []string{"-connect", "y:1", "-env", "urban", "-listen", ":0"}, "-listen (observability) belongs on the -serve side"},
-		{"connect with progress", []string{"-connect", "y:1", "-env", "urban", "-progress"}, "-progress belongs on the -serve side"},
-		{"serve non-figure fig", []string{"-serve", "x:1", "-env", "urban", "-fig", "resilience"}, "-fig resilience runs in one process"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -73,6 +73,31 @@ func captureRun(t *testing.T, args ...string) string {
 	return out
 }
 
+// TestFlagValidation covers the flag combinations only the wire modes
+// reject: -serve and -connect are exclusive, each pins one environment, and
+// the observability and non-figure flags stay on the coordinator side.
+func TestFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // substring of the error
+	}{
+		{"serve with connect", []string{"-serve", "x:1", "-connect", "y:1"}, "exclusive"},
+		{"serve env both", []string{"-serve", "x:1"}, "ambiguous over the wire"},
+		{"connect env both", []string{"-connect", "y:1"}, "ambiguous over the wire"},
+		{"connect with listen", []string{"-connect", "y:1", "-env", "urban", "-listen", ":0"}, "-listen (observability) belongs on the -serve side"},
+		{"connect with progress", []string{"-connect", "y:1", "-env", "urban", "-progress"}, "-progress belongs on the -serve side"},
+		{"serve non-figure fig", []string{"-serve", "x:1", "-env", "urban", "-fig", "resilience"}, "-fig resilience runs in one process"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(tc.args)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
+			}
+		})
+	}
+}
+
 func TestParseEnvs(t *testing.T) {
 	if envs, err := parseEnvs("both"); err != nil || len(envs) != 2 {
 		t.Fatalf("both: %v %v", envs, err)
