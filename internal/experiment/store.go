@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"mlorass/internal/disruption"
@@ -31,7 +34,10 @@ import (
 //
 // Version 4: devices overhear from their first instant in service, not from
 // the next spatial-index rebuild after it.
-const storeSchemaVersion = 4
+//
+// Version 5: the per-delivery columns (raw delays, origins) are packed bytes,
+// not JSON number arrays.
+const storeSchemaVersion = 5
 
 // storeKey is the canonical, deterministic description of everything that
 // determines a Run's Result. Field order is fixed by the struct; every
@@ -118,6 +124,12 @@ func cacheKey(cfg Config) (key string, ok bool) {
 // request, which by key construction is semantically identical). JSON
 // float64 encoding round-trips bit for bit, so a decoded artefact renders
 // every aggregate table byte-identically to the original run.
+//
+// The two per-delivery columns are most of a run's bytes, so they are packed
+// rather than written as JSON number arrays (encoding/json carries []byte as
+// base64, keeping the artefact one JSON document): RawDelays holds each
+// delay's IEEE-754 bits little-endian, 8 bytes per delivery, and
+// OriginDelivered holds each origin as a zigzag varint.
 type resultArtifact struct {
 	Schema               int                `json:"schema"`
 	Generated            uint64             `json:"generated"`
@@ -148,12 +160,20 @@ type resultArtifact struct {
 	ADRCommands          uint64             `json:"adr_commands"`
 	ADRApplied           uint64             `json:"adr_applied"`
 	Telemetry            telemetry.Snapshot `json:"telemetry"`
-	RawDelays            []float64          `json:"raw_delays"`
-	OriginDelivered      []int              `json:"origin_delivered"`
+	RawDelays            []byte             `json:"raw_delays"`
+	OriginDelivered      []byte             `json:"origin_delivered"`
 }
 
 // encodeResult serialises a Result for the run store.
 func encodeResult(r *Result) ([]byte, error) {
+	delays := make([]byte, 0, 8*len(r.rawDelays))
+	for _, d := range r.rawDelays {
+		delays = binary.LittleEndian.AppendUint64(delays, math.Float64bits(d))
+	}
+	origins := make([]byte, 0, 2*len(r.originDelivered))
+	for _, o := range r.originDelivered {
+		origins = binary.AppendVarint(origins, int64(o))
+	}
 	return json.Marshal(resultArtifact{
 		Schema:               storeSchemaVersion,
 		Generated:            r.Generated,
@@ -184,38 +204,91 @@ func encodeResult(r *Result) ([]byte, error) {
 		ADRCommands:          r.ADRCommands,
 		ADRApplied:           r.ADRApplied,
 		Telemetry:            r.Telemetry,
-		RawDelays:            r.rawDelays,
-		OriginDelivered:      r.originDelivered,
+		RawDelays:            delays,
+		OriginDelivered:      origins,
 	})
 }
 
 // decodeResult restores a stored artefact as the Result that Run(cfg) would
 // have produced, rejecting artefacts from another schema version and
-// artefacts that parse but fail the structural invariants every real run
-// satisfies. The integrity check matters for crash recovery: a truncated or
+// artefacts that parse but fail the invariants every real run satisfies:
+// per-delivery columns and summaries sized to the delivery count, no more
+// deliveries than messages generated, an arrival series that sums to the
+// deliveries, and (with telemetry on) server counters that agree with the
+// Result's. The integrity check matters for crash recovery: a truncated or
 // hand-damaged file that still happens to be valid JSON (`{"schema":2}`,
 // say) must read as corruption — to be recomputed and overwritten — not as
 // a cached cell of zeros that silently poisons a sweep.
 func decodeResult(data []byte, cfg Config) (*Result, error) {
-	var a resultArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
+	// The packed columns are taken as raw JSON strings and base64-decoded by
+	// decodeResultColumn: encoding/json would first unquote each one, a pass
+	// over most of the artefact's bytes that base64 text never needs.
+	var raw struct {
+		resultArtifact
+		RawDelays       json.RawMessage `json:"raw_delays"`
+		OriginDelivered json.RawMessage `json:"origin_delivered"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
 		return nil, fmt.Errorf("experiment: stored artefact: %w", err)
 	}
+	a := &raw.resultArtifact
 	if a.Schema != storeSchemaVersion {
 		return nil, fmt.Errorf("experiment: stored artefact schema %d, want %d", a.Schema, storeSchemaVersion)
+	}
+	var err error
+	if a.RawDelays, err = decodeResultColumn(raw.RawDelays); err != nil {
+		return nil, fmt.Errorf("experiment: stored artefact raw_delays: %w", err)
+	}
+	if a.OriginDelivered, err = decodeResultColumn(raw.OriginDelivered); err != nil {
+		return nil, fmt.Errorf("experiment: stored artefact origin_delivered: %w", err)
 	}
 	if a.Throughput == nil {
 		return nil, fmt.Errorf("experiment: stored artefact has no throughput series (truncated?)")
 	}
-	if a.Delivered < 0 || len(a.RawDelays) != a.Delivered || len(a.OriginDelivered) != a.Delivered {
-		return nil, fmt.Errorf("experiment: stored artefact delivery samples %d/%d inconsistent with delivered %d (truncated?)",
-			len(a.RawDelays), len(a.OriginDelivered), a.Delivered)
+	// Divide rather than multiply: 8*Delivered overflows for a forged count,
+	// and Delivered sizes the allocation below.
+	if a.Delivered < 0 || len(a.RawDelays)%8 != 0 || len(a.RawDelays)/8 != a.Delivered {
+		return nil, fmt.Errorf("experiment: stored artefact delay column of %d bytes inconsistent with delivered %d (truncated?)",
+			len(a.RawDelays), a.Delivered)
 	}
 	if a.Delay.N() != uint64(a.Delivered) || a.Hops.N() != uint64(a.Delivered) {
 		return nil, fmt.Errorf("experiment: stored artefact summaries (n=%d/%d) inconsistent with delivered %d (truncated?)",
 			a.Delay.N(), a.Hops.N(), a.Delivered)
 	}
+	if uint64(a.Delivered) > a.Generated {
+		return nil, fmt.Errorf("experiment: stored artefact delivered %d exceeds generated %d", a.Delivered, a.Generated)
+	}
+	if total := a.Throughput.Total(); total != a.Delivered {
+		return nil, fmt.Errorf("experiment: stored artefact throughput series sums to %d, delivered %d", total, a.Delivered)
+	}
 	cfg.Normalize()
+	if c := a.Telemetry.Counters; !cfg.Telemetry.Disabled &&
+		(c.ServerFresh != uint64(a.Delivered) || c.ServerDuplicates != a.Duplicates) {
+		return nil, fmt.Errorf("experiment: stored artefact telemetry server counters %d fresh/%d duplicates, result %d/%d",
+			c.ServerFresh, c.ServerDuplicates, a.Delivered, a.Duplicates)
+	}
+	var delays []float64
+	var origins []int
+	if a.Delivered > 0 {
+		delays = make([]float64, a.Delivered)
+		for i := range delays {
+			delays[i] = math.Float64frombits(binary.LittleEndian.Uint64(a.RawDelays[8*i:]))
+		}
+		origins = make([]int, 0, a.Delivered)
+	}
+	for rest := a.OriginDelivered; len(rest) > 0; {
+		o, n := binary.Varint(rest)
+		if n <= 0 || len(origins) == a.Delivered {
+			return nil, fmt.Errorf("experiment: stored artefact origin column corrupt after %d of %d entries (truncated?)",
+				len(origins), a.Delivered)
+		}
+		origins = append(origins, int(o))
+		rest = rest[n:]
+	}
+	if len(origins) != a.Delivered {
+		return nil, fmt.Errorf("experiment: stored artefact origin column holds %d entries, delivered %d (truncated?)",
+			len(origins), a.Delivered)
+	}
 	return &Result{
 		Config:               cfg,
 		Generated:            a.Generated,
@@ -246,9 +319,27 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 		ADRCommands:          a.ADRCommands,
 		ADRApplied:           a.ADRApplied,
 		Telemetry:            a.Telemetry,
-		rawDelays:            a.RawDelays,
-		originDelivered:      a.OriginDelivered,
+		rawDelays:            delays,
+		originDelivered:      origins,
 	}, nil
+}
+
+// decodeResultColumn decodes one packed column from its JSON form: null, or
+// a base64 string. A string holding JSON escapes is rejected; encoding/json
+// never writes one into base64 text.
+func decodeResultColumn(raw json.RawMessage) ([]byte, error) {
+	if raw == nil || string(raw) == "null" {
+		return nil, nil
+	}
+	if len(raw) < 2 || raw[0] != '"' || raw[len(raw)-1] != '"' {
+		return nil, fmt.Errorf("not a base64 string")
+	}
+	b := make([]byte, base64.StdEncoding.DecodedLen(len(raw)-2))
+	n, err := base64.StdEncoding.Decode(b, raw[1:len(raw)-1])
+	if err != nil {
+		return nil, err
+	}
+	return b[:n], nil
 }
 
 // runThroughStore executes one sweep cell through the artefact cache: a

@@ -1,7 +1,15 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,41 +59,121 @@ func TestCacheKeyDeterministicAndSensitive(t *testing.T) {
 	}
 }
 
+// roundTripConfigs are the configurations the artefact round trip and its
+// integrity invariants are checked on: every subsystem that adds fields to
+// a Result, both engines, telemetry on and off, and a run that delivers
+// nothing. A real artefact failing decodeResult's invariants would be
+// recomputed on every load, so each must decode.
+func roundTripConfigs() map[string]Config {
+	adr, confirmed := macTestConfig(), macTestConfig()
+	adr.MAC.ADR = true
+	confirmed.MAC.ADR, confirmed.MAC.Confirmed = true, true
+	disrupted := sweepTestConfig()
+	disrupted.Disruption.GatewayOutageFraction = 0.5
+	disrupted.Disruption.DeviceChurnFraction = 0.25
+	disruptedRWP := tinyScenario(MobilityRandomWaypoint)
+	disruptedRWP.Disruption.GatewayOutageFraction = 0.4
+	disruptedRWP.Disruption.DeviceChurnFraction = 0.2
+	sharded := telemetryTestConfig()
+	sharded.Shards = 2
+	noTelemetry := sweepTestConfig()
+	noTelemetry.Telemetry.Disabled = true
+	nothingDelivered := tinyConfig()
+	nothingDelivered.Disruption.GatewayOutageFraction = 1
+	nothingDelivered.Disruption.OutageDuration = nothingDelivered.Duration
+	return map[string]Config{
+		"telemetry":         telemetryTestConfig(),
+		"sweep cell":        sweepTestConfig(),
+		"random waypoint":   tinyScenario(MobilityRandomWaypoint),
+		"sensor grid":       tinyScenario(MobilitySensorGrid),
+		"adr":               adr,
+		"adr confirmed":     confirmed,
+		"disruption":        disrupted,
+		"disrupted rwp":     disruptedRWP,
+		"shards 2":          sharded,
+		"telemetry off":     noTelemetry,
+		"nothing delivered": nothingDelivered,
+	}
+}
+
 func TestResultArtifactRoundTrip(t *testing.T) {
-	cfg := telemetryTestConfig()
+	for name, cfg := range roundTripConfigs() {
+		t.Run(name, func(t *testing.T) {
+			res := mustRun(t, cfg)
+			if name == "nothing delivered" && res.Delivered != 0 {
+				t.Fatalf("zero-delivery config delivered %d", res.Delivered)
+			}
+			data, err := encodeResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := decodeResult(data, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, back, res)
+		})
+	}
+}
+
+// requireSameResult fails unless got is a bit-exact decode of want.
+func requireSameResult(t *testing.T, got, want *Result) {
+	t.Helper()
+	if got.String() != want.String() || got.Report() != want.Report() {
+		t.Fatal("decoded artefact renders differently")
+	}
+	if got.Delay != want.Delay || got.Hops != want.Hops || got.Delivered != want.Delivered {
+		t.Fatal("decoded artefact summaries differ")
+	}
+	if got.Telemetry.Delay.Percentile(99) != want.Telemetry.Delay.Percentile(99) {
+		t.Fatal("decoded telemetry percentiles differ")
+	}
+	bitEqual := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !slices.EqualFunc(got.rawDelays, want.rawDelays, bitEqual) {
+		t.Fatal("decoded raw delays differ bit for bit")
+	}
+	if !slices.Equal(got.originDelivered, want.originDelivered) {
+		t.Fatal("decoded delivery origins differ")
+	}
+	if got.MatchedDelayMean(100) != want.MatchedDelayMean(100) {
+		t.Fatal("decoded matched-coverage mean differs")
+	}
+	if !slices.Equal(got.Throughput.Counts(), want.Throughput.Counts()) {
+		t.Fatal("decoded throughput series differs")
+	}
+}
+
+// BenchmarkResultCodec times the artefact codec alone on one quick cell:
+// the encode every store-backed cell pays once, and the decode the farm
+// coordinator pays per Verify and per Absorb.
+func BenchmarkResultCodec(b *testing.B) {
+	cfg := QuickConfig()
 	res, err := Run(cfg)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	data, err := encodeResult(res)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	back, err := decodeResult(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.String() != res.String() || back.Report() != res.Report() {
-		t.Fatal("decoded artefact renders differently")
-	}
-	if back.Delay != res.Delay || back.Hops != res.Hops || back.Delivered != res.Delivered {
-		t.Fatal("decoded artefact summaries differ")
-	}
-	if back.Telemetry.Delay.Percentile(99) != res.Telemetry.Delay.Percentile(99) {
-		t.Fatal("decoded telemetry percentiles differ")
-	}
-	if back.DelayPercentile(95) != res.DelayPercentile(95) {
-		t.Fatal("decoded raw delays differ")
-	}
-	if back.MatchedDelayMean(100) != res.MatchedDelayMean(100) {
-		t.Fatal("decoded matched-coverage mean differs")
-	}
-	tb, rb := back.Throughput.Counts(), res.Throughput.Counts()
-	for i := range rb {
-		if tb[i] != rb[i] {
-			t.Fatal("decoded throughput series differs")
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := encodeResult(res); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := decodeResult(data, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // sweepTables renders every aggregate figure table for comparison.
@@ -204,41 +292,137 @@ func TestParallelSweepStoreResume(t *testing.T) {
 	}
 }
 
+// corruption is one damaged artefact; want, when set, is a fragment of the
+// error decodeResult must reject it with, pinning the check that catches it.
+type corruption struct {
+	data []byte
+	want string
+}
+
+// artefactCorruptions derives damaged artefacts from genuine, the encoding
+// of res: files that still parse as JSON (a crash mid-rewrite, a hand-edited
+// store, disk corruption landing on a value) and must all read as
+// corruption.
+func artefactCorruptions(t testing.TB, genuine []byte, res *Result) map[string]corruption {
+	t.Helper()
+	if res.Delivered < 2 {
+		t.Fatalf("genuine artefact delivers %d messages; the corpus needs at least 2", res.Delivered)
+	}
+	// mutate re-encodes genuine with one field changed.
+	mutate := func(f func(a *resultArtifact)) []byte {
+		var a resultArtifact
+		if err := json.Unmarshal(genuine, &a); err != nil {
+			t.Fatal(err)
+		}
+		f(&a)
+		b, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	packOrigins := func(origins []int) []byte {
+		var b []byte
+		for _, o := range origins {
+			b = binary.AppendVarint(b, int64(o))
+		}
+		return b
+	}
+	origins := res.originDelivered
+	oneDelay := base64.StdEncoding.EncodeToString(binary.LittleEndian.AppendUint64(nil, math.Float64bits(1)))
+	return map[string]corruption{
+		"empty file":                            {data: []byte{}},
+		"json null":                             {data: []byte("null")},
+		"garbage":                               {data: []byte("\x00\xff\x17 not json at all")},
+		"truncated mid-token":                   {data: genuine[:len(genuine)/2]},
+		"valid json, current schema, no fields": {data: []byte(fmt.Sprintf(`{"schema":%d}`, storeSchemaVersion))},
+		"schema only, no throughput":            {data: []byte(fmt.Sprintf(`{"schema":%d,"delivered":3}`, storeSchemaVersion))},
+		"inconsistent delivery samples": {
+			data: []byte(fmt.Sprintf(`{"schema":%d,"generated":3,"delivered":3,"throughput":{"bin":600000000000,"horizon":600000000000,"counts":[3]},"raw_delays":%q}`,
+				storeSchemaVersion, oneDelay)),
+			want: "delay column",
+		},
+		"stale schema": {data: []byte(`{"schema":1}`), want: "schema 1"},
+		"delay column one byte short": {
+			data: mutate(func(a *resultArtifact) { a.RawDelays = a.RawDelays[:len(a.RawDelays)-1] }),
+			want: "delay column",
+		},
+		"delay column one entry long": {
+			data: mutate(func(a *resultArtifact) { a.RawDelays = append(a.RawDelays, make([]byte, 8)...) }),
+			want: "delay column",
+		},
+		// 8*Delivered wraps to the column's true length, so a length check
+		// by multiplication would pass this and size a 2^61-entry slice.
+		"huge forged delivered": {
+			data: mutate(func(a *resultArtifact) { a.Delivered += 1 << 61 }),
+			want: "delay column",
+		},
+		"truncated origin varint": {
+			data: mutate(func(a *resultArtifact) {
+				a.OriginDelivered = append(packOrigins(origins[:len(origins)-1]), 0x80)
+			}),
+			want: "origin column corrupt",
+		},
+		"one origin too many": {
+			data: mutate(func(a *resultArtifact) { a.OriginDelivered = packOrigins(append(slices.Clone(origins), 0)) }),
+			want: "origin column corrupt",
+		},
+		"one origin too few": {
+			data: mutate(func(a *resultArtifact) { a.OriginDelivered = packOrigins(origins[:len(origins)-1]) }),
+			want: "origin column holds",
+		},
+		"non-base64 column": {
+			data: bytes.Replace(genuine, []byte(`"raw_delays":"`), []byte(`"raw_delays":"*`), 1),
+			want: "base64",
+		},
+		"generated below delivered": {
+			data: mutate(func(a *resultArtifact) { a.Generated = uint64(a.Delivered) - 1 }),
+			want: "exceeds generated",
+		},
+		// A leading digit raises the first throughput bucket.
+		"throughput series off the deliveries": {
+			data: bytes.Replace(genuine, []byte(`"counts":[`), []byte(`"counts":[1`), 1),
+			want: "throughput series sums",
+		},
+		"server counters off the deliveries": {
+			data: mutate(func(a *resultArtifact) { a.Telemetry.Counters.ServerFresh++ }),
+			want: "server counters",
+		},
+	}
+}
+
 // TestRunThroughStoreTruncatedArtefact is the regression test for the
-// truncated-artefact family: files damaged in ways that still parse as JSON
-// (a crash mid-rewrite, a hand-edited store, disk corruption landing on a
-// value) must read as corruption and be recomputed, never served as a cached
-// cell of zeros. The nastiest case — `{"schema":N}` with the current schema
-// number — previously decoded "successfully" into an all-zero Result with a
-// nil throughput series.
+// truncated-artefact family: damaged files that still parse as JSON must
+// read as corruption and be recomputed, never served as a cached cell. The
+// nastiest case — `{"schema":N}` with the current schema number —
+// previously decoded "successfully" into an all-zero Result with a nil
+// throughput series.
 func TestRunThroughStoreTruncatedArtefact(t *testing.T) {
 	cfg := sweepTestConfig()
 	key, ok := cacheKey(cfg)
 	if !ok {
 		t.Fatal("config not cacheable")
 	}
-	// A genuine artefact, to derive realistic truncations from.
-	genuine, err := encodeResult(mustRun(t, cfg))
+	// A genuine artefact, to derive realistic damage from.
+	real := mustRun(t, cfg)
+	genuine, err := encodeResult(real)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corruptions := map[string][]byte{
-		"empty file":                            {},
-		"json null":                             []byte("null"),
-		"garbage":                               []byte("\x00\xff\x17 not json at all"),
-		"truncated mid-token":                   genuine[:len(genuine)/2],
-		"valid json, current schema, no fields": []byte(fmt.Sprintf(`{"schema":%d}`, storeSchemaVersion)),
-		"schema only, no throughput":            []byte(fmt.Sprintf(`{"schema":%d,"delivered":3}`, storeSchemaVersion)),
-		"inconsistent delivery samples":         []byte(fmt.Sprintf(`{"schema":%d,"delivered":3,"throughput":{"bin_seconds":600,"counts":[0]},"raw_delays":[1.0]}`, storeSchemaVersion)),
-		"stale schema":                          []byte(`{"schema":1}`),
-	}
-	for name, data := range corruptions {
+	for name, c := range artefactCorruptions(t, genuine, real) {
 		t.Run(name, func(t *testing.T) {
+			_, err := decodeResult(c.data, cfg)
+			if err == nil {
+				t.Fatal("corrupt artefact decoded")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("rejected with %q, want an error mentioning %q", err, c.want)
+			}
 			store, err := runstore.Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := store.Put(key, data); err != nil {
+			if err := store.Put(key, c.data); err != nil {
 				t.Fatal(err)
 			}
 			res, cached, err := runThroughStore(store, cfg)
@@ -262,6 +446,41 @@ func TestRunThroughStoreTruncatedArtefact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeResult feeds decodeResult hostile bytes, seeded with a genuine
+// artefact and the corruption corpus. It must never panic, and anything it
+// accepts must survive a re-encode bit for bit.
+func FuzzDecodeResult(f *testing.F) {
+	cfg := sweepTestConfig()
+	res, err := Run(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	genuine, err := encodeResult(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(genuine)
+	corpus := artefactCorruptions(f, genuine, res)
+	for _, name := range slices.Sorted(maps.Keys(corpus)) {
+		f.Add(corpus[name].data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := decodeResult(data, cfg)
+		if err != nil {
+			return
+		}
+		again, err := encodeResult(first)
+		if err != nil {
+			t.Fatalf("accepted artefact does not re-encode: %v", err)
+		}
+		second, err := decodeResult(again, cfg)
+		if err != nil {
+			t.Fatalf("re-encoded artefact rejected: %v", err)
+		}
+		requireSameResult(t, second, first)
+	})
 }
 
 // TestSweepResumesOverTruncatedArtefact drives the same regression through
