@@ -267,15 +267,11 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("experiment: stored artefact telemetry server counters %d fresh/%d duplicates, result %d/%d",
 			c.ServerFresh, c.ServerDuplicates, a.Delivered, a.Duplicates)
 	}
-	var delays []float64
-	var origins []int
-	if a.Delivered > 0 {
-		delays = make([]float64, a.Delivered)
-		for i := range delays {
-			delays[i] = math.Float64frombits(binary.LittleEndian.Uint64(a.RawDelays[8*i:]))
-		}
-		origins = make([]int, 0, a.Delivered)
+	delays := make([]float64, a.Delivered)
+	for i := range delays {
+		delays[i] = math.Float64frombits(binary.LittleEndian.Uint64(a.RawDelays[8*i:]))
 	}
+	origins := make([]int, 0, a.Delivered)
 	for rest := a.OriginDelivered; len(rest) > 0; {
 		o, n := binary.Varint(rest)
 		if n <= 0 || len(origins) == a.Delivered {
