@@ -155,6 +155,76 @@ func TestDeviceChurnKillsDevices(t *testing.T) {
 	}
 }
 
+// runWithDevices runs cfg on the engine its Shards selects and returns the
+// engine's device table alongside the result.
+func runWithDevices(t *testing.T, cfg Config) (*Result, []*device) {
+	t.Helper()
+	cfg.Normalize()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Shards > 0 {
+		res, diag, err := runSharded(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, diag.Devices
+	}
+	s, err := newSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, s.devices
+}
+
+// TestChurnBeforeWindowNeverActivates: a device that churns out before its
+// service window opens never enters service, so it is neither counted in
+// ActiveDevices nor averaged into the per-node figures, on either engine.
+func TestChurnBeforeWindowNeverActivates(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg := QuickConfig()
+		cfg.Seed = 1
+		cfg.Scheme = routing.SchemeROBC
+		cfg.Shards = shards
+		cfg.Disruption.DeviceChurnFraction = 0.5
+		res, devs := runWithDevices(t, cfg)
+		plan, err := compileDisruption(&res.Config, res.Config.NumGateways, len(devs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		diedFirst, active := 0, 0
+		for id, d := range devs {
+			if d == nil {
+				continue
+			}
+			start, _ := d.node.Window()
+			failAt := plan.DeviceFailAt[id]
+			early := failAt >= 0 && failAt < start && start < cfg.Duration
+			if early {
+				diedFirst++
+			}
+			if !d.everActive {
+				continue
+			}
+			active++
+			if early {
+				t.Errorf("shards=%d: device %d churned at %v, before its window opened at %v, yet entered service",
+					shards, id, failAt, start)
+			}
+		}
+		if diedFirst == 0 {
+			t.Fatalf("shards=%d: no device churned before its window opened; the case is not exercised", shards)
+		}
+		if res.ActiveDevices != active {
+			t.Errorf("shards=%d: ActiveDevices = %d, want %d", shards, res.ActiveDevices, active)
+		}
+	}
+}
+
 func TestScenarioValidation(t *testing.T) {
 	cases := []struct {
 		name string

@@ -252,7 +252,16 @@ func Run(cfg Config) (*Result, error) {
 		res, _, err := runSharded(cfg, nil)
 		return res, err
 	}
+	s, err := newSim(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.run()
+}
 
+// newSim builds the serial engine's world for a normalized, validated cfg
+// and schedules every device and disruption event on its kernel.
+func newSim(cfg Config) (*sim, error) {
 	fleet, ds, err := buildFleet(&cfg)
 	if err != nil {
 		return nil, err
@@ -443,15 +452,18 @@ func Run(cfg Config) (*Result, error) {
 	if err := s.scheduleDisruption(); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
 
-	if cfg.Telemetry.Live != nil && s.rec != nil {
+// run executes the built world to the horizon and collects its result.
+func (s *sim) run() (*Result, error) {
+	if live := s.cfg.Telemetry.Live; live != nil && s.rec != nil {
 		// Publish the recorder for live scraping until Run returns; by
 		// then the kernel has quiesced, so the snapshot the detach folds
 		// into the scraper's cumulative base equals Result.Telemetry.
-		detach := cfg.Telemetry.Live.Attach(s.rec)
-		defer detach()
+		defer live.Attach(s.rec)()
 	}
-	if err := s.es.RunUntil(cfg.Duration); err != nil {
+	if err := s.es.RunUntil(s.cfg.Duration); err != nil {
 		return nil, err
 	}
 	return s.collect(), nil
@@ -464,7 +476,7 @@ func (s *sim) scheduleDisruption() error {
 	if !s.cfg.Disruption.Enabled() {
 		return nil
 	}
-	plan, err := disruption.Compile(s.cfg.Disruption, s.cfg.Seed^0xd15c, len(s.gws), len(s.devices), s.cfg.Duration)
+	plan, err := compileDisruption(&s.cfg, len(s.gws), len(s.devices))
 	if err != nil {
 		return err
 	}
@@ -500,6 +512,11 @@ func (s *sim) scheduleDisruption() error {
 		}
 	}
 	return nil
+}
+
+// compileDisruption is both engines' disruption plan for a run.
+func compileDisruption(cfg *Config, gateways, devices int) (*disruption.Plan, error) {
+	return disruption.Compile(cfg.Disruption, cfg.Seed^0xd15c, gateways, devices, cfg.Duration)
 }
 
 // devPos returns device d's position at the given instant through its
@@ -541,6 +558,9 @@ func indexMotion(d *device, now, mid time.Duration) (mobility.Motion, bool) {
 }
 
 func (s *sim) activate(d *device) {
+	if d.failed {
+		return // churned out before its service window opened
+	}
 	d.everActive = true
 	s.activeList = append(s.activeList, d.id)
 	s.ix.activate(d.id, s.es.Now(), s.motionFn)

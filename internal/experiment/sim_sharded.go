@@ -191,6 +191,8 @@ type shardDiag struct {
 	LateRetries uint64
 	// Lookahead is the window length used.
 	Lookahead time.Duration
+	// Devices is the engine's device table, indexed by fleet id.
+	Devices []*device
 }
 
 // sharded is the engine: coordinator state plus one shard per tile.
@@ -627,7 +629,7 @@ func (e *sharded) scheduleDisruption() error {
 	if !e.cfg.Disruption.Enabled() {
 		return nil
 	}
-	plan, err := disruption.Compile(e.cfg.Disruption, e.cfg.Seed^0xd15c, len(e.gws), len(e.devices), e.cfg.Duration)
+	plan, err := compileDisruption(&e.cfg, len(e.gws), len(e.devices))
 	if err != nil {
 		return err
 	}
@@ -897,7 +899,7 @@ func (e *sharded) collect() (*Result, *shardDiag) {
 		Duplicates: e.server.Duplicates(),
 		Throughput: e.throughput,
 	}
-	diag := &shardDiag{Windows: e.windows, Lookahead: e.lookahead}
+	diag := &shardDiag{Windows: e.windows, Lookahead: e.lookahead, Devices: e.devices}
 	var ms radio.MediumStats
 	for _, s := range e.shards {
 		st := s.medium.Stats()

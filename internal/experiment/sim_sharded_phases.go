@@ -109,6 +109,9 @@ func (s *shard) devPos(d *device, at time.Duration) (geo.Point, bool) {
 }
 
 func (s *shard) activate(d *device) {
+	if !s.eng.aliveAt(d.id, s.es.Now()) {
+		return // churned out before its service window opened
+	}
 	d.everActive = true
 	s.activeList = append(s.activeList, d.id)
 	s.ix.activate(d.id, s.es.Now(), s.motionFn)
