@@ -173,6 +173,9 @@ func (s *sim) collect() *Result {
 		}
 	}
 	for _, d := range s.devices {
+		if d == nil {
+			continue
+		}
 		r.QueueDrops += d.queue.Dropped()
 		if !d.everActive {
 			continue

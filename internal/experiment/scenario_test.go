@@ -225,6 +225,58 @@ func TestChurnBeforeWindowNeverActivates(t *testing.T) {
 	}
 }
 
+// TestDormantDevicesNotBuilt: a device is built exactly when its service
+// window opens before the horizon, on either engine, and churn still
+// counts the victims that were never built.
+func TestDormantDevicesNotBuilt(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg := QuickConfig()
+		cfg.Seed = 1
+		cfg.Scheme = routing.SchemeROBC
+		cfg.Shards = shards
+		cfg.Disruption.DeviceChurnFraction = 0.5
+		res, devs := runWithDevices(t, cfg)
+		fleet, _, err := buildFleet(&res.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(devs) != fleet.Len() {
+			t.Fatalf("shards=%d: %d device slots for %d fleet nodes", shards, len(devs), fleet.Len())
+		}
+		plan, err := compileDisruption(&res.Config, res.Config.NumGateways, len(devs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, failures, dormantVictims := 0, 0, 0
+		for id, d := range devs {
+			start, _ := fleet.Node(id).Window()
+			live := start < cfg.Duration
+			if (d != nil) != live {
+				t.Fatalf("shards=%d: device %d (window opens %v) built=%v", shards, id, start, d != nil)
+			}
+			if d != nil {
+				built++
+			}
+			if f := plan.DeviceFailAt[id]; f >= 0 && f < cfg.Duration {
+				failures++
+				if !live {
+					dormantVictims++
+				}
+			}
+		}
+		if built == 0 || built == len(devs) {
+			t.Fatalf("shards=%d: %d of %d devices built; want some dormant, some live", shards, built, len(devs))
+		}
+		if dormantVictims == 0 {
+			t.Fatalf("shards=%d: no dormant device churns; the count is not exercised", shards)
+		}
+		if res.DeviceFailures != failures {
+			t.Errorf("shards=%d: DeviceFailures = %d, want %d (%d of them dormant)",
+				shards, res.DeviceFailures, failures, dormantVictims)
+		}
+	}
+}
+
 func TestScenarioValidation(t *testing.T) {
 	cases := []struct {
 		name string

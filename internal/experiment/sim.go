@@ -168,7 +168,7 @@ type sim struct {
 	link    core.LinkModel
 	gwCfg   core.GatewayConfig
 	retry   lorawan.RetryPolicy
-	devices []*device
+	devices []*device // by fleet id; nil when the window opens at or after the horizon
 
 	// contactCapacityPPS is the service rate credited to a sink contact:
 	// one full bundle per duty-cycled transmission opportunity.
@@ -381,14 +381,23 @@ func newSim(cfg Config) (*sim, error) {
 	rootRNG := rng.New(cfg.Seed ^ 0xdee1)
 	s.devices = make([]*device, fleet.Len())
 	for i := 0; i < fleet.Len(); i++ {
+		node := fleet.Node(i)
+		start, end := node.Window()
+		if start >= cfg.Duration {
+			// Dormant through the horizon: never built, its slot stays
+			// nil. The draw its Split would have made keeps every later
+			// device's stream.
+			rootRNG.Uint64()
+			continue
+		}
 		est, err := core.NewGatewayEstimator(gwCfg)
 		if err != nil {
 			return nil, err
 		}
 		d := &device{
 			id:             i,
-			node:           fleet.Node(i),
-			cursor:         mobility.NewCursor(fleet.Node(i)),
+			node:           node,
+			cursor:         mobility.NewCursor(node),
 			queue:          lorawan.NewQueue(cfg.QueueMax),
 			est:            est,
 			duty:           lorawan.NewDutyGovernor(cfg.DutyCycle),
@@ -423,10 +432,6 @@ func newSim(cfg Config) (*sim, error) {
 		d.resolveFn = func(end time.Duration) { s.resolve(d, end) }
 		s.devices[i] = d
 
-		start, end := d.node.Window()
-		if start >= cfg.Duration {
-			continue
-		}
 		// Stagger slots uniformly within the interval so the fleet's
 		// uplinks do not synchronise.
 		jitter := time.Duration(d.rnd.Uniform(0, cfg.MsgInterval.Seconds()) * float64(time.Second))
@@ -502,8 +507,11 @@ func (s *sim) scheduleDisruption() error {
 		if failAt < 0 || failAt >= s.cfg.Duration {
 			continue
 		}
-		d := s.devices[di]
 		s.deviceFailures++
+		d := s.devices[di]
+		if d == nil {
+			continue // dormant: fails before it could ever serve
+		}
 		if _, err := s.es.At(failAt, func(time.Duration) {
 			d.failed = true
 			s.deactivate(d)

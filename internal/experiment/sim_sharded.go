@@ -208,7 +208,7 @@ type sharded struct {
 	link    core.LinkModel
 	gwCfg   core.GatewayConfig
 	retry   lorawan.RetryPolicy
-	devices []*device
+	devices []*device // by fleet id, nil when dormant (as in sim)
 	owner   []int32
 	shards  []*shard
 	pool    *eventsim.Pool
@@ -516,9 +516,10 @@ func (e *sharded) setupMAC() error {
 	return nil
 }
 
-// buildDevices creates every device in id order (preserving the per-device
-// RNG split sequence for any tile layout), assigns tile ownership by home
-// position, and schedules activation/slot events on the owner's kernel.
+// buildDevices creates, in id order, every device whose service window
+// opens before the horizon (preserving the per-device RNG split sequence
+// for any tile layout), assigns tile ownership by home position, and
+// schedules activation/slot events on the owner's kernel.
 func (e *sharded) buildDevices(assign func(id int, home geo.Point) int, area geo.Rect) error {
 	cfg := &e.cfg
 	rootRNG := rng.New(cfg.Seed ^ 0xdee1)
@@ -526,14 +527,21 @@ func (e *sharded) buildDevices(assign func(id int, home geo.Point) int, area geo
 	e.devices = make([]*device, n)
 	e.owner = make([]int32, n)
 	for i := 0; i < n; i++ {
+		node := e.fleet.Node(i)
+		start, end := node.Window()
+		if start >= cfg.Duration {
+			// Dormant: never built (see the serial engine).
+			rootRNG.Uint64()
+			continue
+		}
 		est, err := core.NewGatewayEstimator(e.gwCfg)
 		if err != nil {
 			return err
 		}
 		d := &device{
 			id:             i,
-			node:           e.fleet.Node(i),
-			cursor:         mobility.NewCursor(e.fleet.Node(i)),
+			node:           node,
+			cursor:         mobility.NewCursor(node),
 			queue:          lorawan.NewQueue(cfg.QueueMax),
 			est:            est,
 			duty:           lorawan.NewDutyGovernor(cfg.DutyCycle),
@@ -559,7 +567,6 @@ func (e *sharded) buildDevices(assign func(id int, home geo.Point) int, area geo
 		}
 		e.owner[i] = int32(ti)
 		sh := e.shards[ti]
-		sh.owned = append(sh.owned, d)
 
 		if e.macOn {
 			joinSF := cfg.MAC.InitialSF
@@ -586,10 +593,6 @@ func (e *sharded) buildDevices(assign func(id int, home geo.Point) int, area geo
 		// phase B list, not the kernel), but kept non-nil for symmetry.
 		d.resolveFn = func(end time.Duration) { sh.resolveUp(d, end) }
 
-		start, end := d.node.Window()
-		if start >= cfg.Duration {
-			continue
-		}
 		jitter := time.Duration(d.rnd.Uniform(0, cfg.MsgInterval.Seconds()) * float64(time.Second))
 		first := start + jitter
 		if first >= end || first >= cfg.Duration {
@@ -639,9 +642,12 @@ func (e *sharded) scheduleDisruption() error {
 		if failAt < 0 || failAt >= e.cfg.Duration {
 			continue
 		}
-		d := e.devices[di]
-		sh := e.shards[e.owner[di]]
 		e.deviceFailures++
+		d := e.devices[di]
+		if d == nil {
+			continue // dormant: fails before it could ever serve
+		}
+		sh := e.shards[e.owner[di]]
 		if _, err := sh.es.At(failAt, func(time.Duration) {
 			d.failed = true
 			sh.deactivate(d)
@@ -944,6 +950,9 @@ func (e *sharded) collect() (*Result, *shardDiag) {
 		}
 	}
 	for _, d := range e.devices {
+		if d == nil {
+			continue
+		}
 		r.QueueDrops += d.queue.Dropped()
 		if !d.everActive {
 			continue

@@ -27,8 +27,6 @@ type shard struct {
 	rec    *telemetry.Recorder
 	err    error
 
-	owned []*device
-
 	activeList []int
 	activeDead int
 	ix         *devIndex
