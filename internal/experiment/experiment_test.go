@@ -331,3 +331,17 @@ func TestRouteAwarePlacementEndToEnd(t *testing.T) {
 		t.Fatalf("route-aware delivery %d well below grid %d", aware.Delivered, grid.Delivered)
 	}
 }
+
+// BenchmarkRunQuickCell times one quick-scale ROBC run end to end, world
+// build included: the per-cell cost a figure sweep pays 21 times per
+// replication.
+func BenchmarkRunQuickCell(b *testing.B) {
+	cfg := QuickConfig()
+	cfg.Scheme = routing.SchemeROBC
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -13,11 +13,13 @@ import (
 //
 // A rebuild, once per period of virtual time, reads every listed device's
 // straight-line motion (mobility.Motion) at the middle of the coming period
-// and stores the device once, in the grid cell of that mid-period position,
-// together with the line. A query at instant t around p then
+// and stores the device once, in the row of that mid-period position and
+// the bin of the row that holds its x, together with the line. A query at
+// instant t around p then
 //
-//   - scans only the cells within radius + vmax·|t − mid| of p, because no
-//     device gets further than vmax·|t − mid| from where it was placed;
+//   - scans, in each row within reach = radius + vmax·|t − mid| of p, only
+//     the bins on that row's chord of the reach disc, because no device
+//     gets further than vmax·|t − mid| from where it was placed;
 //   - keeps a device whose line at t lies within radius + ε, widened by
 //     2·vmax per second that t lies outside the span over which the line
 //     is the device's path: off the span both still move at ≤ vmax from
@@ -26,24 +28,30 @@ import (
 // A bus's span is its current route segment, so for most devices most of
 // the time the bound is the radius itself. Queries return a superset of the
 // devices within the radius, ascending by id; callers check exact distances
-// against live positions. Every buffer is reused across refreshes:
-// steady-state rebuilds and queries allocate nothing.
+// against live positions.
+//
+// Rows start at the lowest placement and are rowM high, or taller when
+// that would take more than 2n + 8 rows for n devices. Each row is cut into
+// ixBinsPerDevice bins per device it holds, of equal width across the x
+// its devices span. So a rebuild costs O(devices) time and memory wherever
+// the devices are: no term grows with the area they span. Every buffer is
+// reused across refreshes: steady-state rebuilds and queries allocate
+// nothing.
 type devIndex struct {
-	rowM, colM     float64 // grid row height and column width
-	perRow, perCol float64 // their inverses
-	period         time.Duration
-	maxSpeedMPS    float64
+	rowM        float64 // nominal row height
+	period      time.Duration
+	maxSpeedMPS float64
 
 	builtAt, mid time.Duration
 	valid        bool
 
-	// The grid spans the placed devices' bounding box, row-major:
-	// cellStart[c]..cellStart[c+1] delimits cell c's entries in ents, so
-	// one row's run of cells is one contiguous stretch of ents.
-	minCX, minCY int
-	cols, rows   int
-	cellStart    []int32
-	ents         []ixEntry
+	// Row r is the band y0 + [r, r+1)·rowH, cut into the bins row[r]
+	// describes: binStart[b]..binStart[b+1] delimits bin b's entries in
+	// ents, so one row's run of bins is one contiguous stretch of ents.
+	y0, rowH, perRow float64
+	row              []ixRow
+	binStart         []int32
+	ents             []ixEntry
 
 	// slot maps a device id to its entry's index in ents, so a rebuild can
 	// slide a line that stays exact instead of reading the motion again.
@@ -52,11 +60,11 @@ type devIndex struct {
 
 	// Rebuild scratch, reused across refreshes.
 	placed []ixEntry
-	cells  []ixCell // placed[i]'s cell
-	cursor []int32  // per-cell write cursor
+	keys   []ixKey // placed[i]'s placement
+	cursor []int32 // per-bin write cursor
 
 	// pending holds the devices that entered service since the last
-	// rebuild, checked by every query outside the grid, so a device
+	// rebuild, checked by every query besides the rows, so a device
 	// overhears from its first instant in service on.
 	pending []ixEntry
 
@@ -71,8 +79,19 @@ type ixEntry struct {
 	id           int32
 }
 
-// ixCell is a grid cell during a rebuild: column and row, then flat index.
-type ixCell struct{ cx, cy int32 }
+// ixRow is one row's bins: bin0..bin0+bins-1, each 1/perBin wide from x0
+// on, over the x its entries span, x0..x1.
+type ixRow struct {
+	x0, x1, perBin float64
+	bin0, bins     int32
+}
+
+// ixKey is a placed entry's placement during a rebuild, then its row and
+// bin.
+type ixKey struct {
+	x, y     float64
+	row, bin int32
+}
 
 // motionSource reads device id's motion for a rebuild at now: its motion at
 // the instant nearest mid at which it is in service. ok is false for a
@@ -81,11 +100,12 @@ type motionSource func(id int, now, mid time.Duration) (mobility.Motion, bool)
 
 // Index tuning, measured on the paper-scale day.
 const (
-	// ixRowFrac and ixColFrac size the grid's rows and columns relative
-	// to the query radius. Narrow cells fit the scanned area to the query
-	// disc; each scanned row costs a square root and two offset reads.
-	ixRowFrac = 1
-	ixColFrac = 0.125
+	// ixRowFrac sizes the rows relative to the query radius, and
+	// ixBinsPerDevice the bins: narrow bins fit the scanned stretch of a
+	// row to the chord; each scanned row costs a square root and two bin
+	// lookups.
+	ixRowFrac       = 1
+	ixBinsPerDevice = 4
 	// posEpsilonM widens the line filter past the floating-point rounding
 	// of extrapolated positions, which stays far below a millimetre.
 	posEpsilonM = 0.05
@@ -96,23 +116,20 @@ const (
 // a variable only so a test can prove that.
 var ixRebuildEvery = 30 * time.Second
 
-// newDevIndex sizes the grid by the nominal query radius.
+// newDevIndex sizes the rows by the nominal query radius.
 func newDevIndex(radiusM float64, period time.Duration, maxSpeedMPS float64) *devIndex {
 	if radiusM <= 0 {
 		radiusM = 1000
 	}
-	ix := &devIndex{
+	return &devIndex{
 		rowM:        radiusM * ixRowFrac,
-		colM:        radiusM * ixColFrac,
 		period:      period,
 		maxSpeedMPS: maxSpeedMPS,
 	}
-	ix.perRow, ix.perCol = 1/ix.rowM, 1/ix.colM
-	return ix
 }
 
-func (ix *devIndex) colOf(x float64) int { return floorInt(x * ix.perCol) }
-func (ix *devIndex) rowOf(y float64) int { return floorInt(y * ix.perRow) }
+// rowOf returns the row of the band holding y; callers clamp it.
+func (ix *devIndex) rowOf(y float64) int { return floorInt((y - ix.y0) * ix.perRow) }
 
 // floorInt is int(math.Floor(x)) for x in int range, without the call.
 func floorInt(x float64) int {
@@ -142,9 +159,8 @@ func (ix *devIndex) refresh(now time.Duration, ids []int, src motionSource) {
 	shift := (ix.mid - prevMid).Seconds()
 	ix.pending = ix.pending[:0]
 	ix.placed = ix.placed[:0]
-	ix.cells = ix.cells[:0]
-	minCX, minCY := math.MaxInt32, math.MaxInt32
-	maxCX, maxCY := math.MinInt32, math.MinInt32
+	ix.keys = ix.keys[:0]
+	minY, maxY := math.Inf(1), math.Inf(-1)
 	maxID := -1
 	for _, id := range ids {
 		var e ixEntry
@@ -171,35 +187,60 @@ func (ix *devIndex) refresh(now time.Duration, ids []int, src motionSource) {
 				from: m.From, until: m.Until, id: int32(id),
 			}
 		}
-		cx, cy := ix.colOf(at.X), ix.rowOf(at.Y)
-		minCX, maxCX = min(minCX, cx), max(maxCX, cx)
-		minCY, maxCY = min(minCY, cy), max(maxCY, cy)
+		minY, maxY = min(minY, at.Y), max(maxY, at.Y)
 		maxID = max(maxID, id)
+		ix.keys = append(ix.keys, ixKey{x: at.X, y: at.Y})
 		ix.placed = append(ix.placed, e)
-		ix.cells = append(ix.cells, ixCell{int32(cx), int32(cy)})
 	}
-	if len(ix.placed) == 0 {
-		ix.cols, ix.rows = 0, 0
+	n := len(ix.placed)
+	if n == 0 {
+		ix.row = ix.row[:0]
 		ix.ents = ix.ents[:0]
 		return
 	}
-	ix.minCX, ix.minCY = minCX, minCY
-	ix.cols, ix.rows = maxCX-minCX+1, maxCY-minCY+1
+	maxRows := 2*n + 8 // a city fleet spans far fewer
+	ix.y0 = minY
+	ix.rowH = max(ix.rowM, (maxY-minY)/float64(maxRows-1))
+	ix.perRow = 1 / ix.rowH
+	rows := min(ix.rowOf(maxY), maxRows-1) + 1
 
-	// Counting sort into row-major cell order.
-	nCells := ix.cols * ix.rows
-	ix.cellStart = resize(ix.cellStart, nCells+1)
-	ix.cursor = resize(ix.cursor, nCells)
-	for i := range ix.cells {
-		c := &ix.cells[i]
-		c.cx = int32((int(c.cy)-minCY)*ix.cols + int(c.cx) - minCX)
-		ix.cellStart[c.cx+1]++
+	// Each row's device count and x extent, then its bins: a counting
+	// sort by (row, bin) in two passes.
+	if cap(ix.row) < rows {
+		//lint:ignore hotpathlint amortized growth to the run's high-water row count; steady state reuses
+		ix.row = make([]ixRow, rows)
 	}
-	for c := 1; c <= nCells; c++ {
-		ix.cellStart[c] += ix.cellStart[c-1]
+	ix.row = ix.row[:rows]
+	for r := range ix.row {
+		ix.row[r] = ixRow{x0: math.Inf(1), x1: math.Inf(-1)}
 	}
-	copy(ix.cursor, ix.cellStart)
-	n := len(ix.placed)
+	for i := range ix.keys {
+		k := &ix.keys[i]
+		k.row = int32(min(ix.rowOf(k.y), rows-1))
+		rw := &ix.row[k.row]
+		rw.x0, rw.x1 = min(rw.x0, k.x), max(rw.x1, k.x)
+		rw.bins += ixBinsPerDevice
+	}
+	bins := int32(0)
+	for r := range ix.row {
+		rw := &ix.row[r]
+		rw.bin0 = bins
+		bins += rw.bins
+		if rw.x1 > rw.x0 {
+			rw.perBin = float64(rw.bins) / (rw.x1 - rw.x0)
+		}
+	}
+	ix.binStart = resize(ix.binStart, int(bins)+1)
+	ix.cursor = resize(ix.cursor, int(bins))
+	for i := range ix.keys {
+		k := &ix.keys[i]
+		k.bin = ix.row[k.row].binOf(k.x)
+		ix.binStart[k.bin+1]++
+	}
+	for b := int32(1); b <= bins; b++ {
+		ix.binStart[b] += ix.binStart[b-1]
+	}
+	copy(ix.cursor, ix.binStart)
 	if cap(ix.ents) < n {
 		//lint:ignore hotpathlint amortized growth to the run's high-water device count; steady state reuses
 		ix.ents = make([]ixEntry, n)
@@ -209,12 +250,17 @@ func (ix *devIndex) refresh(now time.Duration, ids []int, src motionSource) {
 		//lint:ignore hotpathlint amortized growth to the run's highest device id; steady state reuses
 		ix.slot = append(ix.slot, make([]int32, maxID+1-len(ix.slot))...)
 	}
-	for i, c := range ix.cells {
-		k := ix.cursor[c.cx]
-		ix.cursor[c.cx]++
-		ix.ents[k] = ix.placed[i]
-		ix.slot[ix.placed[i].id] = k
+	for i, k := range ix.keys {
+		at := ix.cursor[k.bin]
+		ix.cursor[k.bin]++
+		ix.ents[at] = ix.placed[i]
+		ix.slot[ix.placed[i].id] = at
 	}
+}
+
+// binOf returns the row's bin holding x, clamped to the row's bins.
+func (rw *ixRow) binOf(x float64) int32 {
+	return rw.bin0 + int32(min(max((x-rw.x0)*rw.perBin, 0), float64(rw.bins-1)))
 }
 
 // slotOf returns the index in ents of device id's entry from the last
@@ -245,11 +291,11 @@ func (ix *devIndex) candidates(now time.Duration, p geo.Point, radius float64) [
 	}
 	q := ixQuery{now: now, dt: (now - ix.mid).Seconds(), p: p, tight: radius + posEpsilonM}
 	q.tight2 = q.tight * q.tight
-	if ix.cols > 0 {
+	if len(ix.row) > 0 {
 		out = ix.scan(out, &q)
 	}
 	out = ix.keep(out, ix.pending, &q)
-	// A dozen survivors in cell order: insertion sort is the cheapest
+	// A dozen survivors in row order: insertion sort is the cheapest
 	// sort.
 	for i := 1; i < len(out); i++ {
 		id, j := out[i], i
@@ -270,33 +316,32 @@ type ixQuery struct {
 	tight, tight2 float64 // radius + ε, squared
 }
 
-// scan appends to out, in cell order, the indexed devices whose lines pass
-// the filter, visiting the cells within reach row by row.
+// scan appends to out, row by row, the indexed devices whose lines pass
+// the filter among those placed within reach.
 //
 //mlorass:hotpath
 func (ix *devIndex) scan(out []int, q *ixQuery) []int {
 	p := q.p
 	reach := q.tight + ix.maxSpeedMPS*math.Abs(q.dt)
 	reach2 := reach * reach
-	cy0 := max(ix.rowOf(p.Y-reach), ix.minCY)
-	cy1 := min(ix.rowOf(p.Y+reach), ix.minCY+ix.rows-1)
-	for cy := cy0; cy <= cy1; cy++ {
-		// The row's cells within reach: the chord of the reach circle
+	r0 := max(ix.rowOf(p.Y-reach), 0)
+	r1 := min(ix.rowOf(p.Y+reach), len(ix.row)-1)
+	for r := r0; r <= r1; r++ {
+		// The row's bins within reach: the chord of the reach circle
 		// across the row band's nearest edge.
 		dy := 0.0
-		if lo := float64(cy) * ix.rowM; p.Y < lo {
+		if lo := ix.y0 + float64(r)*ix.rowH; p.Y < lo {
 			dy = lo - p.Y
-		} else if hi := lo + ix.rowM; p.Y > hi {
+		} else if hi := lo + ix.rowH; p.Y > hi {
 			dy = p.Y - hi
 		}
 		half := math.Sqrt(max(reach2-dy*dy, 0))
-		cx0 := max(ix.colOf(p.X-half), ix.minCX)
-		cx1 := min(ix.colOf(p.X+half), ix.minCX+ix.cols-1)
-		if cx0 > cx1 {
-			continue
+		rw := &ix.row[r]
+		if p.X+half < rw.x0 || p.X-half > rw.x1 {
+			continue // the chord misses the row's devices (or the row is empty)
 		}
-		row := (cy-ix.minCY)*ix.cols - ix.minCX
-		out = ix.keep(out, ix.ents[ix.cellStart[row+cx0]:ix.cellStart[row+cx1+1]], q)
+		b0, b1 := rw.binOf(p.X-half), rw.binOf(p.X+half)
+		out = ix.keep(out, ix.ents[ix.binStart[b0]:ix.binStart[b1+1]], q)
 	}
 	return out
 }
@@ -337,7 +382,7 @@ func (ix *devIndex) offSpan(e *ixEntry, now time.Duration, d2, tight float64) bo
 }
 
 // activate adds a device entering service at now, once per entry: until
-// the next rebuild every query checks its line alongside the grid's. Before
+// the next rebuild every query checks its line alongside the rows'. Before
 // the first rebuild there is nothing to add to — that rebuild reads the
 // caller's active list.
 //

@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,7 +29,7 @@ func TestDevIndexFindsNeighbours(t *testing.T) {
 		1: {X: 100, Y: 100},
 		2: {X: 500, Y: 100},
 		3: {X: 5000, Y: 5000},
-		4: {X: 900, Y: 0}, // in a scanned cell, but parked out of range
+		4: {X: 900, Y: 0}, // in a scanned row, but parked out of range
 	}
 	ix.refresh(time.Minute, []int{1, 2, 3, 4}, world.motion)
 	got := ix.candidates(time.Minute, geo.Point{X: 0, Y: 0}, 800)
@@ -112,8 +115,8 @@ func TestDevIndexSlackCoversMovement(t *testing.T) {
 
 func TestDevIndexDefaultCell(t *testing.T) {
 	ix := newDevIndex(0, time.Minute, 11) // 0 falls back to a 1 km radius
-	if ix.rowM != 1000*ixRowFrac || ix.colM != 1000*ixColFrac {
-		t.Fatalf("default cells = %v × %v", ix.colM, ix.rowM)
+	if ix.rowM != 1000*ixRowFrac {
+		t.Fatalf("default row height = %v", ix.rowM)
 	}
 }
 
@@ -155,7 +158,7 @@ func containsInt(xs []int, v int) bool {
 }
 
 // TestDevIndexZeroAllocSteadyState locks the index's zero-allocation
-// invariant: once the grid and scratch buffers are warm, rebuilds and
+// invariant: once the row and scratch buffers are warm, rebuilds and
 // candidate queries allocate nothing.
 func TestDevIndexZeroAllocSteadyState(t *testing.T) {
 	ix := newDevIndex(500, 30*time.Second, 11)
@@ -168,7 +171,7 @@ func TestDevIndexZeroAllocSteadyState(t *testing.T) {
 	world[1000] = geo.Point{X: 2400, Y: 2600} // enters service between rebuilds
 	src := motionSource(world.motion)         // hoisted: the closure is the caller's, not the index's
 	now := time.Duration(0)
-	// Warm every buffer (grid, entries, cursors, slots, pending, scratch).
+	// Warm every buffer (rows, entries, keys, cursors, slots, pending, scratch).
 	for i := 0; i < 3; i++ {
 		ix.refresh(now, ids, src)
 		ix.activate(1000, now, src)
@@ -180,16 +183,16 @@ func TestDevIndexZeroAllocSteadyState(t *testing.T) {
 		ix.refresh(now, ids, src)
 		ix.activate(1000, now, src)
 	}); n != 0 {
-		t.Fatalf("grid refresh allocates %v per rebuild, want 0", n)
+		t.Fatalf("index refresh allocates %v per rebuild, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		ix.candidates(now, geo.Point{X: 2500, Y: 2500}, 800)
 	}); n != 0 {
-		t.Fatalf("grid query allocates %v per call, want 0", n)
+		t.Fatalf("index query allocates %v per call, want 0", n)
 	}
 }
 
-// TestDevIndexMatchesBruteForce cross-checks the grid against a brute force
+// TestDevIndexMatchesBruteForce cross-checks the index against a brute force
 // reference over randomised worlds: candidate supersets and ascending order,
 // for ascending and non-ascending id input.
 func TestDevIndexMatchesBruteForce(t *testing.T) {
@@ -375,3 +378,218 @@ func TestRunIndependentOfIndexPeriod(t *testing.T) {
 		}
 	}
 }
+
+// TestDevIndexRebuildIndependentOfArea: a rebuild's buffers follow the
+// device count, not the area the devices span. Forty devices strung out
+// over a 1,000 km strip, along either axis, cost a cold rebuild about what
+// forty devices in one town do; steady-state rebuilds allocate nothing.
+func TestDevIndexRebuildIndependentOfArea(t *testing.T) {
+	const n, strip = 40, 1_000_000.0
+	for _, axis := range []string{"x", "y"} {
+		world := gridWorld{}
+		ids := make([]int, n)
+		for i := range ids {
+			along, across := strip*float64(i)/(n-1), float64(i%3)*120
+			p := geo.Point{X: along, Y: across}
+			if axis == "y" {
+				p = geo.Point{X: across, Y: along}
+			}
+			world[i], ids[i] = p, i
+		}
+		src := motionSource(world.motion)
+		ix := newDevIndex(100, 30*time.Second, 11)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix.refresh(0, ids, src)
+		runtime.ReadMemStats(&after)
+		// About 200 B of entries, keys and slots per device, with
+		// append's growth on top; a grid over the strip at the 100 m
+		// radius would need hundreds of kilobytes.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1024*n {
+			t.Errorf("strip along %s: cold rebuild allocated %d B for %d devices, want ≤ %d", axis, got, n, 1024*n)
+		}
+		now := time.Duration(0)
+		if allocs := testing.AllocsPerRun(50, func() {
+			now += time.Minute
+			ix.refresh(now, ids, src)
+		}); allocs != 0 {
+			t.Errorf("strip along %s: steady-state rebuild allocates %v, want 0", axis, allocs)
+		}
+		for id, p := range world {
+			if got := ix.candidates(now, p, 100); !containsInt(got, id) {
+				t.Fatalf("strip along %s: device %d missing from a query at its own position: %v", axis, id, got)
+			}
+		}
+	}
+}
+
+// FuzzDevIndexSuperset: over arbitrary placements — far off, negative,
+// stacked on one x in one row — and query instants, the index never panics
+// and every query returns, strictly ascending, a superset of the devices a
+// brute force finds in range.
+func FuzzDevIndexSuperset(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 10, 0, 0, 0}, int64(0), int64(0), int64(0), uint16(500))
+	f.Add([]byte{1, 2, 3, 4, 1, 2, 9, 9, 1, 2, 200, 7, 1, 2, 0, 0}, int64(12), int64(3), int64(90), uint16(40))
+	f.Add([]byte{0x80, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0}, int64(-5), int64(1e9), int64(-1e9), uint16(1))
+	var stacked []byte // six devices on one x in one row
+	for y := byte(0); y < 24; y += 4 {
+		stacked = append(stacked, 0x10, 0, y, 0)
+	}
+	f.Add(stacked, int64(0), int64(64), int64(4), uint16(30))
+	f.Fuzz(func(t *testing.T, coords []byte, qt, qx, qy int64, radRaw uint16) {
+		// Placements are 16-bit coordinates scaled by a per-device
+		// power of four up to ±2^31 m. An odd first byte makes the
+		// device drive at a few m/s from 1 min to 3 min, parked on
+		// either side of that.
+		var lines []mobility.Motion
+		var ids []int
+		for i := 0; i+4 <= len(coords) && len(ids) < 64; i += 4 {
+			scale := math.Ldexp(1, 2*int(coords[i]>>4))
+			x := float64(int16(binary.LittleEndian.Uint16(coords[i:]))) * scale
+			y := float64(int16(binary.LittleEndian.Uint16(coords[i+2:]))>>2) * scale
+			m := mobility.Motion{Pos: geo.Point{X: x, Y: y}, From: time.Minute, Until: 3 * time.Minute}
+			if v := int8(coords[i+1]) % 8; coords[i]&1 == 1 {
+				m.Vel = geo.Point{X: float64(v), Y: float64(v) / 2}
+			}
+			ids = append(ids, len(lines))
+			lines = append(lines, m)
+		}
+		pos := func(id int, at time.Duration) geo.Point {
+			m := lines[id]
+			return m.PosAt(min(max(at, m.From), m.Until))
+		}
+		src := func(id int, now, mid time.Duration) (mobility.Motion, bool) {
+			m := lines[id]
+			switch {
+			case mid < m.From:
+				return mobility.Motion{At: mid, Pos: pos(id, mid), From: math.MinInt64, Until: m.From}, true
+			case mid > m.Until:
+				return mobility.Motion{At: mid, Pos: pos(id, mid), From: m.Until, Until: math.MaxInt64}, true
+			}
+			m.Pos, m.At = pos(id, mid), mid
+			return m, true
+		}
+		ix := newDevIndex(float64(radRaw%2000)+1, 30*time.Second, 8)
+		radius := float64(radRaw%3000) + 1
+		now := time.Duration(qt % int64(time.Hour))
+		if now < 0 {
+			now = -now
+		}
+		for step := 0; step < 3; step++ {
+			at := now + time.Duration(step)*45*time.Second
+			ix.refresh(at, ids, src)
+			for q := 0; q < 4; q++ {
+				qAt := at + time.Duration(q)*7*time.Second
+				p := geo.Point{X: float64(qx % (1 << 33)), Y: float64(qy % (1 << 33))}
+				if q%2 == 1 && len(ids) > 0 {
+					p = pos(ids[q%len(ids)], qAt)
+				}
+				got := ix.candidates(qAt, p, radius)
+				for i := 1; i < len(got); i++ {
+					if got[i] <= got[i-1] {
+						t.Fatalf("candidates not ascending: %v", got)
+					}
+				}
+				for _, id := range ids {
+					if pos(id, qAt).Dist(p) <= radius && !containsInt(got, id) {
+						t.Fatalf("device %d at %v is within %v of %v but missing from %v",
+							id, pos(id, qAt), radius, p, got)
+					}
+				}
+			}
+		}
+	})
+}
+
+// benchWorld moves devices back and forth along straight 600 m legs at
+// 8 m/s, so a rebuild both slides lines that stay exact and reads fresh
+// ones, as it does for buses between route vertices.
+type benchWorld struct {
+	centre, dir []geo.Point
+	offset      []time.Duration
+}
+
+const benchLeg = 75 * time.Second // 600 m at 8 m/s
+
+func newBenchWorld(n int, side float64) benchWorld {
+	rnd := rand.New(rand.NewSource(int64(n)))
+	w := benchWorld{}
+	for i := 0; i < n; i++ {
+		a := rnd.Float64() * 2 * math.Pi
+		w.centre = append(w.centre, geo.Point{X: rnd.Float64() * side, Y: rnd.Float64() * side})
+		w.dir = append(w.dir, geo.Point{X: math.Cos(a), Y: math.Sin(a)})
+		w.offset = append(w.offset, time.Duration(rnd.Int63n(int64(2*benchLeg))))
+	}
+	return w
+}
+
+func (w benchWorld) motion(id int, now, mid time.Duration) (mobility.Motion, bool) {
+	t := mid + w.offset[id]
+	leg := t / benchLeg
+	from := leg*benchLeg - w.offset[id]
+	sign := 1.0
+	if leg%2 == 1 {
+		sign = -1
+	}
+	d := w.dir[id]
+	c := w.centre[id]
+	along := sign * (8*(mid-from).Seconds() - 300)
+	return mobility.Motion{
+		At:    mid,
+		Pos:   geo.Point{X: c.X + d.X*along, Y: c.Y + d.Y*along},
+		Vel:   geo.Point{X: 8 * sign * d.X, Y: 8 * sign * d.Y},
+		From:  from,
+		Until: from + benchLeg,
+	}, true
+}
+
+// BenchmarkDevIndex times the neighbour index alone at the quick scenario's
+// density (~36 devices in service over 8 km) and the paper's (~560 over
+// 12.25 km), at the urban 500 m radius: a full rebuild, and one overhear
+// query centred on a device.
+func BenchmarkDevIndex(b *testing.B) {
+	for _, sc := range []struct {
+		name string
+		n    int
+		side float64
+	}{{"quick", 36, 8000}, {"paper", 560, 12250}} {
+		w := newBenchWorld(sc.n, sc.side)
+		src := motionSource(w.motion)
+		ids := make([]int, sc.n)
+		for i := range ids {
+			ids[i] = (i * 7) % sc.n // activation order, not id order
+		}
+		b.Run("Refresh/"+sc.name, func(b *testing.B) {
+			ix := newDevIndex(500, 30*time.Second, 11)
+			now := time.Duration(0)
+			b.ReportAllocs()
+			for b.Loop() {
+				now += 30 * time.Second
+				ix.refresh(now, ids, src)
+			}
+		})
+		b.Run("Query/"+sc.name, func(b *testing.B) {
+			ix := newDevIndex(500, 30*time.Second, 11)
+			ix.refresh(time.Hour, ids, src)
+			type query struct {
+				at time.Duration
+				p  geo.Point
+			}
+			qs := make([]query, 256)
+			for i := range qs {
+				at := time.Hour + time.Duration(i)*30*time.Second/time.Duration(len(qs))
+				m, _ := w.motion(i%sc.n, at, at)
+				qs[i] = query{at, m.Pos}
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				q := qs[i%len(qs)]
+				ixSink += len(ix.candidates(q.at, q.p, 500))
+				i++
+			}
+		})
+	}
+}
+
+var ixSink int
