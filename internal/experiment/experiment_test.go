@@ -263,36 +263,6 @@ func TestFig7Data(t *testing.T) {
 	}
 }
 
-func TestTablesRender(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Duration = time.Hour
-	var points []SweepPoint
-	for _, scheme := range Schemes() {
-		c := cfg
-		c.Scheme = scheme
-		c.NumGateways = 3
-		res, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		points = append(points, SweepPoint{Environment: Urban, Scheme: scheme, Gateways: 3, Result: res})
-	}
-	for _, table := range []string{
-		Fig8Table(points), Fig9Table(points), Fig12Table(points), Fig13Table(points),
-	} {
-		if table == "" {
-			t.Fatal("empty table")
-		}
-	}
-	// All three scheme columns must appear.
-	table := Fig8Table(points)
-	for _, s := range Schemes() {
-		if !containsStr(table, s.String()) {
-			t.Fatalf("table missing column %v:\n%s", s, table)
-		}
-	}
-}
-
 func TestReportRenders(t *testing.T) {
 	res := runTiny(t, func(c *Config) { c.Scheme = routing.SchemeROBC })
 	rep := res.Report()

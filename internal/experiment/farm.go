@@ -168,9 +168,10 @@ func (f *FarmSweep) Points() []AggregatePoint {
 // overhead-ratio lines. expsweep prints through this one function both
 // after a pool sweep and as a -serve coordinator, which is what makes the
 // two outputs byte-identical by construction rather than by test alone.
-// Cells with no replication-0 result (quarantined under the farm) are
-// omitted from the matched-coverage table; every other table renders them
-// as "-".
+// A cell whose replication 0 was quarantined under the farm renders "-" in
+// the matched-coverage table, and a gateway count with no replication 0 at
+// all is left out of it; the aggregate tables keep every row and aggregate
+// whichever replications arrived.
 func RenderFigureTables(w io.Writer, points []AggregatePoint, reps int, percentiles bool) {
 	fmt.Fprintln(w, Fig8AggTable(points))
 	if percentiles {
@@ -179,19 +180,7 @@ func RenderFigureTables(w io.Writer, points []AggregatePoint, reps int, percenti
 	if reps > 1 {
 		fmt.Fprintln(w, "(the matched-coverage table below uses replication 0 only: it needs raw per-delivery samples, not aggregates)")
 	}
-	var rep0 []SweepPoint
-	for _, p := range points {
-		if len(p.Reps) == 0 || p.Reps[0] == nil {
-			continue
-		}
-		rep0 = append(rep0, SweepPoint{
-			Environment: p.Environment,
-			Scheme:      p.Scheme,
-			Gateways:    p.Gateways,
-			Result:      p.Reps[0],
-		})
-	}
-	fmt.Fprintln(w, Fig8MatchedTable(rep0))
+	fmt.Fprintln(w, Fig8MatchedTable(points))
 	fmt.Fprintln(w, Fig9AggTable(points))
 	fmt.Fprintln(w, Fig12AggTable(points))
 	fmt.Fprintln(w, Fig13AggTable(points))

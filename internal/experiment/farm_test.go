@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"mlorass/internal/routing"
 )
 
 // TestFarmSweepDuplicateAbsorb locks the farm adapter's exactly-once merge:
@@ -90,5 +94,78 @@ func TestFarmSweepKeylessDedupe(t *testing.T) {
 	}
 	if results != 1 {
 		t.Fatalf("keyless cell absorbed %d times, want 1", results)
+	}
+}
+
+// TestRenderFigureTablesQuarantinedRep0 renders a sweep the farm left with
+// holes: at 10 gateways one scheme lost replication 0, and at 13 gateways
+// every scheme did. The matched-coverage table shows "-" for the first and
+// leaves out the 13-gateway row; the aggregate tables keep that row from
+// the surviving replication.
+func TestRenderFigureTablesQuarantinedRep0(t *testing.T) {
+	points, err := ParallelSweep(sweepTestConfig(), Urban, SweepOptions{Workers: 4, Reps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := map[[2]int]*AggregatePoint{}
+	for i := range points {
+		p := &points[i]
+		cell[[2]int{p.Gateways, int(p.Scheme)}] = p
+		if (p.Gateways == 10 && p.Scheme == routing.SchemeRCAETX) || p.Gateways == 13 {
+			p.Reps[0] = nil
+			p.Agg = AggregateResults(p.Reps)
+		}
+	}
+	var b strings.Builder
+	RenderFigureTables(&b, points, 2, false)
+	// row returns the trimmed cells of the row starting with prefix in the
+	// table whose title line starts with title, or nil without that row.
+	lines := strings.Split(b.String(), "\n")
+	row := func(title, prefix string) []string {
+		t.Helper()
+		for i, heading := range lines {
+			if !strings.HasPrefix(heading, title) {
+				continue
+			}
+			for _, l := range lines[i+2:] {
+				if l == "" {
+					break
+				}
+				if strings.HasPrefix(l, prefix) {
+					cols := strings.Split(l, "|")
+					for j := range cols {
+						cols[j] = strings.TrimSpace(cols[j])
+					}
+					return cols[1:]
+				}
+			}
+			return nil
+		}
+		t.Fatalf("no table titled %q in:\n%s", title, b.String())
+		return nil
+	}
+
+	const matched = "Fig 8 (matched coverage)"
+	noRouting, robc := cell[[2]int{10, int(routing.SchemeNoRouting)}].Reps[0], cell[[2]int{10, int(routing.SchemeROBC)}].Reps[0]
+	k := min(noRouting.Delivered, robc.Delivered)
+	want := []string{
+		fmt.Sprintf("%.1f", noRouting.MatchedDelayMean(k)), "-", fmt.Sprintf("%.1f", robc.MatchedDelayMean(k)),
+	}
+	if got := row(matched, " 10 ( 40)"); !reflect.DeepEqual(got, want) {
+		t.Errorf("matched-coverage row at 10 gateways = %q, want %q", got, want)
+	}
+	if got := row(matched, " 13 ( 52)"); got != nil {
+		t.Errorf("matched-coverage table kept the 13-gateway row without replication 0: %q", got)
+	}
+	for _, title := range []string{"Fig 8: mean", "Fig 9:", "Fig 12:", "Fig 13:"} {
+		got := row(title, " 13 ( 52)")
+		if len(got) != len(Schemes()) {
+			t.Fatalf("%s lost the 13-gateway row: %q", title, got)
+		}
+		for i, c := range got {
+			if c == "-" {
+				t.Errorf("%s renders %v at 13 gateways as \"-\" although replication 1 arrived", title, Schemes()[i])
+			}
+		}
 	}
 }

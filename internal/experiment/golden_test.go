@@ -2,16 +2,16 @@ package experiment
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // The golden files were captured from the pre-scenario-engine tree, so these
 // tests prove the mobility/disruption refactor left the paper-default
-// simulation byte-identical: same Report() text, same figure tables, for the
-// same seed. Regenerate deliberately with `go test -run Golden -update`.
+// simulation byte-identical: same Report() text, same figure-table numbers,
+// for the same seed. Regenerate deliberately with `go test -run Golden -update`.
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 func goldenCompare(t *testing.T, name, got string) {
@@ -50,28 +50,44 @@ func TestGoldenQuickReports(t *testing.T) {
 	goldenCompare(t, "report_quick_seed1.golden", rep)
 }
 
-// TestGoldenFigTables locks the Fig8/9/12/13 table output for a QuickConfig
-// sweep subset (gateway counts 10 and 15, all schemes) at seed 1.
+// TestGoldenFigTables locks expsweep's figure-sweep stdout block for a
+// QuickConfig sweep subset (gateway counts 10 and 15, all schemes, one
+// replication) at seed 1, followed by each cell's Report(), which carries
+// the per-run delay stderr and max hops the aggregate tables do not show.
 func TestGoldenFigTables(t *testing.T) {
-	var points []SweepPoint
-	for _, gw := range []int{10, 15} {
+	cfg := QuickConfig()
+	cfg.Seed = 1
+	goldenCompare(t, "fig_tables_quick.golden", oneRepFigTables(t, cfg, []int{10, 15}))
+}
+
+// oneRepFigTables runs base at every gateway count in gws × scheme as
+// one-replication sweep cells, in figure order, and returns
+// RenderFigureTables' block followed by each cell's Report().
+func oneRepFigTables(t *testing.T, base Config, gws []int) string {
+	t.Helper()
+	var points []AggregatePoint
+	var reports strings.Builder
+	for _, gw := range gws {
 		for _, scheme := range Schemes() {
-			cfg := QuickConfig()
-			cfg.Seed = 1
+			cfg := base
 			cfg.Scheme = scheme
 			cfg.NumGateways = gw
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			points = append(points, SweepPoint{
-				Environment: cfg.Environment, Scheme: scheme, Gateways: gw, Result: res,
+			reps := []*Result{res}
+			points = append(points, AggregatePoint{
+				Environment: cfg.Environment, Scheme: scheme, Gateways: gw,
+				Seeds: []uint64{cfg.Seed}, Reps: reps, Agg: AggregateResults(reps),
 			})
+			reports.WriteString(res.Report())
 		}
 	}
-	tables := fmt.Sprintf("%s\n%s\n%s\n%s",
-		Fig8Table(points), Fig9Table(points), Fig12Table(points), Fig13Table(points))
-	goldenCompare(t, "fig_tables_quick.golden", tables)
+	var b strings.Builder
+	RenderFigureTables(&b, points, 1, false)
+	b.WriteString(reports.String())
+	return b.String()
 }
 
 // TestGoldenOutageTable locks the PR 2 resilience figure the same way the

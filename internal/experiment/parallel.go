@@ -12,19 +12,13 @@ import (
 	"mlorass/internal/telemetry"
 )
 
-// SweepOptions configures ParallelSweep.
+// SweepOptions configures ParallelSweep and ParallelSweepFunc.
 type SweepOptions struct {
 	// Workers is the worker-pool size; values < 1 mean GOMAXPROCS.
 	Workers int
 	// Reps is the number of replications per cell, each with a seed
 	// derived from the base config's via RepSeed; values < 1 mean 1.
 	Reps int
-	// Progress, when non-nil, receives one CellUpdate per completed
-	// replication, in completion order. ParallelSweep sends from a single
-	// goroutine and never closes the channel; the caller must drain it
-	// concurrently (sends block) and owns closing it after the sweep
-	// returns.
-	Progress chan<- CellUpdate
 	// Store, when non-nil, backs the sweep with the run-artifact cache:
 	// a cell whose (config, seed) key is already stored is loaded
 	// instead of re-simulated, and every freshly simulated cell is
@@ -164,22 +158,17 @@ func runPool(n, workers int, run func(i int) (*Result, error), onDone func(i int
 // results are slotted back into deterministic figure order (gateway count
 // outer, scheme inner, replication innermost) regardless of completion
 // order, and each cell's replications are collapsed into an Aggregate.
-//
-// With Workers: 1 and Reps: 1 the output is identical, run for run, to the
-// serial SweepFigures engine this generalises.
 func ParallelSweep(base Config, env Environment, opts SweepOptions) ([]AggregatePoint, error) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	reps := opts.Reps
-	if reps < 1 {
-		reps = 1
-	}
+	return ParallelSweepFunc(base, env, opts, nil)
+}
 
+// ParallelSweepFunc is ParallelSweep with streamed progress: fn, when
+// non-nil, receives one CellUpdate per completed replication, in completion
+// order, called sequentially from the pool's single collector goroutine.
+func ParallelSweepFunc(base Config, env Environment, opts SweepOptions, fn func(CellUpdate)) ([]AggregatePoint, error) {
 	// Lay out cells and jobs in figure order (shared with the sweep farm);
 	// results land by index.
-	cells, jobs := layoutSweep(base, env, reps)
+	cells, jobs := layoutSweep(base, env, opts.Reps)
 	// The collector slots results and streams progress; runPool keeps the
 	// lowest-index error so a failing sweep reports the same cell no
 	// matter how completions interleave. cached[i] is written only by the
@@ -187,7 +176,7 @@ func ParallelSweep(base Config, env Environment, opts SweepOptions) ([]Aggregate
 	// job's done message, so the flags need no lock.
 	completed := 0
 	cached := make([]bool, len(jobs))
-	ji, err := runPool(len(jobs), workers,
+	ji, err := runPool(len(jobs), opts.Workers,
 		func(i int) (*Result, error) {
 			j := jobs[i]
 			sink := j.cfg.Telemetry.Spans
@@ -218,9 +207,9 @@ func ParallelSweep(base Config, env Environment, opts SweepOptions) ([]Aggregate
 			j := jobs[i]
 			cells[j.cell].Reps[j.rep] = res
 			completed++
-			if opts.Progress != nil {
+			if fn != nil {
 				c := cells[j.cell]
-				opts.Progress <- CellUpdate{
+				fn(CellUpdate{
 					Environment: c.Environment,
 					Scheme:      c.Scheme,
 					Gateways:    c.Gateways,
@@ -230,7 +219,7 @@ func ParallelSweep(base Config, env Environment, opts SweepOptions) ([]Aggregate
 					Cached:      cached[i],
 					Completed:   completed,
 					Total:       len(jobs),
-				}
+				})
 			}
 		})
 	if err != nil {
@@ -242,29 +231,6 @@ func ParallelSweep(base Config, env Environment, opts SweepOptions) ([]Aggregate
 		cells[i].Agg = AggregateResults(cells[i].Reps)
 	}
 	return cells, nil
-}
-
-// ParallelSweepFunc runs ParallelSweep and delivers progress updates to fn,
-// called sequentially from a single goroutine, so callers get streamed
-// progress without managing the Progress channel's drain-and-close dance
-// themselves. A nil fn is a plain ParallelSweep.
-func ParallelSweepFunc(base Config, env Environment, opts SweepOptions, fn func(CellUpdate)) ([]AggregatePoint, error) {
-	if fn == nil {
-		return ParallelSweep(base, env, opts)
-	}
-	ch := make(chan CellUpdate)
-	drained := make(chan struct{})
-	opts.Progress = ch
-	go func() {
-		defer close(drained)
-		for u := range ch {
-			fn(u)
-		}
-	}()
-	points, err := ParallelSweep(base, env, opts)
-	close(ch)
-	<-drained
-	return points, err
 }
 
 // Fig8AggTable renders the replicated mean end-to-end delay table (paper
@@ -286,6 +252,34 @@ func Fig8PercentilesAggTable(points []AggregatePoint) string {
 		func(a *Aggregate) string {
 			p50, p95, p99 := a.DelayPercentiles()
 			return fmt.Sprintf("%5.1f/%5.0f/%5.0f", p50, p95, p99)
+		})
+}
+
+// Fig8MatchedTable renders mean delay at matched delivery coverage from each
+// cell's replication 0: for each gateway count, every scheme's mean over its
+// K fastest deliveries, where K is the smallest delivery count among the
+// schemes at that gateway count. This removes the survivorship bias of the
+// plain mean (a forwarding scheme that rescues otherwise-undeliverable
+// messages adds slow samples the baseline's mean omits) and is the fair
+// delay comparison EXPERIMENTS.md reports against the paper's 10-25 %
+// reduction. It needs raw per-delivery samples, not aggregates, hence one
+// replication. A cell without a replication-0 result renders "-", and a
+// gateway count with none at all is left out.
+func Fig8MatchedTable(points []AggregatePoint) string {
+	var rep0 []AggregatePoint
+	minDelivered := map[int]int{}
+	for _, p := range points {
+		if len(p.Reps) == 0 || p.Reps[0] == nil {
+			continue
+		}
+		rep0 = append(rep0, p)
+		if cur, ok := minDelivered[p.Gateways]; !ok || p.Reps[0].Delivered < cur {
+			minDelivered[p.Gateways] = p.Reps[0].Delivered
+		}
+	}
+	return gridTable(rep0, "Fig 8 (matched coverage): mean delay [s] over each scheme's K fastest deliveries", "",
+		func(p AggregatePoint) string {
+			return fmt.Sprintf("%13.1f", p.Reps[0].MatchedDelayMean(minDelivered[p.Gateways]))
 		})
 }
 
@@ -341,22 +335,38 @@ func OverheadRatiosAgg(points []AggregatePoint) map[int]map[routing.Scheme]float
 	return out
 }
 
-// aggTable renders a gateways × schemes grid of aggregate cells.
+// aggTable renders a gateways × schemes grid of aggregate cells, titled with
+// the largest replication count among them.
 func aggTable(points []AggregatePoint, title string, cell func(*Aggregate) string) string {
-	byKey := map[[2]int]*Aggregate{}
-	gwSet := map[int]bool{}
-	var env Environment
 	reps := 0
 	for _, p := range points {
-		byKey[[2]int{p.Gateways, int(p.Scheme)}] = p.Agg
-		gwSet[p.Gateways] = true
-		env = p.Environment
 		if p.Agg != nil && p.Agg.Reps > reps {
 			reps = p.Agg.Reps
 		}
 	}
+	return gridTable(points, title, fmt.Sprintf(", %d rep(s)", reps),
+		func(p AggregatePoint) string {
+			if p.Agg == nil {
+				return "-"
+			}
+			return cell(p.Agg)
+		})
+}
+
+// gridTable renders a gateways × schemes grid: one row per gateway count
+// present in points, in sweep order, and "-" where a scheme has no point.
+// The title line names the environment, followed by suffix.
+func gridTable(points []AggregatePoint, title, suffix string, cell func(AggregatePoint) string) string {
+	byKey := map[[2]int]AggregatePoint{}
+	gwSet := map[int]bool{}
+	var env Environment
+	for _, p := range points {
+		byKey[[2]int{p.Gateways, int(p.Scheme)}] = p
+		gwSet[p.Gateways] = true
+		env = p.Environment
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s environment, %d rep(s)\n", title, env, reps)
+	fmt.Fprintf(&b, "%s — %s environment%s\n", title, env, suffix)
 	fmt.Fprintf(&b, "%-18s", "gateways (paper)")
 	for _, s := range Schemes() {
 		fmt.Fprintf(&b, " | %16s", s)
@@ -368,12 +378,11 @@ func aggTable(points []AggregatePoint, title string, cell func(*Aggregate) strin
 		}
 		fmt.Fprintf(&b, "%3d (%3d)         ", g, PaperEquivalentGateways(g))
 		for _, s := range Schemes() {
-			a := byKey[[2]int{g, int(s)}]
-			if a == nil {
-				fmt.Fprintf(&b, " | %16s", "-")
-				continue
+			text := "-"
+			if p, ok := byKey[[2]int{g, int(s)}]; ok {
+				text = cell(p)
 			}
-			fmt.Fprintf(&b, " | %16s", cell(a))
+			fmt.Fprintf(&b, " | %16s", text)
 		}
 		b.WriteByte('\n')
 	}

@@ -55,6 +55,29 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if len(serial) != len(par) {
 		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(par))
 	}
+	// Figure order: gateway count outer, scheme inner, replication
+	// innermost.
+	i := 0
+	for _, gw := range GatewaySweep() {
+		for _, scheme := range Schemes() {
+			p := par[i]
+			if p.Gateways != gw || p.Scheme != scheme {
+				t.Fatalf("cell %d out of figure order: gw=%d scheme=%v, want gw=%d scheme=%v",
+					i, p.Gateways, p.Scheme, gw, scheme)
+			}
+			for rep, r := range p.Reps {
+				if want := RepSeed(base.Seed, rep); p.Seeds[rep] != want || r.Config.Seed != want ||
+					r.Config.NumGateways != gw || r.Config.Scheme != scheme {
+					t.Fatalf("cell %d rep %d holds the run for gw=%d scheme=%v seed=%d",
+						i, rep, r.Config.NumGateways, r.Config.Scheme, r.Config.Seed)
+				}
+			}
+			i++
+		}
+	}
+	if len(par) != i {
+		t.Fatalf("got %d cells, want %d", len(par), i)
+	}
 	for i := range serial {
 		s, p := serial[i], par[i]
 		if s.Scheme != p.Scheme || s.Gateways != p.Gateways || s.Environment != p.Environment {
@@ -77,7 +100,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	// The rendered figure artefacts must match byte for byte.
 	for _, render := range []func([]AggregatePoint) string{
-		Fig8AggTable, Fig9AggTable, Fig12AggTable, Fig13AggTable,
+		Fig8AggTable, Fig8MatchedTable, Fig9AggTable, Fig12AggTable, Fig13AggTable,
 	} {
 		if render(serial) != render(par) {
 			t.Fatalf("rendered tables differ:\n%s\nvs\n%s", render(serial), render(par))
@@ -85,52 +108,20 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepFiguresWrapperDeterministic pins the serial wrapper's behaviour:
-// figure ordering, one replication per cell, progress lines in figure order.
-func TestSweepFiguresWrapperDeterministic(t *testing.T) {
-	base := sweepTestConfig()
-	var lines []string
-	points, err := SweepFigures(base, Urban, func(l string) { lines = append(lines, l) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCells := len(GatewaySweep()) * len(Schemes())
-	if len(points) != wantCells {
-		t.Fatalf("got %d points, want %d", len(points), wantCells)
-	}
-	if len(lines) != wantCells {
-		t.Fatalf("got %d progress lines, want %d", len(lines), wantCells)
-	}
-	i := 0
-	for _, gw := range GatewaySweep() {
-		for _, scheme := range Schemes() {
-			p := points[i]
-			if p.Gateways != gw || p.Scheme != scheme {
-				t.Fatalf("point %d out of figure order: gw=%d scheme=%v, want gw=%d scheme=%v",
-					i, p.Gateways, p.Scheme, gw, scheme)
-			}
-			if lines[i] != p.Result.String() {
-				t.Fatalf("progress line %d does not match point %d", i, i)
-			}
-			i++
-		}
-	}
-}
-
-// TestParallelProgressStreams checks the channel-based progress stream: one
-// update per completed replication with a monotone completion counter, even
-// with many workers finishing out of order.
+// TestParallelProgressStreams checks the progress callback: one update per
+// completed replication with a monotone completion counter, even with many
+// workers finishing out of order.
 func TestParallelProgressStreams(t *testing.T) {
 	base := sweepTestConfig()
 	const reps = 2
 	total := len(GatewaySweep()) * len(Schemes()) * reps
-	ch := make(chan CellUpdate, total)
-	if _, err := ParallelSweep(base, Rural, SweepOptions{Workers: 6, Reps: reps, Progress: ch}); err != nil {
+	var updates []CellUpdate
+	if _, err := ParallelSweepFunc(base, Rural, SweepOptions{Workers: 6, Reps: reps},
+		func(u CellUpdate) { updates = append(updates, u) }); err != nil {
 		t.Fatal(err)
 	}
-	close(ch)
 	n := 0
-	for u := range ch {
+	for _, u := range updates {
 		n++
 		if u.Completed != n {
 			t.Fatalf("update %d carries Completed=%d", n, u.Completed)

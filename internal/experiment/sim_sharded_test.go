@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -243,28 +242,15 @@ func TestShardLookaheadSafety(t *testing.T) {
 	}
 }
 
-// TestShardEquivalenceFigTables: the Fig 8/9/12/13 table bytes are
-// shard-count invariant (the figure path goes through Run, proving the
-// Config.Shards dispatch too).
+// TestShardEquivalenceFigTables: the figure-sweep stdout block and the
+// per-cell reports are shard-count invariant (the figure path goes through
+// Run, proving the Config.Shards dispatch too).
 func TestShardEquivalenceFigTables(t *testing.T) {
 	render := func(shards int) string {
 		t.Helper()
-		var points []SweepPoint
-		for _, scheme := range Schemes() {
-			cfg := shardTestBase()
-			cfg.Scheme = scheme
-			cfg.NumGateways = 10
-			cfg.Shards = shards
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			points = append(points, SweepPoint{
-				Environment: cfg.Environment, Scheme: scheme, Gateways: 10, Result: res,
-			})
-		}
-		return fmt.Sprintf("%s\n%s\n%s\n%s",
-			Fig8Table(points), Fig9Table(points), Fig12Table(points), Fig13Table(points))
+		cfg := shardTestBase()
+		cfg.Shards = shards
+		return oneRepFigTables(t, cfg, []int{10})
 	}
 	ref := render(1)
 	for _, n := range []int{2, 4} {

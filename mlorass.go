@@ -110,9 +110,6 @@ func ParseMobilityModel(s string) (MobilityModel, error) {
 // statistics, the throughput time series, and per-node overhead.
 type Result = experiment.Result
 
-// SweepPoint is one cell of a figure sweep.
-type SweepPoint = experiment.SweepPoint
-
 // Summary is a streaming mean/stddev/min/max accumulator.
 type Summary = stats.Summary
 
@@ -164,18 +161,9 @@ func QuickConfig() Config { return experiment.QuickConfig() }
 // Run executes one scenario.
 func Run(cfg Config) (*Result, error) { return experiment.Run(cfg) }
 
-// SweepFigures runs the Fig. 8/9/12/13 grid for one environment, serially
-// with a single seed. For parallel, replicated sweeps use ParallelSweep.
-func SweepFigures(base Config, env Environment, progress func(string)) ([]SweepPoint, error) {
-	return experiment.SweepFigures(base, env, progress)
-}
-
 // SweepOptions configures ParallelSweep: worker-pool size, replications per
-// cell, and an optional streamed-progress channel.
+// cell, and an optional run store.
 type SweepOptions = experiment.SweepOptions
-
-// CellUpdate is one completed replication streamed during a ParallelSweep.
-type CellUpdate = experiment.CellUpdate
 
 // AggregatePoint is one sweep cell with per-replication Results and their
 // cross-replication Aggregate.
@@ -257,13 +245,6 @@ func ADRSweep(base Config, env Environment, workers int, progress func(string)) 
 // retransmissions per MAC mode as gateway density grows.
 func ADRTable(points []ADRPoint) string { return experiment.ADRTable(points) }
 
-// Fig8Table, Fig9Table, Fig12Table and Fig13Table render sweep results as
-// the corresponding paper tables.
-func Fig8Table(points []SweepPoint) string  { return experiment.Fig8Table(points) }
-func Fig9Table(points []SweepPoint) string  { return experiment.Fig9Table(points) }
-func Fig12Table(points []SweepPoint) string { return experiment.Fig12Table(points) }
-func Fig13Table(points []SweepPoint) string { return experiment.Fig13Table(points) }
-
 // GenerateDataset builds the synthetic TFL-like bus dataset used by the
 // evaluation; see the tfl package for the CSV interchange format.
 func GenerateDataset(seed uint64, numRoutes int, peakHeadway time.Duration) (*tfl.Dataset, error) {
@@ -337,6 +318,6 @@ func EncodeDataset(w io.Writer, d *Dataset) error { return tfl.Encode(w, d) }
 // DecodeDataset parses a dataset written by EncodeDataset.
 func DecodeDataset(r io.Reader) (*Dataset, error) { return tfl.Decode(r) }
 
-// Fig8MatchedTable renders the survivorship-corrected delay comparison (see
-// experiment.Fig8MatchedTable).
-func Fig8MatchedTable(points []SweepPoint) string { return experiment.Fig8MatchedTable(points) }
+// Fig8MatchedTable renders the survivorship-corrected delay comparison over
+// each cell's replication 0 (see experiment.Fig8MatchedTable).
+func Fig8MatchedTable(points []AggregatePoint) string { return experiment.Fig8MatchedTable(points) }
