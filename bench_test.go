@@ -6,8 +6,8 @@
 //	go test -bench=. -benchmem
 //
 // regenerates the whole evaluation. cmd/expsweep runs the same experiments
-// at full scale with pretty tables; EXPERIMENTS.md records paper-vs-measured
-// for each artefact.
+// at full scale with pretty tables (README "Regenerating the paper's
+// figures").
 package mlorass_test
 
 import (
@@ -26,8 +26,8 @@ import (
 )
 
 // benchConfig is the reduced-scale scenario the benches run: a dense small
-// world (density-preserving downscale, see DESIGN.md §5) over 6 simulated
-// hours spanning the morning ramp and midday plateau.
+// world (density-preserving downscale) over 6 simulated hours spanning the
+// morning ramp and midday plateau.
 func benchConfig(seed uint64) experiment.Config {
 	cfg := experiment.DefaultConfig()
 	cfg.Seed = seed
@@ -278,44 +278,6 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicatedSweep measures a multi-seed cell: 5 replications of one
-// scenario through the pool, the configuration behind mean ± 95% CI figures.
-func BenchmarkReplicatedSweep(b *testing.B) {
-	cfg := experiment.DefaultConfig()
-	cfg.AreaSideM = 5000
-	cfg.NumRoutes = 6
-	cfg.PeakHeadway = 20 * time.Minute
-	cfg.Duration = 2 * time.Hour
-	cfg.Scheme = routing.SchemeROBC
-	for i := 0; i < b.N; i++ {
-		results := make([]*experiment.Result, 5)
-		for rep := range results {
-			c := cfg
-			c.Seed = experiment.RepSeed(cfg.Seed, rep)
-			res, err := experiment.Run(c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results[rep] = res
-		}
-		agg := experiment.AggregateResults(results)
-		b.ReportMetric(agg.Delivered.Mean(), "delivered")
-		b.ReportMetric(agg.Delivered.CI95(), "delivered-ci95")
-	}
-}
-
-// BenchmarkPublicAPIQuick exercises the root-package entry point end to end.
-func BenchmarkPublicAPIQuick(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := mlorass.QuickConfig()
-		cfg.Scheme = mlorass.SchemeROBC
-		cfg.Duration = 2 * time.Hour
-		if _, err := mlorass.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTelemetryOverhead proves the tentpole's overhead budget: the same
 // scenario with metric recorders off (the pre-telemetry hot path), on (the
 // shipped default: counters + delay/airtime histograms, tracing disabled),
@@ -394,50 +356,12 @@ func BenchmarkRunStoreSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkFullDayRun measures one full-day paper-config run end to end:
-// the DefaultConfig 24-hour ROBC scenario, the workload every figure sweep
-// is built from. This is the headline wall-clock number of the hot-path
-// optimisation work; run it with -benchtime 1x (one iteration is ~tens of
-// seconds) and compare BENCH_*.json artefacts across commits.
-func BenchmarkFullDayRun(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-day run takes tens of seconds; skipped under -short")
-	}
-	var delivered int
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultConfig()
-		cfg.Scheme = routing.SchemeROBC
-		delivered = runBench(b, cfg).Delivered
-	}
-	b.ReportMetric(float64(delivered), "delivered")
-}
-
-// benchFullDayShards is BenchmarkFullDayRun on the sharded event kernel:
-// the same full-scale day, partitioned into n spatial tiles with one kernel
-// goroutine each. The n=1 bench measures the sharded engine's intrinsic
-// overhead (windowed merge, keyed draws) against BenchmarkFullDayRun; the
-// n=2/4/8 benches measure intra-run scaling. Results are bit-identical for
-// every n — the delivered metric must match across the whole family.
-func benchFullDayShards(b *testing.B, n int) {
-	if testing.Short() {
-		b.Skip("full-day run takes tens of seconds; skipped under -short")
-	}
-	var delivered int
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultConfig()
-		cfg.Scheme = routing.SchemeROBC
-		cfg.Shards = n
-		delivered = runBench(b, cfg).Delivered
-	}
-	b.ReportMetric(float64(delivered), "delivered")
-}
-
 // BenchmarkObsOverhead proves the observability layer's budget: the same
 // full-day sharded run with the live layer off (the shipped default — nil
 // Spans/Live, the pre-obs hot path) and on (a flight recorder sinking every
 // phase span plus a registry scraped at ~10 Hz, the `expsweep -listen` state).
 // The acceptance bar is on within 2% of off; compare the sub-benchmarks'
-// ns/op. Run with -benchtime 1x like BenchmarkFullDayRun.
+// ns/op. One iteration is a full day: run with -benchtime 1x.
 func BenchmarkObsOverhead(b *testing.B) {
 	if testing.Short() {
 		b.Skip("full-day run takes tens of seconds; skipped under -short")
@@ -488,8 +412,3 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.ReportMetric(float64(delivered), "delivered")
 	})
 }
-
-func BenchmarkFullDayRunShards1(b *testing.B) { benchFullDayShards(b, 1) }
-func BenchmarkFullDayRunShards2(b *testing.B) { benchFullDayShards(b, 2) }
-func BenchmarkFullDayRunShards4(b *testing.B) { benchFullDayShards(b, 4) }
-func BenchmarkFullDayRunShards8(b *testing.B) { benchFullDayShards(b, 8) }

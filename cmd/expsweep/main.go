@@ -111,7 +111,7 @@ func run(args []string) (err error) {
 		seed        = fs.Uint64("seed", 1, "random seed (replications derive theirs from it)")
 		quick       = fs.Bool("quick", false, "reduced scale (shorter horizon, smaller fleet)")
 		quiet       = fs.Bool("quiet", false, "suppress per-run progress lines")
-		parallel    = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for the figure sweeps (figs 8/9/12/13, resilience)")
+		parallel    = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for the figure sweeps (figs 8/9/12/13, resilience, adr)")
 		reps        = fs.Int("reps", 1, "replications per sweep cell (figs 8/9/12/13); tables report mean ± 95% CI")
 		scenario    = fs.String("scenario", "buses", "mobility scenario: buses | randomwaypoint | sensorgrid")
 		nodes       = fs.Int("nodes", 0, "node count for the randomwaypoint/sensorgrid scenarios (0 = default)")

@@ -261,8 +261,7 @@ func Fig8PercentilesAggTable(points []AggregatePoint) string {
 // schemes at that gateway count. This removes the survivorship bias of the
 // plain mean (a forwarding scheme that rescues otherwise-undeliverable
 // messages adds slow samples the baseline's mean omits) and is the fair
-// delay comparison EXPERIMENTS.md reports against the paper's 10-25 %
-// reduction. It needs raw per-delivery samples, not aggregates, hence one
+// delay comparison against the paper's 10-25 % reduction. It needs raw per-delivery samples, not aggregates, hence one
 // replication. A cell without a replication-0 result renders "-", and a
 // gateway count with none at all is left out.
 func Fig8MatchedTable(points []AggregatePoint) string {

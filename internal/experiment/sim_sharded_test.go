@@ -336,6 +336,36 @@ func TestShardSerialUntouched(t *testing.T) {
 	goldenCompare(t, "report_quick_seed1.golden", rep)
 }
 
+// TestShardSerialSameWorkload: the two engines draw different channel
+// randomness but must run the same workload — the same devices active,
+// churned and generating the same messages. bench/check.go's references
+// match Generated exactly across engines on this guarantee.
+func TestShardSerialSameWorkload(t *testing.T) {
+	for name, mut := range shardTestVariants() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			base := shardTestBase()
+			mut(&base)
+			base.Seed = seed
+			var res [2]*Result
+			for i := range res {
+				cfg := base
+				cfg.Shards = i
+				r, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s seed %d shards=%d: %v", name, seed, i, err)
+				}
+				res[i] = r
+			}
+			s, k := res[0], res[1]
+			if s.Generated != k.Generated || s.ActiveDevices != k.ActiveDevices || s.DeviceFailures != k.DeviceFailures {
+				t.Errorf("%s seed %d: serial generated/active/failed %d/%d/%d, shards=1 %d/%d/%d",
+					name, seed, s.Generated, s.ActiveDevices, s.DeviceFailures,
+					k.Generated, k.ActiveDevices, k.DeviceFailures)
+			}
+		}
+	}
+}
+
 // TestShardKernelLoopAllocInvariant extends the PR 4 hot-path allocation
 // discipline to the per-shard kernel loop: doubling the simulated horizon
 // (and so the window count) must not add per-window allocations — every

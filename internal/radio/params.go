@@ -5,7 +5,7 @@
 // a shared-channel medium with collision and capture-effect modelling.
 //
 // This package is the reproduction's substitute for the FLoRa framework on
-// OMNeT++ (see DESIGN.md §2): it implements exactly the PHY subset the
+// OMNeT++: it implements exactly the PHY subset the
 // paper's evaluation exercises — one channel, a fixed spreading factor, 1 %
 // duty cycle enforced above this layer, and range-gated links.
 package radio

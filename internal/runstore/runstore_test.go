@@ -160,3 +160,47 @@ func TestStoreManyKeys(t *testing.T) {
 		t.Fatalf("Len = %d, %v", got, err)
 	}
 }
+
+// BenchmarkStoreCell times the store calls a sweep pays per cell on a 37 KB
+// artefact, one quick cell's size: the atomic Put, the Get that loads it,
+// and the farm's advisory Claim/Release pair around a publish.
+func BenchmarkStoreCell(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	art := make([]byte, 37_000)
+	for i := range art {
+		art[i] = 'a' + byte(i%26)
+	}
+	key := Key([]byte("quick-cell"))
+	if err := s.Put(key, art); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Put", func(b *testing.B) {
+		b.SetBytes(int64(len(art)))
+		for i := 0; i < b.N; i++ {
+			if err := s.Put(key, art); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Get", func(b *testing.B) {
+		b.SetBytes(int64(len(art)))
+		for i := 0; i < b.N; i++ {
+			if data, ok, err := s.Get(key); err != nil || !ok || len(data) != len(art) {
+				b.Fatalf("Get: %d bytes, ok=%v, err=%v", len(data), ok, err)
+			}
+		}
+	})
+	b.Run("ClaimRelease", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if ok, err := s.Claim(key, "w1"); err != nil || !ok {
+				b.Fatalf("Claim: ok=%v, err=%v", ok, err)
+			}
+			if err := s.Release(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -461,3 +461,33 @@ func TestEnvelopeJSONShape(t *testing.T) {
 		t.Fatalf("envelope = %s", raw)
 	}
 }
+
+// BenchmarkFrameRoundTrip times one storeless completion through the codec:
+// seal, WriteFrame, ReadFrame and decodeRequest of a Complete request
+// carrying a 37 KB artefact inline, one quick cell's size.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	req := sweepfarm.CompleteRequest{Worker: "w1", LeaseID: 99,
+		Cell: sweepfarm.Cell{Index: 7, Label: "urban/sf7"}, Artifact: make([]byte, 37_000)}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env, err := seal(KindCompleteRequest, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteFrame(&buf, env, 0); err != nil {
+			b.Fatal(err)
+		}
+		got, err := ReadFrame(&buf, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := decodeRequest(got)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := len(out.(sweepfarm.CompleteRequest).Artifact); n != len(req.Artifact) {
+			b.Fatalf("artefact came back %d bytes, want %d", n, len(req.Artifact))
+		}
+	}
+}

@@ -4,7 +4,7 @@
 // The paper's evaluation is trace-driven from Transport for London (TFL) open
 // timetable data, which this reproduction cannot ship. Instead, this package
 // synthesises a dataset whose aggregate properties match what the paper's
-// protocols actually depend on (DESIGN.md §2):
+// protocols actually depend on:
 //
 //   - fixed polyline routes inside a 600 km² planar area,
 //   - per-route average speeds between 5.4 and 23.1 mph (Sec. III-A),

@@ -152,7 +152,7 @@ type RunStore = runstore.Store
 func OpenRunStore(dir string) (*RunStore, error) { return runstore.Open(dir) }
 
 // DefaultConfig returns the paper-shaped 24-hour scenario (density-
-// preserving 4x downscale of the 600 km² London world; see DESIGN.md).
+// preserving 4x downscale of the 600 km² London world).
 func DefaultConfig() Config { return experiment.DefaultConfig() }
 
 // QuickConfig returns a small 4-hour scenario for tests and demos.
