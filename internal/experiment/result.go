@@ -134,71 +134,6 @@ func (r *Result) MatchedDelayMean(k int) float64 {
 	return sum / float64(k)
 }
 
-// collect gathers a Result after the event loop finishes.
-func (s *sim) collect() *Result {
-	r := &Result{
-		Config:     s.cfg,
-		Generated:  s.generated,
-		Delivered:  s.server.Count(),
-		Duplicates: s.server.Duplicates(),
-		Throughput: s.throughput,
-		Medium:     s.medium.Stats(),
-	}
-	r.HandoverAttempts = s.handoverAttempts
-	r.HandoverSuccesses = s.handoverSuccesses
-	r.HandoverMsgs = s.handoverMsgs
-	r.HandoverLostMsgs = s.handoverLostMsgs
-	if s.macOn {
-		r.Downlinks = s.downlinks
-		r.DownlinkDeliveries = s.downlinkDeliveries
-		r.AckTimeouts = s.ackTimeouts
-		r.Retransmissions = s.retransmissions
-		r.ADRApplied = s.adrApplied
-		if m := s.server.MAC(); m != nil {
-			r.ADRCommands = m.Commands
-			r.DownlinkDrops = m.Sched.Stats().Dropped
-		}
-	}
-	r.GatewayOutageWindows = s.gatewayOutageWindows
-	r.DeviceFailures = s.deviceFailures
-	for _, del := range s.server.Deliveries() {
-		r.Delay.AddDuration(del.Delay())
-		r.rawDelays = append(r.rawDelays, del.Delay().Seconds())
-		r.originDelivered = append(r.originDelivered, del.Origin)
-		r.Hops.Add(float64(del.Hops))
-		if del.Hops > 1 {
-			r.RelayedDelay.AddDuration(del.Delay())
-		} else {
-			r.DirectDelay.AddDuration(del.Delay())
-		}
-	}
-	for _, d := range s.devices {
-		if d == nil {
-			continue
-		}
-		r.QueueDrops += d.queue.Dropped()
-		if !d.everActive {
-			continue
-		}
-		r.ActiveDevices++
-		r.MsgSendsPerNode.Add(float64(d.msgSends))
-		r.FramesPerNode.Add(float64(d.framesSent))
-		r.RadioOnPerNode.AddDuration(d.energy.RadioOnTime())
-	}
-	if s.rec != nil {
-		r.Telemetry = s.rec.Snapshot()
-		// The queues also drop on requeue overflow (PushFront), which
-		// the streamed counter cannot see; reconcile with the
-		// authoritative per-queue total. Downlink drops and ADR command
-		// issues are counted by the network server's scheduler and MAC,
-		// which cannot reach the recorder.
-		r.Telemetry.Counters.QueueDrops = r.QueueDrops
-		r.Telemetry.Counters.DownlinkDrops = r.DownlinkDrops
-		r.Telemetry.Counters.ADRCommands = r.ADRCommands
-	}
-	return r
-}
-
 // DeliveryRatio returns Delivered/Generated (0 when nothing was generated).
 func (r *Result) DeliveryRatio() float64 {
 	if r.Generated == 0 {

@@ -164,10 +164,7 @@ func runWithDevices(t *testing.T, cfg Config) (*Result, []*device) {
 		t.Fatal(err)
 	}
 	if cfg.Shards > 0 {
-		res, diag, err := runSharded(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, diag := shardRun(t, cfg, nil)
 		return res, diag.Devices
 	}
 	s, err := newSim(cfg)

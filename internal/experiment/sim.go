@@ -1,178 +1,25 @@
 package experiment
 
 import (
-	"fmt"
 	"time"
 
-	"mlorass/internal/core"
-	"mlorass/internal/disruption"
 	"mlorass/internal/eventsim"
-	"mlorass/internal/geo"
-	"mlorass/internal/gwplan"
 	"mlorass/internal/lorawan"
 	"mlorass/internal/mobility"
 	"mlorass/internal/netserver"
 	"mlorass/internal/radio"
 	"mlorass/internal/rng"
 	"mlorass/internal/routing"
-	"mlorass/internal/stats"
 	"mlorass/internal/telemetry"
 )
 
-// device is one LoRaWAN end-device riding one mobility node.
-type device struct {
-	id   int
-	node mobility.Model
-
-	// cursor is the node's stateful trajectory reader: bit-identical to
-	// node.PositionAt but resuming the segment walk between the
-	// near-monotonic queries the simulator issues. memo* cache the last
-	// query, so one instant's repeated position reads (transmit, range
-	// checks, overhearing) resolve once.
-	cursor    mobility.Cursor
-	memoAt    time.Duration
-	memoPos   geo.Point
-	memoOK    bool
-	memoValid bool
-
-	// failed marks a device permanently lost to mid-run churn (disruption
-	// layer): it stops generating, transmitting, and overhearing.
-	failed bool
-
-	queue  *lorawan.Queue
-	est    *core.GatewayEstimator
-	duty   *lorawan.DutyGovernor
-	energy lorawan.EnergyMeter
-	rnd    *rng.Source
-
-	seq      uint32
-	attempts int // retransmissions of the current head bundle
-
-	busy           bool // a transmission is on the air
-	retryScheduled bool
-
-	// Prebuilt event callbacks: the slot tick, the duty-cycle retry, and
-	// the transmission resolution are scheduled millions of times per
-	// run, so each device allocates its closures once instead of one per
-	// scheduling.
-	slotFn    eventsim.Event
-	retryFn   eventsim.Event
-	resolveFn eventsim.Event
-
-	// bundle is the device's frame scratch: the in-flight transmission's
-	// messages live here (at most one transmission is on the air per
-	// device), reused across transmissions.
-	bundle []lorawan.Message
-
-	// Pending transmission state consumed by resolveFn: the frame on the
-	// air, its radio handle, and its destination (-1 = sink uplink).
-	pendTx    *radio.Transmission
-	pendFrame lorawan.Frame
-	pendDest  int
-
-	// Pending handover decision: the next transmission slot is addressed
-	// to fwdTarget instead of the sinks (Sec. IV-A: the handover rides
-	// the device's regular duty-cycled broadcast). The decision expires
-	// after one slot interval so stale neighbours are not chased.
-	fwdTarget int
-	fwdCount  int
-	fwdExpiry time.Duration
-
-	// noSendBack holds neighbours this device received data from; it is
-	// cleared on the next successful sink contact (Sec. V-B2). A small
-	// sorted-insertion-free id list: membership is a linear scan over the
-	// handful of neighbours met since the last sink contact, cheaper and
-	// allocation-free compared to a map.
-	noSendBack []int32
-
-	// acked records whether any uplink was acknowledged since the last
-	// slot tick; the estimator consumes and resets it (Eq. 3's contact
-	// observation).
-	acked bool
-
-	// MAC-subsystem state (zero and unread when Config.MAC is zero-valued).
-	//
-	// dr and txPowIdx are the device's current ADR-assigned link
-	// parameters; txPowDBm is the resolved transmit power (always
-	// initialised, even with the MAC off, so the transmit path reads one
-	// field). awaitingAck marks a confirmed uplink whose ack window is
-	// open: the device holds its bundle in pendFrame and transmits nothing
-	// until the ack arrives or ackTimeoutH fires.
-	dr          lorawan.DataRate
-	txPowIdx    int
-	txPowDBm    radio.DBm
-	awaitingAck bool
-	ackTimeoutH eventsim.Handle
-
-	// Pending downlink addressed to this device — at most one, freshest
-	// wins: if a generous duty cycle lets a new uplink's downlink be
-	// scheduled before the previous one lands, the replacement takes the
-	// slot and the old resolution event no-ops (resolveDownlink matches
-	// the instant against dlTx.End). dlFn resolves it; ackTimeoutFn
-	// closes the ack window.
-	dlTx         *radio.Transmission
-	dlAck        bool
-	dlCmd        lorawan.LinkADRReq
-	dlHasCmd     bool
-	dlFn         eventsim.Event
-	ackTimeoutFn eventsim.Event
-
-	// listenFraction is γx for Queue-based Class-A devices (Eq. 11),
-	// recomputed each slot; Modified Class-C devices always listen (1).
-	listenFraction float64
-
-	everActive bool
-	framesSent uint64
-	msgSends   uint64
-
-	// Sharded-engine state (zero and unread under the serial engine).
-	//
-	// msgSeq numbers this device's generated messages so sharded message
-	// IDs are intrinsic — (id+1)<<32|msgSeq — instead of a global counter
-	// whose value would depend on cross-device event interleaving. dlSeq
-	// numbers received downlink plans for keyed shadowing draws. The
-	// flight intervals record the device's current and previous uplink
-	// on-air spans so receiver-side phases can answer "was this device
-	// transmitting at instant T" for any T inside the window without
-	// ordering against the transmitter's own phase — see busyAt.
-	msgSeq        uint32
-	dlSeq         uint32
-	flightStart   time.Duration
-	flightEnd     time.Duration
-	prevFlightSta time.Duration
-	prevFlightEnd time.Duration
-}
-
-// busyAt reports whether one of the device's recorded uplink flights was on
-// the air at instant at. Two intervals suffice: the duty governor keeps a
-// device from having more than two flights overlap any lookahead window.
-//
-//mlorass:hotpath
-func (d *device) busyAt(at time.Duration) bool {
-	if at >= d.flightStart && at < d.flightEnd {
-		return true
-	}
-	return at >= d.prevFlightSta && at < d.prevFlightEnd
-}
-
-// sim is one assembled simulation run.
+// sim is the serial engine: one event kernel and one radio medium over the
+// whole world.
 type sim struct {
-	cfg     Config
-	es      *eventsim.Simulator
-	fleet   *mobility.Fleet
-	gws     []geo.Point
-	medium  *radio.Medium
-	server  *netserver.Server
-	policy  routing.Policy
-	phy     radio.PHYParams
-	link    core.LinkModel
-	gwCfg   core.GatewayConfig
-	retry   lorawan.RetryPolicy
-	devices []*device // by fleet id; nil when the window opens at or after the horizon
-
-	// contactCapacityPPS is the service rate credited to a sink contact:
-	// one full bundle per duty-cycled transmission opportunity.
-	contactCapacityPPS float64
+	world
+	counters
+	es     *eventsim.Simulator
+	medium *radio.Medium
 
 	// activeList holds the in-service device ids, in activation order;
 	// spatial-index rebuilds read it.
@@ -190,53 +37,15 @@ type sim struct {
 	// gwUp tracks per-gateway availability; nil when the disruption layer
 	// is off (every gateway permanently up, the paper's setting).
 	gwUp []bool
-	// Disruption diagnostics.
-	gatewayOutageWindows int
-	deviceFailures       int
 
 	msgCounter uint64
-	generated  uint64
-	throughput *stats.TimeSeries
 
 	// d2dShadow draws the shadowing for overheard-RSSI measurements
 	// (Eq. 5 input). Device-to-device frames themselves are received
 	// deterministically within range: the paper's FLoRa substrate has no
 	// device-to-device PHY, so its handovers and overhearing operate
 	// above the collision model, and only gateway uplinks contend.
-	// d2dLoss caches the medium's path-loss model so the overhear loop
-	// avoids copying the whole medium config per candidate.
 	d2dShadow *rng.Source
-	d2dLoss   radio.PathLoss
-
-	// Forwarding diagnostics.
-	handoverAttempts  uint64
-	handoverSuccesses uint64
-	handoverMsgs      uint64
-	handoverLostMsgs  uint64
-
-	// rec is the run's streaming metric recorder (nil when telemetry is
-	// disabled; every method is nil-safe). tracer samples per-packet
-	// events (nil when tracing is off); traceRun labels its records.
-	rec      *telemetry.Recorder
-	tracer   *telemetry.Tracer
-	traceRun string
-
-	// MAC subsystem (all nil/zero when cfg.MAC is zero-valued — the
-	// paper's uplink-only model, byte-identical to the pre-MAC simulator).
-	macOn     bool
-	confirmed bool
-	// phyByDR holds the PHY parameters of every ADR data rate; dlAirTbl
-	// caches downlink airtimes per (data rate, with-ADR-command) pair.
-	phyByDR    [lorawan.NumDataRates]radio.PHYParams
-	dlAirTbl   [lorawan.NumDataRates][2]time.Duration
-	noiseFloor radio.DBm
-	gwTxPowDBm radio.DBm
-	// MAC diagnostics.
-	downlinks          uint64
-	downlinkDeliveries uint64
-	ackTimeouts        uint64
-	retransmissions    uint64
-	adrApplied         uint64
 }
 
 // Run executes one scenario and returns its measurements.
@@ -262,109 +71,27 @@ func Run(cfg Config) (*Result, error) {
 // newSim builds the serial engine's world for a normalized, validated cfg
 // and schedules every device and disruption event on its kernel.
 func newSim(cfg Config) (*sim, error) {
-	fleet, ds, err := buildFleet(&cfg)
+	w, err := newWorld(cfg)
 	if err != nil {
 		return nil, err
 	}
-	area := cfg.area()
-	if ds != nil {
-		area = ds.Area
-	}
-	var gws []geo.Point
-	if cfg.GatewayStrategy == gwplan.RouteAware {
-		gws, err = gwplan.PlaceRouteAware(ds, cfg.NumGateways, cfg.GatewayRangeM)
-	} else {
-		gws, err = gwplan.Place(cfg.GatewayStrategy, area, cfg.NumGateways, cfg.Seed^0x9e37)
-	}
+	medium, err := radio.NewMedium(w.mediumConfig())
 	if err != nil {
 		return nil, err
-	}
-	policy, err := routing.New(cfg.Scheme)
-	if err != nil {
-		return nil, err
-	}
-
-	phy := radio.DefaultPHY(cfg.SF)
-	fullFrame := lorawan.Frame{Messages: make([]lorawan.Message, lorawan.MaxBundle)}
-	fullAirtime := phy.Airtime(fullFrame.PayloadBytes())
-	// One bundled frame per duty-cycled opportunity: the best service
-	// rate any contact can offer.
-	cmaxPPS := cfg.DutyCycle / fullAirtime.Seconds()
-
-	loss := radio.DefaultPathLoss()
-	loss.ShadowSigmaDB = radio.DB(cfg.ShadowSigmaDB)
-	medium, err := radio.NewMedium(radio.MediumConfig{
-		Loss: loss,
-		// Connectivity is range-gated per link class as in the paper;
-		// sensitivity must not re-gate it, so it is effectively
-		// disabled and Eq. (5) consumes the raw RSSI.
-		SensitivityDBm: -1e9,
-		CaptureDB:      radio.DB(cfg.CaptureDB),
-		Seed:           cfg.Seed ^ 0x51ab,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	gwCfg := core.GatewayConfig{
-		Alpha:           cfg.Alpha,
-		Delta:           cfg.MsgInterval,
-		DefaultCapacity: cmaxPPS,
-		PhiMin:          1e-5,
-		PhiMax:          cmaxPPS,
-	}
-	if err := gwCfg.Validate(); err != nil {
-		return nil, err
-	}
-	link := core.DefaultLinkModel(cmaxPPS)
-	link.GammaMinDBm = cfg.SF.Sensitivity()
-	if err := link.Validate(); err != nil {
-		return nil, err
-	}
-
-	throughput, err := stats.NewTimeSeries(cfg.ThroughputBin, cfg.Duration)
-	if err != nil {
-		return nil, err
-	}
-
-	// The index's drift bound is the fleet's top speed, floored at the
-	// historical 11 m/s bus bound so legacy scenarios index identically.
-	idxSpeed := fleet.MaxSpeedMPS()
-	if idxSpeed < 11 {
-		idxSpeed = 11
 	}
 	s := &sim{
-		cfg:                cfg,
-		es:                 eventsim.New(),
-		fleet:              fleet,
-		gws:                gws,
-		medium:             medium,
-		server:             netserver.New(),
-		policy:             policy,
-		phy:                phy,
-		link:               link,
-		gwCfg:              gwCfg,
-		retry:              lorawan.DefaultRetryPolicy(),
-		contactCapacityPPS: cmaxPPS,
-		throughput:         throughput,
-		ix:                 newDevIndex(cfg.D2DRangeM, ixRebuildEvery, idxSpeed),
-		d2dShadow:          rng.New(cfg.Seed ^ 0x0d2d),
-		d2dLoss:            loss,
+		world:     w,
+		es:        eventsim.New(),
+		medium:    medium,
+		ix:        w.newIndex(),
+		d2dShadow: rng.New(cfg.Seed ^ 0x0d2d),
 	}
-	if !cfg.Telemetry.Disabled {
-		s.rec = telemetry.NewRecorder()
-	}
-	s.tracer = cfg.Telemetry.Trace
-	if s.tracer != nil {
-		s.traceRun = fmt.Sprintf("%s/%s/gw=%d/seed=%d",
-			cfg.Environment, cfg.Scheme, cfg.NumGateways, cfg.Seed)
-		// The kernel probe is wired only while tracing (its per-event
-		// interface call is measurable, the plain recorders are not),
-		// and only with a live recorder: a typed-nil probe would make
-		// the kernel pay the call for a guaranteed no-op.
-		if s.rec != nil {
-			s.es.SetProbe(s.rec)
-		}
+	// The kernel probe is wired only while tracing (its per-event
+	// interface call is measurable, the plain recorders are not), and only
+	// with a live recorder: a typed-nil probe would make the kernel pay the
+	// call for a guaranteed no-op.
+	if s.tracer != nil && s.rec != nil {
+		s.es.SetProbe(s.rec)
 	}
 	if s.rec != nil || s.tracer != nil {
 		// The server ledger streams delays into the recorder and
@@ -372,49 +99,8 @@ func newSim(cfg Config) (*sim, error) {
 		s.server.SetObserver(s)
 	}
 
-	if cfg.MAC.Enabled() {
-		if err := s.setupMAC(); err != nil {
-			return nil, err
-		}
-	}
-
-	rootRNG := rng.New(cfg.Seed ^ 0xdee1)
-	s.devices = make([]*device, fleet.Len())
-	for i := 0; i < fleet.Len(); i++ {
-		node := fleet.Node(i)
-		start, end := node.Window()
-		if start >= cfg.Duration {
-			// Dormant through the horizon: never built, its slot stays
-			// nil. The draw its Split would have made keeps every later
-			// device's stream.
-			rootRNG.Uint64()
-			continue
-		}
-		est, err := core.NewGatewayEstimator(gwCfg)
-		if err != nil {
-			return nil, err
-		}
-		d := &device{
-			id:             i,
-			node:           node,
-			cursor:         mobility.NewCursor(node),
-			queue:          lorawan.NewQueue(cfg.QueueMax),
-			est:            est,
-			duty:           lorawan.NewDutyGovernor(cfg.DutyCycle),
-			rnd:            rootRNG.Split(),
-			bundle:         make([]lorawan.Message, 0, lorawan.MaxBundle),
-			pendDest:       -1,
-			fwdTarget:      -1,
-			listenFraction: 1,
-			txPowDBm:       radio.DBm(cfg.TxPowerDBm),
-		}
+	err = s.buildDevices(func(d *device, first time.Duration, serves bool) error {
 		if s.macOn {
-			joinSF := cfg.MAC.InitialSF
-			if joinSF == 0 {
-				joinSF = cfg.SF
-			}
-			dr0, _ := lorawan.DataRateForSF(joinSF)
-			d.dr = dr0
 			d.dlFn = func(end time.Duration) { s.resolveDownlink(d, end) }
 			d.ackTimeoutFn = func(at time.Duration) { s.ackTimeout(d, at) }
 		}
@@ -430,24 +116,23 @@ func newSim(cfg Config) (*sim, error) {
 			s.tryUplink(d, later)
 		}
 		d.resolveFn = func(end time.Duration) { s.resolve(d, end) }
-		s.devices[i] = d
-
-		// Stagger slots uniformly within the interval so the fleet's
-		// uplinks do not synchronise.
-		jitter := time.Duration(d.rnd.Uniform(0, cfg.MsgInterval.Seconds()) * float64(time.Second))
-		first := start + jitter
-		if first >= end || first >= cfg.Duration {
-			continue
+		if !serves {
+			return nil
 		}
+		start, end := d.node.Window()
 		if _, err := s.es.At(start, func(time.Duration) { s.activate(d) }); err != nil {
-			return nil, err
+			return err
 		}
-		if end < cfg.Duration {
+		if end < s.cfg.Duration {
 			if _, err := s.es.At(end, func(time.Duration) { s.deactivate(d) }); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		s.scheduleTick(d, first)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	s.motionFn = func(id int, now, mid time.Duration) (mobility.Motion, bool) {
@@ -471,7 +156,7 @@ func (s *sim) run() (*Result, error) {
 	if err := s.es.RunUntil(s.cfg.Duration); err != nil {
 		return nil, err
 	}
-	return s.collect(), nil
+	return s.world.collect(&s.counters, s.medium.Stats(), s.rec.Snapshot()), nil
 }
 
 // scheduleDisruption compiles the disruption plan and places its outage,
@@ -520,49 +205,6 @@ func (s *sim) scheduleDisruption() error {
 		}
 	}
 	return nil
-}
-
-// compileDisruption is both engines' disruption plan for a run.
-func compileDisruption(cfg *Config, gateways, devices int) (*disruption.Plan, error) {
-	return disruption.Compile(cfg.Disruption, cfg.Seed^0xd15c, gateways, devices, cfg.Duration)
-}
-
-// devPos returns device d's position at the given instant through its
-// trajectory cursor, memoising the last query so one instant's repeated
-// reads resolve once. Bit-identical to d.node.PositionAt(at).
-//
-//mlorass:hotpath
-func (s *sim) devPos(d *device, at time.Duration) (geo.Point, bool) {
-	if d.memoValid && d.memoAt == at {
-		return d.memoPos, d.memoOK
-	}
-	p, ok := d.cursor.PositionAt(at)
-	d.memoAt, d.memoPos, d.memoOK, d.memoValid = at, p, ok, true
-	return p, ok
-}
-
-// indexMotion is both engines' motion source for the spatial index: device
-// d's motion at the instant nearest mid inside its service window. Devices
-// whose window has closed by now are left out. Churned devices stay in: the
-// overhear loops check liveness exactly, and the tile engine's may still ask
-// about instants before the failure.
-//
-//mlorass:hotpath
-func indexMotion(d *device, now, mid time.Duration) (mobility.Motion, bool) {
-	start, end := d.node.Window()
-	if end <= now {
-		return mobility.Motion{}, false
-	}
-	at := min(max(mid, start), end-1)
-	if m, ok := d.cursor.MotionAt(at); ok {
-		return m, true
-	}
-	// A node asleep at that instant but with a known fixed position stays
-	// indexed: it may wake before the next rebuild.
-	if sm, ok := d.node.(mobility.StaticModel); ok {
-		return mobility.Stationary(at, sm.FixedPosition()), true
-	}
-	return mobility.Motion{}, false
 }
 
 func (s *sim) activate(d *device) {
@@ -712,8 +354,8 @@ func (s *sim) stillInRange(d *device, dest int, now time.Duration) bool {
 	if target.failed {
 		return false
 	}
-	dpos, ok1 := s.devPos(d, now)
-	tpos, ok2 := s.devPos(target, now)
+	dpos, ok1 := d.pos(now)
+	tpos, ok2 := target.pos(now)
 	return ok1 && ok2 && dpos.Dist(tpos) <= s.cfg.D2DRangeM
 }
 
@@ -725,7 +367,7 @@ func (s *sim) stillInRange(d *device, dest int, now time.Duration) bool {
 //
 //mlorass:hotpath
 func (s *sim) transmit(d *device, now time.Duration, dest, count int) {
-	pos, ok := s.devPos(d, now)
+	pos, ok := d.pos(now)
 	if !ok {
 		return
 	}
@@ -851,12 +493,6 @@ func (s *sim) scheduleNextAttempt(d *device) {
 	}
 }
 
-// gwCand is one in-range gateway during reception resolution.
-type gwCand struct {
-	idx  int
-	dist float64
-}
-
 // receiveAtGateways attempts reception at every gateway inside the gateway
 // range, nearest first, and returns the first that decodes the frame (-1 if
 // none) along with the RSSI it observed (the MAC layer's SNR input). The
@@ -907,7 +543,7 @@ func (s *sim) receiveAtGateways(tx *radio.Transmission) (int, radio.DBm) {
 func (s *sim) resolveHandover(d *device, tx *radio.Transmission, frame lorawan.Frame, dest int, now time.Duration) {
 	s.handoverAttempts++
 	target := s.devices[dest]
-	tpos, ok := s.devPos(target, now)
+	tpos, ok := target.pos(now)
 	received := ok && !target.busy && !target.failed && s.listening(target) &&
 		tx.Pos.Dist(tpos) <= s.cfg.D2DRangeM
 	if !received {
@@ -945,28 +581,6 @@ func (s *sim) resolveHandover(d *device, tx *radio.Transmission, frame lorawan.F
 		}
 	}
 	target.banSendBack(d.id)
-}
-
-// banSendBack records that this device received data from the given
-// neighbour (no-send-back rule); duplicates are skipped.
-func (d *device) banSendBack(id int) {
-	for _, b := range d.noSendBack {
-		if int(b) == id {
-			return
-		}
-	}
-	d.noSendBack = append(d.noSendBack, int32(id))
-}
-
-// bannedSendBack reports whether the neighbour is under the no-send-back
-// rule.
-func (d *device) bannedSendBack(id int) bool {
-	for _, b := range d.noSendBack {
-		if int(b) == id {
-			return true
-		}
-	}
-	return false
 }
 
 // emitTrace stamps the run label onto an event and forwards it to the
@@ -1040,7 +654,7 @@ func (s *sim) overhear(sender *device, tx *radio.Transmission, frame lorawan.Fra
 		if z.busy || z.failed || z.queue.Len() == 0 {
 			continue
 		}
-		zpos, ok := s.devPos(z, now)
+		zpos, ok := z.pos(now)
 		if !ok {
 			continue
 		}
@@ -1063,7 +677,7 @@ func (s *sim) overhear(sender *device, tx *radio.Transmission, frame lorawan.Fra
 		}
 		// One RSSI measurement per overheard broadcast feeds Eq. (5),
 		// at the sender's (possibly ADR-lowered) transmit power.
-		rssi := s.d2dLoss.RSSI(sender.txPowDBm, radio.Meters(dist), s.d2dShadow)
+		rssi := s.loss.RSSI(sender.txPowDBm, radio.Meters(dist), s.d2dShadow)
 		linkETX := s.link.RCAETX(rssi)
 		local := routing.LocalState{
 			RCAETX:   z.est.RCAETX(),

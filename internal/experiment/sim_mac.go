@@ -20,70 +20,6 @@ import (
 // config schedules no events, draws no random numbers, and leaves the run
 // byte-identical to the paper's uplink-only model.
 
-// setupMAC assembles the MAC control plane: per-DR PHY tables, the downlink
-// airtime cache, the network server's ADR controller and per-gateway
-// downlink scheduler.
-func (s *sim) setupMAC() error {
-	s.macOn = true
-	s.confirmed = s.cfg.MAC.Confirmed
-	for dr := 0; dr < lorawan.NumDataRates; dr++ {
-		s.phyByDR[dr] = radio.DefaultPHY(lorawan.DataRate(dr).SF())
-		// Downlink airtimes per data rate, without and with a piggybacked
-		// LinkADRReq.
-		s.dlAirTbl[dr][0] = s.phyByDR[dr].Airtime(lorawan.DownlinkBytes(false))
-		s.dlAirTbl[dr][1] = s.phyByDR[dr].Airtime(lorawan.DownlinkBytes(true))
-	}
-	s.noiseFloor = radio.NoiseFloorDBm(s.phy.BandwidthHz)
-	// Resolved by Normalize: 0 selected the device power.
-	s.gwTxPowDBm = radio.DBm(s.cfg.MAC.DownlinkTxPowerDBm)
-
-	var ctrl *mac.Controller
-	if s.cfg.MAC.ADR {
-		var err error
-		ctrl, err = mac.NewController(mac.ADRConfig{
-			MarginDB:   radio.DB(s.cfg.MAC.ADRMarginDB),
-			HistoryLen: s.cfg.MAC.ADRHistory,
-			StepDB:     3,
-			MinHistory: s.cfg.MAC.ADRMinHistory,
-		}, s.fleet.Len())
-		if err != nil {
-			return err
-		}
-	}
-	sched, err := mac.NewScheduler(len(s.gws), s.cfg.MAC.DownlinkDutyCycle)
-	if err != nil {
-		return err
-	}
-	s.server.AttachMAC(&netserver.MAC{ADR: ctrl, Sched: sched})
-	return nil
-}
-
-// uplinkPHY returns the PHY parameters the device's next uplink uses: the
-// fixed configured SF without the MAC, the device's ADR data rate with it.
-func (s *sim) uplinkPHY(d *device) *radio.PHYParams {
-	if s.macOn {
-		return &s.phyByDR[d.dr]
-	}
-	return &s.phy
-}
-
-// rxTiming returns the receive-window timing for a downlink answering one of
-// d's uplinks. When ADR is on, every downlink budgets the full ack+command
-// frame, so window selection never depends on the controller's decision.
-func (s *sim) rxTiming(d *device) netserver.RxTiming {
-	withCmd := 0
-	if s.cfg.MAC.ADR {
-		withCmd = 1
-	}
-	return netserver.RxTiming{
-		RX1Delay: s.cfg.MAC.RX1Delay,
-		RX2Delay: s.cfg.MAC.RX2Delay,
-		// RX1 answers on the uplink data rate, RX2 on the fixed fallback.
-		RX1Air: s.dlAirTbl[d.dr][withCmd],
-		RX2Air: s.dlAirTbl[lorawan.DefaultRX2DataRate][withCmd],
-	}
-}
-
 // macUplink runs the MAC reaction to one of d's uplinks decoded by gateway
 // gw at instant now (the uplink's end): the network server observes the SNR,
 // may issue an ADR command, and schedules the ack/command downlink. For
@@ -175,7 +111,7 @@ func (s *sim) resolveDownlink(d *device, end time.Duration) {
 		return
 	}
 	d.dlTx = nil
-	pos, ok := s.devPos(d, end)
+	pos, ok := d.pos(end)
 	if !ok || d.busy || d.failed || tx.Pos.Dist(pos) > s.cfg.GatewayRangeM ||
 		!s.medium.Receive(tx, pos).OK() {
 		return

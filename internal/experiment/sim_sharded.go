@@ -1,23 +1,17 @@
 package experiment
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
-	"mlorass/internal/core"
 	"mlorass/internal/disruption"
 	"mlorass/internal/eventsim"
 	"mlorass/internal/geo"
-	"mlorass/internal/gwplan"
 	"mlorass/internal/lorawan"
-	"mlorass/internal/mac"
 	"mlorass/internal/mobility"
 	"mlorass/internal/netserver"
 	"mlorass/internal/radio"
-	"mlorass/internal/rng"
 	"mlorass/internal/routing"
-	"mlorass/internal/stats"
 	"mlorass/internal/telemetry"
 )
 
@@ -59,8 +53,8 @@ import (
 // so results are BIT-IDENTICAL for every shard count N ≥ 1, every tile
 // layout, and every GOMAXPROCS. They are intentionally distinct from the
 // serial engine (Shards = 0), whose sequential draw order cannot be
-// reproduced concurrently; the serial engine and all its goldens stay
-// untouched. Divergences are the window-quantised visibility of cross-event
+// reproduced concurrently; the goldens are the serial engine's bytes, and
+// both engines share one world build (world.go). Divergences are the window-quantised visibility of cross-event
 // state and the keyed (rather than sequential) draw streams — documented in
 // README "Sharded runs".
 //
@@ -195,47 +189,18 @@ type shardDiag struct {
 	Devices []*device
 }
 
-// sharded is the engine: coordinator state plus one shard per tile.
+// sharded is the engine: the world, coordinator state, and one shard per
+// tile.
 type sharded struct {
-	cfg       Config
-	k         int
+	world
 	lookahead time.Duration
 
-	fleet   *mobility.Fleet
-	gws     []geo.Point
-	policy  routing.Policy
-	phy     radio.PHYParams
-	link    core.LinkModel
-	gwCfg   core.GatewayConfig
-	retry   lorawan.RetryPolicy
-	devices []*device // by fleet id, nil when dormant (as in sim)
-	owner   []int32
-	shards  []*shard
-	pool    *eventsim.Pool
+	owner  []int32
+	shards []*shard
+	pool   *eventsim.Pool
 
-	contactCapacityPPS float64
-	d2dLoss            radio.PathLoss
-	overhearOn         bool
-
-	server               *netserver.Server
-	throughput           *stats.TimeSeries
-	plan                 *disruption.Plan
-	gatewayOutageWindows int
-	deviceFailures       int
-
-	// Coordinator-side telemetry: the delay stream, ledger counters and
-	// the trace sink all accumulate on one goroutine in sorted order.
-	rec      *telemetry.Recorder
-	tracer   *telemetry.Tracer
-	traceRun string
-
-	macOn      bool
-	confirmed  bool
-	adrOn      bool
-	phyByDR    [lorawan.NumDataRates]radio.PHYParams
-	dlAirTbl   [lorawan.NumDataRates][2]time.Duration
-	noiseFloor radio.DBm
-	gwTxPowDBm radio.DBm
+	overhearOn bool
+	plan       *disruption.Plan
 
 	// Intrinsic draw seeds (keyed draws only — no sequential streams).
 	gwShadowSeed uint64
@@ -312,124 +277,33 @@ func defaultAssign(area geo.Rect, k int) func(id int, home geo.Point) int {
 	}
 }
 
-// runSharded executes cfg on the windowed sharded engine. assign overrides
-// the tile assignment (tests randomise it to prove layout invariance); nil
-// selects the default strip partition. The returned diagnostics back the
-// causality and equivalence test layer.
+// runSharded executes a normalized, validated cfg on the windowed sharded
+// engine. assign overrides the tile assignment (tests randomise it to prove
+// layout invariance); nil selects the default strip partition. The returned
+// diagnostics back the causality and equivalence test layer.
 func runSharded(cfg Config, assign func(id int, home geo.Point) int) (*Result, *shardDiag, error) {
-	cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	k := cfg.Shards
-	if k < 1 {
-		k = 1
-	}
-
-	fleet, ds, err := buildFleet(&cfg)
+	w, err := newWorld(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	area := cfg.area()
-	if ds != nil {
-		area = ds.Area
-	}
-	var gws []geo.Point
-	if cfg.GatewayStrategy == gwplan.RouteAware {
-		gws, err = gwplan.PlaceRouteAware(ds, cfg.NumGateways, cfg.GatewayRangeM)
-	} else {
-		gws, err = gwplan.Place(cfg.GatewayStrategy, area, cfg.NumGateways, cfg.Seed^0x9e37)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	policy, err := routing.New(cfg.Scheme)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	phy := radio.DefaultPHY(cfg.SF)
-	fullFrame := lorawan.Frame{Messages: make([]lorawan.Message, lorawan.MaxBundle)}
-	fullAirtime := phy.Airtime(fullFrame.PayloadBytes())
-	cmaxPPS := cfg.DutyCycle / fullAirtime.Seconds()
-
-	loss := radio.DefaultPathLoss()
-	loss.ShadowSigmaDB = radio.DB(cfg.ShadowSigmaDB)
-
-	gwCfg := core.GatewayConfig{
-		Alpha:           cfg.Alpha,
-		Delta:           cfg.MsgInterval,
-		DefaultCapacity: cmaxPPS,
-		PhiMin:          1e-5,
-		PhiMax:          cmaxPPS,
-	}
-	if err := gwCfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	link := core.DefaultLinkModel(cmaxPPS)
-	link.GammaMinDBm = cfg.SF.Sensitivity()
-	if err := link.Validate(); err != nil {
-		return nil, nil, err
-	}
-	throughput, err := stats.NewTimeSeries(cfg.ThroughputBin, cfg.Duration)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	idxSpeed := fleet.MaxSpeedMPS()
-	if idxSpeed < 11 {
-		idxSpeed = 11
-	}
-
+	k := max(cfg.Shards, 1)
 	e := &sharded{
-		cfg:                cfg,
-		k:                  k,
-		lookahead:          shardLookahead(&cfg),
-		fleet:              fleet,
-		gws:                gws,
-		policy:             policy,
-		phy:                phy,
-		link:               link,
-		gwCfg:              gwCfg,
-		retry:              lorawan.DefaultRetryPolicy(),
-		server:             netserver.New(),
-		throughput:         throughput,
-		contactCapacityPPS: cmaxPPS,
-		d2dLoss:            loss,
-		overhearOn:         cfg.Scheme != routing.SchemeNoRouting,
-		gwShadowSeed:       cfg.Seed ^ 0x51ab,
-		d2dSeed:            cfg.Seed ^ 0x0d2d,
-		listenSeed:         cfg.Seed ^ 0x115e,
+		world:        w,
+		lookahead:    shardLookahead(&cfg),
+		overhearOn:   cfg.Scheme != routing.SchemeNoRouting,
+		gwShadowSeed: cfg.Seed ^ 0x51ab,
+		d2dSeed:      cfg.Seed ^ 0x0d2d,
+		listenSeed:   cfg.Seed ^ 0x115e,
 	}
-	if !cfg.Telemetry.Disabled {
-		e.rec = telemetry.NewRecorder()
-	}
-	e.tracer = cfg.Telemetry.Trace
-	if e.tracer != nil {
-		e.traceRun = fmt.Sprintf("%s/%s/gw=%d/seed=%d",
-			cfg.Environment, cfg.Scheme, cfg.NumGateways, cfg.Seed)
-	}
+	// Coordinator-side telemetry: the delay stream, ledger counters and
+	// the trace sink all accumulate on one goroutine in sorted order.
 	if e.rec != nil || e.tracer != nil {
 		e.server.SetObserver(e)
 	}
-	if cfg.MAC.Enabled() {
-		if err := e.setupMAC(); err != nil {
-			return nil, nil, err
-		}
-	}
 
-	if assign == nil {
-		assign = defaultAssign(area, k)
-	}
-	mediumCfg := radio.MediumConfig{
-		Loss:           loss,
-		SensitivityDBm: -1e9,
-		CaptureDB:      radio.DB(cfg.CaptureDB),
-		Seed:           cfg.Seed ^ 0x51ab,
-	}
 	e.shards = make([]*shard, k)
-	for i := 0; i < k; i++ {
-		medium, err := radio.NewMedium(mediumCfg)
+	for i := range e.shards {
+		medium, err := radio.NewMedium(e.mediumConfig())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -438,7 +312,7 @@ func runSharded(cfg Config, assign func(id int, home geo.Point) int) (*Result, *
 			idx:    i,
 			es:     eventsim.New(),
 			medium: medium,
-			ix:     newDevIndex(cfg.D2DRangeM, ixRebuildEvery, idxSpeed),
+			ix:     e.newIndex(),
 		}
 		if !cfg.Telemetry.Disabled {
 			s.rec = telemetry.NewRecorder()
@@ -452,7 +326,45 @@ func runSharded(cfg Config, assign func(id int, home geo.Point) int) (*Result, *
 		e.shards[i] = s
 	}
 
-	if err := e.buildDevices(assign, area); err != nil {
+	if assign == nil {
+		assign = defaultAssign(e.area, k)
+	}
+	e.owner = make([]int32, e.fleet.Len())
+	err = e.buildDevices(func(d *device, first time.Duration, serves bool) error {
+		ti := min(max(assign(d.id, e.homePos(d)), 0), k-1)
+		e.owner[d.id] = int32(ti)
+		sh := e.shards[ti]
+		if e.macOn {
+			d.dlFn = func(end time.Duration) { sh.resolveDown(d, end) }
+			d.ackTimeoutFn = func(at time.Duration) { sh.ackTimeout(d, at) }
+		}
+		d.slotFn = func(now time.Duration) {
+			if d.failed {
+				return
+			}
+			sh.tick(d, now)
+			sh.scheduleTick(d, now+cfg.MsgInterval)
+		}
+		d.retryFn = func(later time.Duration) {
+			d.retryScheduled = false
+			sh.tryUplink(d, later)
+		}
+		if !serves {
+			return nil
+		}
+		start, end := d.node.Window()
+		if _, err := sh.es.At(start, func(time.Duration) { sh.activate(d) }); err != nil {
+			return err
+		}
+		if end < cfg.Duration {
+			if _, err := sh.es.At(end, func(time.Duration) { sh.deactivate(d) }); err != nil {
+				return err
+			}
+		}
+		sh.scheduleTick(d, first)
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	if err := e.scheduleDisruption(); err != nil {
@@ -481,139 +393,9 @@ func runSharded(cfg Config, assign func(id int, home geo.Point) int) (*Result, *
 	return res, diag, nil
 }
 
-// setupMAC mirrors sim.setupMAC: the MAC control plane is global — one ADR
-// controller and one downlink scheduler on the coordinator, driven in
-// intrinsic order by the windowed macOp stream.
-func (e *sharded) setupMAC() error {
-	e.macOn = true
-	e.confirmed = e.cfg.MAC.Confirmed
-	for dr := 0; dr < lorawan.NumDataRates; dr++ {
-		e.phyByDR[dr] = radio.DefaultPHY(lorawan.DataRate(dr).SF())
-		e.dlAirTbl[dr][0] = e.phyByDR[dr].Airtime(lorawan.DownlinkBytes(false))
-		e.dlAirTbl[dr][1] = e.phyByDR[dr].Airtime(lorawan.DownlinkBytes(true))
-	}
-	e.noiseFloor = radio.NoiseFloorDBm(e.phy.BandwidthHz)
-	e.gwTxPowDBm = radio.DBm(e.cfg.MAC.DownlinkTxPowerDBm)
-
-	var ctrl *mac.Controller
-	if e.cfg.MAC.ADR {
-		var err error
-		ctrl, err = mac.NewController(mac.ADRConfig{
-			MarginDB:   radio.DB(e.cfg.MAC.ADRMarginDB),
-			HistoryLen: e.cfg.MAC.ADRHistory,
-			StepDB:     3,
-			MinHistory: e.cfg.MAC.ADRMinHistory,
-		}, e.fleet.Len())
-		if err != nil {
-			return err
-		}
-	}
-	sched, err := mac.NewScheduler(len(e.gws), e.cfg.MAC.DownlinkDutyCycle)
-	if err != nil {
-		return err
-	}
-	e.server.AttachMAC(&netserver.MAC{ADR: ctrl, Sched: sched})
-	return nil
-}
-
-// buildDevices creates, in id order, every device whose service window
-// opens before the horizon (preserving the per-device RNG split sequence
-// for any tile layout), assigns tile ownership by home position, and
-// schedules activation/slot events on the owner's kernel.
-func (e *sharded) buildDevices(assign func(id int, home geo.Point) int, area geo.Rect) error {
-	cfg := &e.cfg
-	rootRNG := rng.New(cfg.Seed ^ 0xdee1)
-	n := e.fleet.Len()
-	e.devices = make([]*device, n)
-	e.owner = make([]int32, n)
-	for i := 0; i < n; i++ {
-		node := e.fleet.Node(i)
-		start, end := node.Window()
-		if start >= cfg.Duration {
-			// Dormant: never built (see the serial engine).
-			rootRNG.Uint64()
-			continue
-		}
-		est, err := core.NewGatewayEstimator(e.gwCfg)
-		if err != nil {
-			return err
-		}
-		d := &device{
-			id:             i,
-			node:           node,
-			cursor:         mobility.NewCursor(node),
-			queue:          lorawan.NewQueue(cfg.QueueMax),
-			est:            est,
-			duty:           lorawan.NewDutyGovernor(cfg.DutyCycle),
-			rnd:            rootRNG.Split(),
-			bundle:         make([]lorawan.Message, 0, lorawan.MaxBundle),
-			pendDest:       -1,
-			fwdTarget:      -1,
-			listenFraction: 1,
-			txPowDBm:       radio.DBm(cfg.TxPowerDBm),
-			flightStart:    -1,
-			flightEnd:      -1,
-			prevFlightSta:  -1,
-			prevFlightEnd:  -1,
-		}
-		e.devices[i] = d
-
-		ti := assign(i, e.homePos(d, area))
-		if ti < 0 {
-			ti = 0
-		}
-		if ti >= e.k {
-			ti = e.k - 1
-		}
-		e.owner[i] = int32(ti)
-		sh := e.shards[ti]
-
-		if e.macOn {
-			joinSF := cfg.MAC.InitialSF
-			if joinSF == 0 {
-				joinSF = cfg.SF
-			}
-			dr0, _ := lorawan.DataRateForSF(joinSF)
-			d.dr = dr0
-			d.dlFn = func(end time.Duration) { sh.resolveDown(d, end) }
-			d.ackTimeoutFn = func(at time.Duration) { sh.ackTimeout(d, at) }
-		}
-		d.slotFn = func(now time.Duration) {
-			if d.failed {
-				return
-			}
-			sh.tick(d, now)
-			sh.scheduleTick(d, now+cfg.MsgInterval)
-		}
-		d.retryFn = func(later time.Duration) {
-			d.retryScheduled = false
-			sh.tryUplink(d, later)
-		}
-		// resolveFn is unused by the sharded engine (resolutions ride the
-		// phase B list, not the kernel), but kept non-nil for symmetry.
-		d.resolveFn = func(end time.Duration) { sh.resolveUp(d, end) }
-
-		jitter := time.Duration(d.rnd.Uniform(0, cfg.MsgInterval.Seconds()) * float64(time.Second))
-		first := start + jitter
-		if first >= end || first >= cfg.Duration {
-			continue
-		}
-		if _, err := sh.es.At(start, func(time.Duration) { sh.activate(d) }); err != nil {
-			return err
-		}
-		if end < cfg.Duration {
-			if _, err := sh.es.At(end, func(time.Duration) { sh.deactivate(d) }); err != nil {
-				return err
-			}
-		}
-		sh.scheduleTick(d, first)
-	}
-	return nil
-}
-
 // homePos is the device's tile-assignment anchor: its fixed position for
 // static models, its service-window start position for mobile ones.
-func (e *sharded) homePos(d *device, area geo.Rect) geo.Point {
+func (e *sharded) homePos(d *device) geo.Point {
 	if sm, ok := d.node.(mobility.StaticModel); ok {
 		return sm.FixedPosition()
 	}
@@ -621,7 +403,7 @@ func (e *sharded) homePos(d *device, area geo.Rect) geo.Point {
 	if p, ok := d.node.PositionAt(start); ok {
 		return p
 	}
-	return area.Center()
+	return e.area.Center()
 }
 
 // scheduleDisruption compiles the plan. Gateway availability is looked up
@@ -897,84 +679,26 @@ func (e *sharded) Duplicate(now time.Duration, gw int, m lorawan.Message) {
 	}
 }
 
-// collect mirrors sim.collect over the tile set.
+// collect sums the tiles' counters, channel statistics and telemetry into
+// the world's Result.
 func (e *sharded) collect() (*Result, *shardDiag) {
-	r := &Result{
-		Config:     e.cfg,
-		Delivered:  e.server.Count(),
-		Duplicates: e.server.Duplicates(),
-		Throughput: e.throughput,
-	}
 	diag := &shardDiag{Windows: e.windows, Lookahead: e.lookahead, Devices: e.devices}
+	var c counters
 	var ms radio.MediumStats
+	snap := e.rec.Snapshot()
 	for _, s := range e.shards {
+		c.add(&s.counters)
 		st := s.medium.Stats()
 		ms.Transmissions += st.Transmissions
 		ms.Receptions += st.Receptions
 		ms.Collisions += st.Collisions
 		ms.BelowSensitivity += st.BelowSensitivity
 		ms.OutOfRange += st.OutOfRange
-		r.Generated += s.generated
-		r.HandoverAttempts += s.handoverAttempts
-		r.HandoverSuccesses += s.handoverSuccesses
-		r.HandoverMsgs += s.handoverMsgs
-		r.HandoverLostMsgs += s.handoverLostMsgs
 		diag.Causality += s.causality
 		diag.LateRetries += s.lateRetries
-		if e.macOn {
-			r.Downlinks += s.downlinks
-			r.DownlinkDeliveries += s.downlinkDeliveries
-			r.AckTimeouts += s.ackTimeouts
-			r.Retransmissions += s.retransmissions
-			r.ADRApplied += s.adrApplied
-		}
+		snap.Merge(s.rec.Snapshot())
 	}
-	r.Medium = ms
-	if e.macOn {
-		if m := e.server.MAC(); m != nil {
-			r.ADRCommands = m.Commands
-			r.DownlinkDrops = m.Sched.Stats().Dropped
-		}
-	}
-	r.GatewayOutageWindows = e.gatewayOutageWindows
-	r.DeviceFailures = e.deviceFailures
-	for _, del := range e.server.Deliveries() {
-		r.Delay.AddDuration(del.Delay())
-		r.rawDelays = append(r.rawDelays, del.Delay().Seconds())
-		r.originDelivered = append(r.originDelivered, del.Origin)
-		r.Hops.Add(float64(del.Hops))
-		if del.Hops > 1 {
-			r.RelayedDelay.AddDuration(del.Delay())
-		} else {
-			r.DirectDelay.AddDuration(del.Delay())
-		}
-	}
-	for _, d := range e.devices {
-		if d == nil {
-			continue
-		}
-		r.QueueDrops += d.queue.Dropped()
-		if !d.everActive {
-			continue
-		}
-		r.ActiveDevices++
-		r.MsgSendsPerNode.Add(float64(d.msgSends))
-		r.FramesPerNode.Add(float64(d.framesSent))
-		r.RadioOnPerNode.AddDuration(d.energy.RadioOnTime())
-	}
-	if e.rec != nil {
-		snap := e.rec.Snapshot()
-		for _, s := range e.shards {
-			if s.rec != nil {
-				snap.Merge(s.rec.Snapshot())
-			}
-		}
-		r.Telemetry = snap
-		r.Telemetry.Counters.QueueDrops = r.QueueDrops
-		r.Telemetry.Counters.DownlinkDrops = r.DownlinkDrops
-		r.Telemetry.Counters.ADRCommands = r.ADRCommands
-	}
-	return r, diag
+	return e.world.collect(&c, ms, snap), diag
 }
 
 // Intrinsic total orders for the cross-tile merges. All comparators are

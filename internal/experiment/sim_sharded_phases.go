@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"mlorass/internal/eventsim"
-	"mlorass/internal/geo"
 	"mlorass/internal/lorawan"
 	"mlorass/internal/mac"
-	"mlorass/internal/netserver"
 	"mlorass/internal/radio"
 	"mlorass/internal/rng"
 	"mlorass/internal/routing"
@@ -20,6 +18,7 @@ import (
 // cross-tile state flows through the out*/in* window buffers, exchanged at
 // the coordinator's barriers — no shard ever writes another shard's state.
 type shard struct {
+	counters
 	eng    *sharded
 	idx    int
 	es     *eventsim.Simulator
@@ -33,18 +32,6 @@ type shard struct {
 	motionFn   motionSource
 
 	gwCands []gwCand
-
-	generated         uint64
-	handoverAttempts  uint64
-	handoverSuccesses uint64
-	handoverMsgs      uint64
-	handoverLostMsgs  uint64
-
-	downlinks          uint64
-	downlinkDeliveries uint64
-	ackTimeouts        uint64
-	retransmissions    uint64
-	adrApplied         uint64
 
 	causality   uint64
 	lateRetries uint64
@@ -92,18 +79,6 @@ func (s *shard) schedAt(at time.Duration, fn eventsim.Event) bool {
 	}
 	_, err := s.es.At(at, fn)
 	return err == nil
-}
-
-// devPos mirrors sim.devPos: the cursor read with a one-instant memo.
-//
-//mlorass:hotpath
-func (s *shard) devPos(d *device, at time.Duration) (geo.Point, bool) {
-	if d.memoValid && d.memoAt == at {
-		return d.memoPos, d.memoOK
-	}
-	p, ok := d.cursor.PositionAt(at)
-	d.memoAt, d.memoPos, d.memoOK, d.memoValid = at, p, ok, true
-	return p, ok
 }
 
 func (s *shard) activate(d *device) {
@@ -292,7 +267,7 @@ func (s *shard) stillInRange(d *device, dest int, now time.Duration) bool {
 	if !e.aliveAt(dest, now) {
 		return false
 	}
-	dpos, ok1 := s.devPos(d, now)
+	dpos, ok1 := d.pos(now)
 	tpos, ok2 := e.devices[dest].node.PositionAt(now)
 	return ok1 && ok2 && dpos.Dist(tpos) <= e.cfg.D2DRangeM
 }
@@ -303,7 +278,7 @@ func (s *shard) stillInRange(d *device, dest int, now time.Duration) bool {
 //
 //mlorass:hotpath
 func (s *shard) transmit(d *device, now time.Duration, dest, count int) {
-	pos, ok := s.devPos(d, now)
+	pos, ok := d.pos(now)
 	if !ok {
 		return
 	}
@@ -329,7 +304,7 @@ func (s *shard) transmit(d *device, now time.Duration, dest, count int) {
 		AdvertisedRCAETX:   d.est.RCAETX(),
 		AdvertisedQueueLen: d.queue.Len() + len(bundle),
 	}
-	phy := s.uplinkPHY(d)
+	phy := s.eng.uplinkPHY(d)
 	airtime := phy.Airtime(frame.PayloadBytes())
 	end := now + airtime
 	tx := s.medium.Begin(d.id, pos, d.txPowDBm, now, end, nil)
@@ -354,14 +329,6 @@ func (s *shard) transmit(d *device, now time.Duration, dest, count int) {
 	})
 	s.outAir = append(s.outAir, airRec{at: now, dev: d.id, sec: airtime.Seconds()})
 	s.resolves = append(s.resolves, resolveRef{at: end, dev: d, kind: rkUplink})
-}
-
-func (s *shard) uplinkPHY(d *device) *radio.PHYParams {
-	e := s.eng
-	if e.macOn {
-		return &e.phyByDR[d.dr]
-	}
-	return &e.phy
 }
 
 func (s *shard) scheduleNextAttempt(d *device) {
@@ -552,7 +519,7 @@ func (s *shard) macUplink(d *device, gw int, rssi radio.DBm, now time.Duration) 
 	snr := rssi.Sub(e.noiseFloor)
 	s.outMac = append(s.outMac, macOp{
 		at: now, dev: d.id, kind: macOpUplink, gw: gw, snr: snr,
-		dr: d.dr, powIdx: d.txPowIdx, timing: s.rxTiming(d),
+		dr: d.dr, powIdx: d.txPowIdx, timing: e.rxTiming(d),
 	})
 	if !e.confirmed {
 		s.uplinkAcked(d)
@@ -561,7 +528,7 @@ func (s *shard) macUplink(d *device, gw int, rssi radio.DBm, now time.Duration) 
 	d.awaitingAck = true
 	// RX2Delay ≥ lookahead, so the deadline is strictly beyond the horizon
 	// and stays a plain kernel event.
-	deadline := now + e.cfg.MAC.RX2Delay + s.rxTiming(d).RX2Air + time.Millisecond
+	deadline := now + e.cfg.MAC.RX2Delay + e.rxTiming(d).RX2Air + time.Millisecond
 	h, err := s.es.At(deadline, d.ackTimeoutFn)
 	if err != nil {
 		d.awaitingAck = false
@@ -569,20 +536,6 @@ func (s *shard) macUplink(d *device, gw int, rssi radio.DBm, now time.Duration) 
 		return
 	}
 	d.ackTimeoutH = h
-}
-
-func (s *shard) rxTiming(d *device) netserver.RxTiming {
-	e := s.eng
-	withCmd := 0
-	if e.cfg.MAC.ADR {
-		withCmd = 1
-	}
-	return netserver.RxTiming{
-		RX1Delay: e.cfg.MAC.RX1Delay,
-		RX2Delay: e.cfg.MAC.RX2Delay,
-		RX1Air:   e.dlAirTbl[d.dr][withCmd],
-		RX2Air:   e.dlAirTbl[lorawan.DefaultRX2DataRate][withCmd],
-	}
 }
 
 func (s *shard) uplinkAcked(d *device) {
@@ -604,7 +557,7 @@ func (s *shard) resolveDown(d *device, at time.Duration) {
 		return
 	}
 	d.dlTx = nil
-	pos, ok := s.devPos(d, at)
+	pos, ok := d.pos(at)
 	if !ok || d.busyAt(at) || !e.aliveAt(d.id, at) ||
 		tx.Pos.Dist(pos) > e.cfg.GatewayRangeM {
 		return
@@ -701,7 +654,7 @@ func (s *shard) receiveHandover(b *bcastRec) {
 	s.handoverAttempts++
 	target := e.devices[b.dest]
 	msgs := e.shards[b.shard].msgArena[b.mStart:b.mEnd]
-	tpos, ok := s.devPos(target, b.at)
+	tpos, ok := target.pos(b.at)
 	received := ok && !target.busyAt(b.at) && e.aliveAt(b.dest, b.at) &&
 		s.listeningAt(target, b.from, b.seq) &&
 		b.pos.Dist(tpos) <= e.cfg.D2DRangeM
@@ -785,7 +738,7 @@ func (s *shard) overhearBcast(b *bcastRec) {
 		if z.busyAt(now) || !e.aliveAt(zi, now) || z.queue.Len() == 0 {
 			continue
 		}
-		zpos, ok := s.devPos(z, now)
+		zpos, ok := z.pos(now)
 		if !ok {
 			continue
 		}
@@ -806,7 +759,7 @@ func (s *shard) overhearBcast(b *bcastRec) {
 			continue
 		}
 		src := rng.Seeded(rng.Key2(e.d2dSeed, fk, uint64(zi+1)))
-		rssi := e.d2dLoss.RSSI(b.pow, radio.Meters(dist), &src)
+		rssi := e.loss.RSSI(b.pow, radio.Meters(dist), &src)
 		linkETX := e.link.RCAETX(rssi)
 		local := routing.LocalState{
 			RCAETX:   z.est.RCAETX(),

@@ -48,14 +48,26 @@ func shardTestBase() Config {
 	return cfg
 }
 
-// runShardedReport runs cfg on the sharded engine and returns the report
-// bytes, failing on error or on any causality violation.
-func runShardedReport(t *testing.T, cfg Config, assign func(id int, home geo.Point) int) string {
+// shardRun normalizes and validates cfg, as Run does, and runs it on the
+// sharded engine, failing on error.
+func shardRun(t *testing.T, cfg Config, assign func(id int, home geo.Point) int) (*Result, *shardDiag) {
 	t.Helper()
+	cfg.Normalize()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	res, diag, err := runSharded(cfg, assign)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", cfg.Shards, err)
 	}
+	return res, diag
+}
+
+// runShardedReport runs cfg on the sharded engine and returns the report
+// bytes, failing on error or on any causality violation.
+func runShardedReport(t *testing.T, cfg Config, assign func(id int, home geo.Point) int) string {
+	t.Helper()
+	res, diag := shardRun(t, cfg, assign)
 	if diag.Causality != 0 {
 		t.Fatalf("shards=%d: %d causality violations (boundary event before tile clock)",
 			cfg.Shards, diag.Causality)
@@ -227,10 +239,7 @@ func TestShardLookaheadSafety(t *testing.T) {
 		if src.Intn(2) == 1 {
 			cfg.MAC = MACConfig{Confirmed: true, ADR: true}
 		}
-		_, diag, err := runSharded(cfg, nil)
-		if err != nil {
-			t.Fatalf("trial %d (%+v): %v", trial, cfg.Shards, err)
-		}
+		_, diag := shardRun(t, cfg, nil)
 		if diag.Causality != 0 {
 			t.Errorf("trial %d: duty=%v interval=%v shards=%d mac=%v: %d causality violations",
 				trial, cfg.DutyCycle, cfg.MsgInterval, cfg.Shards, cfg.MAC.Enabled(), diag.Causality)
@@ -385,10 +394,7 @@ func TestShardKernelLoopAllocInvariant(t *testing.T) {
 		cfg.Shards = 4
 		var windows int
 		allocs := testing.AllocsPerRun(3, func() {
-			_, diag, err := runSharded(cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, diag := shardRun(t, cfg, nil)
 			windows = diag.Windows
 		})
 		return allocs, windows

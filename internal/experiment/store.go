@@ -43,7 +43,9 @@ const storeSchemaVersion = 5
 // determines a Run's Result. Field order is fixed by the struct; every
 // semantic Config field appears, and only non-semantic ones (trace sink,
 // progress plumbing) are omitted. TelemetryDisabled is semantic: it decides
-// whether the artefact carries a telemetry snapshot.
+// whether the artefact carries a telemetry snapshot. Shards keys the engine,
+// not the tile count: 0 is the serial engine, and every N ≥ 1 keys as 1
+// because the tile engine's results are bit-identical for every N.
 type storeKey struct {
 	Schema            int                   `json:"schema"`
 	Seed              uint64                `json:"seed"`
@@ -109,7 +111,7 @@ func cacheKey(cfg Config) (key string, ok bool) {
 		ThroughputBin:     cfg.ThroughputBin,
 		TelemetryDisabled: cfg.Telemetry.Disabled,
 		MAC:               cfg.MAC,
-		Shards:            cfg.Shards,
+		Shards:            min(cfg.Shards, 1),
 	}
 	b, err := json.Marshal(k)
 	if err != nil {

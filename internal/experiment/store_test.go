@@ -51,6 +51,20 @@ func TestCacheKeyDeterministicAndSensitive(t *testing.T) {
 			t.Errorf("%s change did not change the cache key", name)
 		}
 	}
+	// The key names the engine, not the tile count: every Shards ≥ 1 is one
+	// key, distinct from the serial engine's (cfg.Shards is 0).
+	tiles := cfg
+	tiles.Shards = 1
+	kTiles, _ := cacheKey(tiles)
+	if kTiles == k1 {
+		t.Error("Shards 1 shares the serial engine's cache key")
+	}
+	for _, n := range []int{2, 8} {
+		tiles.Shards = n
+		if kn, _ := cacheKey(tiles); kn != kTiles {
+			t.Errorf("Shards %d keys differently from Shards 1", n)
+		}
+	}
 	// An explicit dataset is uncacheable.
 	withDS := cfg
 	withDS.Dataset = &tfl.Dataset{}
