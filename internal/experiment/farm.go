@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -14,10 +15,13 @@ import (
 // Both the in-process ParallelSweep pool and the crash-tolerant sweep farm
 // enumerate cells through this one function, so their grids — and therefore
 // their store keys and their output tables — are identical by construction.
+// Every job shares one city set, so each replication's city is generated at
+// most once per sweep.
 func layoutSweep(base Config, env Environment, reps int) (cells []AggregatePoint, jobs []sweepJob) {
 	if reps < 1 {
 		reps = 1
 	}
+	cities := &citySet{}
 	for _, gw := range GatewaySweep() {
 		for _, scheme := range Schemes() {
 			ci := len(cells)
@@ -36,7 +40,7 @@ func layoutSweep(base Config, env Environment, reps int) (cells []AggregatePoint
 				cfg.Scheme = scheme
 				cfg.Seed = RepSeed(base.Seed, rep)
 				cells[ci].Seeds[rep] = cfg.Seed
-				jobs = append(jobs, sweepJob{cell: ci, rep: rep, cfg: cfg})
+				jobs = append(jobs, sweepJob{cell: ci, rep: rep, cfg: cfg, cities: cities})
 			}
 		}
 	}
@@ -67,6 +71,17 @@ type FarmSweep struct {
 	// cells): the exactly-once guard on this side of the protocol.
 	absorbed map[string]bool
 	slotted  []bool
+	// verified is the last Verify's decode, handed to the Absorb that the
+	// coordinator calls next for the same cell and bytes.
+	verified verifiedArtifact
+}
+
+// verifiedArtifact is one artefact Verify decoded: the cell index, the
+// bytes and their Result.
+type verifiedArtifact struct {
+	index int
+	data  []byte
+	res   *Result
 }
 
 // NewFarmSweep lays out the figure grid for env: every scheme × gateway
@@ -104,7 +119,8 @@ func (f *FarmSweep) Cells() []sweepfarm.Cell {
 // Deterministic in the cell (the config embeds the derived seed), which is
 // what makes the farm's at-least-once execution safe.
 func (f *FarmSweep) Run(c sweepfarm.Cell) ([]byte, error) {
-	res, err := Run(f.jobs[c.Index].cfg)
+	j := f.jobs[c.Index]
+	res, err := runIn(j.cfg, j.cities)
 	if err != nil {
 		return nil, err
 	}
@@ -112,20 +128,35 @@ func (f *FarmSweep) Run(c sweepfarm.Cell) ([]byte, error) {
 }
 
 // Verify rejects torn, truncated or stale-schema artefacts using the same
-// structural integrity checks the run store's loader applies.
+// structural integrity checks the run store's loader applies. It keeps the
+// decode of an artefact that passes for the Absorb that follows it.
 func (f *FarmSweep) Verify(c sweepfarm.Cell, data []byte) error {
-	_, err := decodeResult(data, f.jobs[c.Index].cfg)
-	return err
+	res, err := decodeResult(data, f.jobs[c.Index].cfg)
+	if err != nil {
+		return err
+	}
+	f.mu.Lock()
+	f.verified = verifiedArtifact{index: c.Index, data: data, res: res}
+	f.mu.Unlock()
+	return nil
 }
 
 // Absorb merges one verified artefact into the sweep's aggregate state.
 // Absorbing the same cell twice is a no-op: results are deduped by store key
 // before the merge (by index for keyless cells), so duplicate completions
-// and restart replays cannot double-count a replication.
+// and restart replays cannot double-count a replication. An artefact the
+// last Verify call decoded (same cell, equal bytes) is not decoded again.
 func (f *FarmSweep) Absorb(c sweepfarm.Cell, data []byte) error {
-	res, err := decodeResult(data, f.jobs[c.Index].cfg)
-	if err != nil {
-		return err
+	f.mu.Lock()
+	v := f.verified
+	f.verified = verifiedArtifact{}
+	f.mu.Unlock()
+	res := v.res
+	if res == nil || v.index != c.Index || !bytes.Equal(v.data, data) {
+		var err error
+		if res, err = decodeResult(data, f.jobs[c.Index].cfg); err != nil {
+			return err
+		}
 	}
 	dedupe := c.Key
 	if dedupe == "" {

@@ -2,11 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mlorass/internal/routing"
+	"mlorass/internal/runstore"
+	"mlorass/internal/sweepfarm"
 )
 
 // TestFarmSweepDuplicateAbsorb locks the farm adapter's exactly-once merge:
@@ -168,4 +171,138 @@ func TestRenderFigureTablesQuarantinedRep0(t *testing.T) {
 			}
 		}
 	}
+}
+
+// farmArtefacts runs the first n cells of a one-replication farm sweep and
+// returns the sweep, its cells and those cells' artefacts.
+func farmArtefacts(t testing.TB, n int) (*FarmSweep, []sweepfarm.Cell, [][]byte) {
+	t.Helper()
+	fsweep := NewFarmSweep(sweepTestConfig(), Urban, 1)
+	cells := fsweep.Cells()
+	artefacts := make([][]byte, n)
+	for i := range artefacts {
+		data, err := fsweep.Run(cells[i])
+		if err != nil {
+			t.Fatalf("cell %d (%s): %v", i, cells[i].Label, err)
+		}
+		artefacts[i] = data
+	}
+	return fsweep, cells, artefacts
+}
+
+// TestFarmSweepAbsorbReusesVerifyDecode: Absorb takes the Result the
+// preceding Verify decoded for the same cell and bytes instead of decoding
+// again, and a Verify of other bytes never leaks into the absorbed Result.
+func TestFarmSweepAbsorbReusesVerifyDecode(t *testing.T) {
+	fsweep, cells, art := farmArtefacts(t, 2)
+	var absorbed []*Result
+	fsweep.OnResult = func(r *Result) { absorbed = append(absorbed, r) }
+
+	// Same cell, same bytes: the verified decode is absorbed as is.
+	if err := fsweep.Verify(cells[0], art[0]); err != nil {
+		t.Fatal(err)
+	}
+	verified := fsweep.verified.res
+	if err := fsweep.Absorb(cells[0], art[0]); err != nil {
+		t.Fatal(err)
+	}
+	if len(absorbed) != 1 || absorbed[0] != verified {
+		t.Fatal("Absorb decoded again instead of taking Verify's Result")
+	}
+
+	// Verify(A) then Absorb(B) on one cell absorbs the decode of B. Any
+	// artefact verifies for any cell: decodeResult checks the artefact's
+	// own consistency only.
+	c := cells[1]
+	if err := fsweep.Verify(c, art[0]); err != nil {
+		t.Fatal(err)
+	}
+	wrong := fsweep.verified.res
+	if err := fsweep.Absorb(c, art[1]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := decodeResult(art[1], fsweep.jobs[c.Index].cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(absorbed) != 2 || absorbed[1] == wrong || !reflect.DeepEqual(absorbed[1], want) {
+		t.Fatal("Absorb(B) after Verify(A) did not absorb the decode of B")
+	}
+}
+
+// TestFarmSweepAbsorbWithoutVerify: the coordinator's replay path may absorb
+// with no Verify before it (or after a Verify of another cell); Absorb
+// decodes for itself, and a second Absorb of the cell is still a no-op.
+func TestFarmSweepAbsorbWithoutVerify(t *testing.T) {
+	fsweep, cells, art := farmArtefacts(t, 2)
+	var absorbed []*Result
+	fsweep.OnResult = func(r *Result) { absorbed = append(absorbed, r) }
+
+	if err := fsweep.Absorb(cells[0], art[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsweep.Verify(cells[0], art[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsweep.Absorb(cells[1], art[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsweep.Absorb(cells[0], art[0]); err != nil {
+		t.Fatal(err)
+	}
+	if len(absorbed) != 2 {
+		t.Fatalf("OnResult fired %d times for 2 cells", len(absorbed))
+	}
+	for i, r := range absorbed {
+		want, err := decodeResult(art[i], fsweep.jobs[i].cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("cell %d absorbed a Result other than its artefact's", i)
+		}
+	}
+}
+
+// BenchmarkFarmCell times the farm's per-cell protocol through an
+// in-process coordinator, one worker and a fresh temporary store: lease,
+// publish, store read-back, Verify and Absorb. Every cell's runner returns
+// one pre-encoded quick-cell artefact, which verifies for every cell, so no
+// simulation is timed.
+func BenchmarkFarmCell(b *testing.B) {
+	quick := NewFarmSweep(QuickConfig(), Urban, 1)
+	artefact, err := quick.Run(quick.Cells()[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(sweepfarm.Cell) ([]byte, error) { return artefact, nil }
+	root := b.TempDir()
+	cells := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		dir, err := os.MkdirTemp(root, "store-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		store, err := runstore.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fsweep := NewFarmSweep(QuickConfig(), Urban, 1)
+		grid := fsweep.Cells()
+		farm, err := sweepfarm.New(grid, run, store, nil, sweepfarm.FarmConfig{
+			Workers: 1, Verify: fsweep.Verify, Absorb: fsweep.Absorb})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := farm.Run()
+		if err != nil || rep.Done != len(grid) {
+			b.Fatalf("farm: %d of %d cells done: %v", rep.Done, len(grid), err)
+		}
+		cells += len(grid)
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
 }

@@ -81,6 +81,8 @@ type sweepJob struct {
 	cell int // index into the AggregatePoint slice
 	rep  int
 	cfg  Config
+	// cities is the sweep's shared set of generated cities.
+	cities *citySet
 }
 
 // runPool executes jobs 0..n-1 across a pool of workers (values < 1 mean
@@ -184,7 +186,7 @@ func ParallelSweepFunc(base Config, env Environment, opts SweepOptions, fn func(
 			if sink != nil {
 				tok = sink.StartSpan()
 			}
-			res, hit, err := runThroughStore(opts.Store, j.cfg)
+			res, hit, err := runThroughStore(opts.Store, j.cfg, j.cities)
 			cached[i] = hit
 			if sink != nil && err == nil {
 				// One span per cell replication: wall time, whether the

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"mlorass/internal/mobility"
@@ -90,10 +91,49 @@ func defaultMobility() MobilityConfig {
 	}
 }
 
+// citySet holds the synthetic cities one sweep generates, keyed by their
+// generator config. A city depends only on the seed, route count, headway
+// and area, so a sweep's cells of one replication share it: the sweep
+// generates each city once and every cell compiles its own fleet from it.
+// A set lives as long as its sweep; a nil set generates afresh.
+type citySet struct {
+	mu     sync.Mutex
+	cities map[tfl.GenConfig]*city
+}
+
+// city is one generated dataset; once makes concurrent first requests for
+// its key wait on a single generation.
+type city struct {
+	once sync.Once
+	ds   *tfl.Dataset
+	err  error
+}
+
+// dataset returns the city gc generates, generating it on first request.
+// Callers share the returned dataset and must not modify it.
+func (s *citySet) dataset(gc tfl.GenConfig) (*tfl.Dataset, error) {
+	if s == nil {
+		return tfl.Generate(gc)
+	}
+	s.mu.Lock()
+	c := s.cities[gc]
+	if c == nil {
+		if s.cities == nil {
+			s.cities = map[tfl.GenConfig]*city{}
+		}
+		c = &city{}
+		s.cities[gc] = c
+	}
+	s.mu.Unlock()
+	c.once.Do(func() { c.ds, c.err = tfl.Generate(gc) })
+	return c.ds, c.err
+}
+
 // buildFleet assembles the run's mobility scenario. For the bus model it
-// returns the dataset too (gateway planning may be route-aware); the other
-// models return a nil dataset.
-func buildFleet(cfg *Config) (*mobility.Fleet, *tfl.Dataset, error) {
+// returns the dataset too (gateway planning may be route-aware), taken from
+// cities when the config does not supply one; the other models return a nil
+// dataset.
+func buildFleet(cfg *Config, cities *citySet) (*mobility.Fleet, *tfl.Dataset, error) {
 	switch cfg.Mobility.Model {
 	case MobilityBuses:
 		ds := cfg.Dataset
@@ -101,7 +141,7 @@ func buildFleet(cfg *Config) (*mobility.Fleet, *tfl.Dataset, error) {
 			gc := tfl.DefaultGenConfig(cfg.Seed, cfg.NumRoutes, cfg.PeakHeadway)
 			gc.Area = cfg.area()
 			var err error
-			ds, err = tfl.Generate(gc)
+			ds, err = cities.dataset(gc)
 			if err != nil {
 				return nil, nil, fmt.Errorf("experiment: dataset: %w", err)
 			}

@@ -1,12 +1,17 @@
 package experiment
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mlorass/internal/gwplan"
+	"mlorass/internal/mobility"
 	"mlorass/internal/routing"
+	"mlorass/internal/tfl"
 )
 
 // tinyScenario returns a fast non-bus scenario config.
@@ -167,7 +172,7 @@ func runWithDevices(t *testing.T, cfg Config) (*Result, []*device) {
 		res, diag := shardRun(t, cfg, nil)
 		return res, diag.Devices
 	}
-	s, err := newSim(cfg)
+	s, err := newSim(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestDormantDevicesNotBuilt(t *testing.T) {
 		cfg.Shards = shards
 		cfg.Disruption.DeviceChurnFraction = 0.5
 		res, devs := runWithDevices(t, cfg)
-		fleet, _, err := buildFleet(&res.Config)
+		fleet, _, err := buildFleet(&res.Config, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,5 +369,158 @@ func TestOutageSweepAndTable(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+// cityGen returns the generator config buildFleet derives from cfg.
+func cityGen(cfg Config) tfl.GenConfig {
+	gc := tfl.DefaultGenConfig(cfg.Seed, cfg.NumRoutes, cfg.PeakHeadway)
+	gc.Area = cfg.area()
+	return gc
+}
+
+// TestCitySetSharesByKey: one generator config yields one shared dataset,
+// equal to a fresh generation, and another seed yields another city.
+func TestCitySetSharesByKey(t *testing.T) {
+	var set citySet
+	gc := cityGen(sweepTestConfig())
+	a, err := set.dataset(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := set.dataset(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("the same GenConfig generated two datasets")
+	}
+	fresh, err := tfl.Generate(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, fresh) {
+		t.Fatal("the shared dataset differs from a fresh generation")
+	}
+	gc.Seed++
+	c, err := set.dataset(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == a {
+		t.Fatal("a different seed returned the same dataset")
+	}
+	if len(set.cities) != 2 {
+		t.Fatalf("set holds %d cities, want 2", len(set.cities))
+	}
+}
+
+// TestCitySetConcurrentGeneratesOnce: 8 goroutines asking for 3 keys at once
+// receive exactly 3 datasets, every asker of a key the same one. Run it
+// under -race.
+func TestCitySetConcurrentGeneratesOnce(t *testing.T) {
+	var set citySet
+	base := cityGen(sweepTestConfig())
+	const goroutines, keys = 8, 3
+	got := make([][keys]*tfl.Dataset, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				gc := base
+				gc.Seed += uint64((g + k) % keys) // start on different keys
+				ds, err := set.dataset(gc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][(g+k)%keys] = ds
+			}
+		}()
+	}
+	wg.Wait()
+	distinct := map[*tfl.Dataset]bool{}
+	for g := range got {
+		for k := range got[g] {
+			if got[g][k] != got[0][k] {
+				t.Fatalf("goroutine %d got a different dataset for key %d", g, k)
+			}
+			distinct[got[g][k]] = true
+		}
+	}
+	if len(distinct) != keys || len(set.cities) != keys {
+		t.Fatalf("%d datasets for %d keys (set holds %d)", len(distinct), keys, len(set.cities))
+	}
+}
+
+// TestSweepSharesCityPerReplication: a sweep's jobs share one city set, it
+// ends up holding one city per replication, and a cell run from the shared
+// city encodes to the same artefact as a plain Run.
+func TestSweepSharesCityPerReplication(t *testing.T) {
+	const reps = 2
+	_, jobs := layoutSweep(sweepTestConfig(), Urban, reps)
+	set := jobs[0].cities
+	for _, j := range jobs {
+		if j.cities != set {
+			t.Fatal("a sweep's jobs do not share one city set")
+		}
+	}
+	for _, j := range jobs[:2*reps] { // two cells, every replication
+		shared, err := runIn(j.cfg, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Run(j.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := encodeResult(shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := encodeResult(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("cell %d rep %d: the shared city changed the artefact", j.cell, j.rep)
+		}
+	}
+	if len(set.cities) != reps {
+		t.Fatalf("set holds %d cities after two cells of %d replications, want %d", len(set.cities), reps, reps)
+	}
+}
+
+// BenchmarkCityBuild times a bus city's two build steps on their own, at
+// quick and at paper scale: generating the synthetic timetable, and
+// compiling it into a fleet.
+func BenchmarkCityBuild(b *testing.B) {
+	for _, scale := range []struct {
+		name string
+		cfg  Config
+	}{{"quick", QuickConfig()}, {"paper", DefaultConfig()}} {
+		gc := cityGen(scale.cfg)
+		b.Run(scale.name+"/generate", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := tfl.Generate(gc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(scale.name+"/fleet", func(b *testing.B) {
+			ds, err := tfl.Generate(gc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := mobility.NewFleet(ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -50,6 +50,13 @@ type sim struct {
 
 // Run executes one scenario and returns its measurements.
 func Run(cfg Config) (*Result, error) {
+	return runIn(cfg, nil)
+}
+
+// runIn is Run with the city taken from a sweep's shared set (nil
+// generates it), so a sweep's cells of one replication generate their
+// city once.
+func runIn(cfg Config, cities *citySet) (*Result, error) {
 	cfg.Normalize()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -58,10 +65,10 @@ func Run(cfg Config) (*Result, error) {
 		// The windowed sharded engine: bit-identical results for every
 		// shard count and tile layout, deliberately distinct from the
 		// serial engine below (see sim_sharded.go).
-		res, _, err := runSharded(cfg, nil)
+		res, _, err := runSharded(cfg, nil, cities)
 		return res, err
 	}
-	s, err := newSim(cfg)
+	s, err := newSim(cfg, cities)
 	if err != nil {
 		return nil, err
 	}
@@ -70,8 +77,8 @@ func Run(cfg Config) (*Result, error) {
 
 // newSim builds the serial engine's world for a normalized, validated cfg
 // and schedules every device and disruption event on its kernel.
-func newSim(cfg Config) (*sim, error) {
-	w, err := newWorld(cfg)
+func newSim(cfg Config, cities *citySet) (*sim, error) {
+	w, err := newWorld(cfg, cities)
 	if err != nil {
 		return nil, err
 	}

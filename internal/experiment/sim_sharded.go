@@ -279,10 +279,11 @@ func defaultAssign(area geo.Rect, k int) func(id int, home geo.Point) int {
 
 // runSharded executes a normalized, validated cfg on the windowed sharded
 // engine. assign overrides the tile assignment (tests randomise it to prove
-// layout invariance); nil selects the default strip partition. The returned
-// diagnostics back the causality and equivalence test layer.
-func runSharded(cfg Config, assign func(id int, home geo.Point) int) (*Result, *shardDiag, error) {
-	w, err := newWorld(cfg)
+// layout invariance); nil selects the default strip partition. cities is as
+// for newWorld. The returned diagnostics back the causality and equivalence
+// test layer.
+func runSharded(cfg Config, assign func(id int, home geo.Point) int, cities *citySet) (*Result, *shardDiag, error) {
+	w, err := newWorld(cfg, cities)
 	if err != nil {
 		return nil, nil, err
 	}

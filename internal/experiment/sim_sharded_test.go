@@ -56,7 +56,7 @@ func shardRun(t *testing.T, cfg Config, assign func(id int, home geo.Point) int)
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, diag, err := runSharded(cfg, assign)
+	res, diag, err := runSharded(cfg, assign, nil)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", cfg.Shards, err)
 	}

@@ -345,10 +345,11 @@ func decodeResultColumn(raw json.RawMessage) ([]byte, error) {
 // simulates and persists. A nil store, an uncacheable config, or a corrupt
 // stored artefact falls back to a plain Run (corruption is repaired by
 // overwriting); a failing Put fails the cell, because a sweep that silently
-// stops persisting would defeat resumability.
-func runThroughStore(store *runstore.Store, cfg Config) (res *Result, cached bool, err error) {
+// stops persisting would defeat resumability. A simulated cell takes its
+// city from cities (nil generates it).
+func runThroughStore(store *runstore.Store, cfg Config, cities *citySet) (res *Result, cached bool, err error) {
 	if store == nil {
-		res, err := Run(cfg)
+		res, err := runIn(cfg, cities)
 		return res, false, err
 	}
 	key, cacheable := cacheKey(cfg)
@@ -361,7 +362,7 @@ func runThroughStore(store *runstore.Store, cfg Config) (res *Result, cached boo
 			// overwrite it with a fresh run.
 		}
 	}
-	res, err = Run(cfg)
+	res, err = runIn(cfg, cities)
 	if err != nil || !cacheable {
 		return res, false, err
 	}

@@ -267,7 +267,7 @@ func TestParallelSweepStoreResume(t *testing.T) {
 		cfg.NumGateways = gw
 		cfg.Scheme = routing.SchemeNoRouting
 		cfg.Seed = RepSeed(base.Seed, 0)
-		if _, cached, err := runThroughStore(store, cfg); err != nil || cached {
+		if _, cached, err := runThroughStore(store, cfg, nil); err != nil || cached {
 			t.Fatalf("pre-populate: cached=%v err=%v", cached, err)
 		}
 		prePopulated++
@@ -431,7 +431,7 @@ func TestRunThroughStoreTruncatedArtefact(t *testing.T) {
 			if err := store.Put(key, c.data); err != nil {
 				t.Fatal(err)
 			}
-			res, cached, err := runThroughStore(store, cfg)
+			res, cached, err := runThroughStore(store, cfg, nil)
 			if err != nil {
 				t.Fatalf("corrupt artefact failed the cell: %v", err)
 			}
@@ -443,7 +443,7 @@ func TestRunThroughStoreTruncatedArtefact(t *testing.T) {
 			}
 			// The recompute repaired the entry: the next read hits and
 			// round-trips the real result.
-			res2, cached2, err := runThroughStore(store, cfg)
+			res2, cached2, err := runThroughStore(store, cfg, nil)
 			if err != nil || !cached2 {
 				t.Fatalf("after repair: cached=%v err=%v", cached2, err)
 			}
@@ -558,12 +558,12 @@ func TestRunThroughStoreCorruptArtefact(t *testing.T) {
 	if err := store.Put(key, []byte("{not json")); err != nil {
 		t.Fatal(err)
 	}
-	res, cached, err := runThroughStore(store, cfg)
+	res, cached, err := runThroughStore(store, cfg, nil)
 	if err != nil || cached {
 		t.Fatalf("corrupt artefact: cached=%v err=%v", cached, err)
 	}
 	// The overwrite repaired the entry: next call hits.
-	res2, cached2, err := runThroughStore(store, cfg)
+	res2, cached2, err := runThroughStore(store, cfg, nil)
 	if err != nil || !cached2 {
 		t.Fatalf("after repair: cached=%v err=%v", cached2, err)
 	}

@@ -75,10 +75,11 @@ type world struct {
 	gwTxPowDBm radio.DBm
 }
 
-// newWorld builds the world for a normalized, validated cfg. Devices are
-// built separately (buildDevices), once the engine's kernels exist.
-func newWorld(cfg Config) (world, error) {
-	fleet, ds, err := buildFleet(&cfg)
+// newWorld builds the world for a normalized, validated cfg, taking a
+// generated city from cities (nil generates it). Devices are built
+// separately (buildDevices), once the engine's kernels exist.
+func newWorld(cfg Config, cities *citySet) (world, error) {
+	fleet, ds, err := buildFleet(&cfg, cities)
 	if err != nil {
 		return world{}, err
 	}

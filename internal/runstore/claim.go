@@ -18,6 +18,8 @@ import (
 // mid-write" from "this artefact is whole". Staleness is the caller's
 // policy: ClaimInfo exposes the claim's age and Release breaks any holder's
 // claim, so a caller with a clock decides when a holder is presumed dead.
+// The sweep farm no longer calls these: its workers publish with one atomic
+// Put, and its coordinator verifies every artefact it reads.
 
 // claimPath maps a key to its advisory lock file.
 func (s *Store) claimPath(key string) (string, error) {

@@ -6,9 +6,10 @@ import "time"
 // *runstore.Store implements it; the fault-injection harness wraps it with
 // torn writes and the tests with in-memory fakes. Keys are content
 // addresses, so concurrent writers of one key write the same bytes and
-// last-write-wins is safe; the advisory claim keeps a torn writer (a
-// non-atomic filesystem, a crashed process) from interleaving with a
-// reader.
+// last-write-wins is safe. The farm reads with Get and writes with one Put;
+// a torn write (a non-atomic filesystem, a crashed process) is caught by the
+// coordinator's Verify. The farm no longer calls the claim methods: they
+// remain for stores that wrap a *runstore.Store and forward its whole API.
 type ArtifactStore interface {
 	// Get returns the artefact under key; ok=false when absent.
 	Get(key string) (data []byte, ok bool, err error)

@@ -132,7 +132,6 @@ func fastWorker() sweepfarm.WorkerConfig {
 	return sweepfarm.WorkerConfig{
 		Poll:        2 * time.Millisecond,
 		SendRetries: 3,
-		ClaimStale:  250 * time.Millisecond,
 	}
 }
 

@@ -74,9 +74,6 @@ type WorkerConfig struct {
 	// through a lossy transport before the worker gives up and lets the
 	// lease expire instead. Zero means 3.
 	SendRetries int
-	// ClaimStale is the age past which another writer's advisory store
-	// claim is presumed crashed and broken. Zero means 1 minute.
-	ClaimStale time.Duration
 	// GiveUp is how long the worker tolerates nothing but transport
 	// failures before concluding the coordinator is gone and exiting with
 	// ErrUnreachable — the supervision signal for a worker process whose
@@ -95,16 +92,13 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.SendRetries <= 0 {
 		c.SendRetries = 3
 	}
-	if c.ClaimStale <= 0 {
-		c.ClaimStale = time.Minute
-	}
 	return c
 }
 
 // Worker claims cells, computes them, publishes artefacts through the
-// store's atomic-write path under an advisory claim, and reports
-// completion; heartbeats stream while a cell computes. Transport, store,
-// clock and hooks are all injectable.
+// store's atomic-write path, and reports completion; heartbeats stream
+// while a cell computes. Transport, store, clock and hooks are all
+// injectable.
 type Worker struct {
 	cfg    WorkerConfig
 	coord  Transport
@@ -249,45 +243,12 @@ func (w *Worker) obtain(cell Cell) (data []byte, cached bool, err error) {
 	return d, false, nil
 }
 
-// publish writes the artefact under the store's advisory claim so a torn
-// writer can never interleave with a reader: take the claim, atomic-write,
-// release. A competing live claim is waited out (its writer is computing
-// the same bytes); a stale claim — older than ClaimStale on this worker's
-// clock — is presumed crashed and broken.
+// publish writes the artefact with one atomic Put (temp file + rename), so
+// no reader ever sees a partial artefact. Concurrent writers of a key write
+// the same bytes, and a torn or late write from any writer is caught by the
+// coordinator's re-read and Verify, so no claim brackets the write.
 func (w *Worker) publish(cell Cell, data []byte) error {
-	for {
-		ok, err := w.store.Claim(cell.Key, w.cfg.ID)
-		if err != nil {
-			return err
-		}
-		if ok {
-			err := w.store.Put(cell.Key, data)
-			if rerr := w.store.Release(cell.Key); err == nil {
-				err = rerr
-			}
-			return err
-		}
-		// Someone else holds the claim. If their write already landed and
-		// verifies, the cell is published; otherwise wait or break a
-		// stale claim.
-		if d, found, _ := w.store.Get(cell.Key); found && w.verifyOK(cell, d) {
-			return nil
-		}
-		if owner, since, held, _ := w.store.ClaimInfo(cell.Key); held && w.clock.Now().Sub(since) > w.cfg.ClaimStale {
-			// Break exactly the claim observed stale — conditionally. In the
-			// window between the observation and the break, the holder may
-			// release and another worker take a *fresh* claim; an
-			// unconditional Release here would destroy that live claim
-			// mid-write. BreakClaim compares owner + take time and refuses
-			// if the claim is no longer the one that went stale; either way
-			// the loop re-reads the world and retries.
-			if _, err := w.store.BreakClaim(cell.Key, owner, since); err != nil {
-				return err
-			}
-			continue
-		}
-		w.sleep(w.cfg.Poll)
-	}
+	return w.store.Put(cell.Key, data)
 }
 
 // verifyOK applies the verifier (nil verifier accepts everything).
