@@ -3,7 +3,11 @@
 // series, the Fig. 7 dataset statistics, and the ablations (α sensitivity,
 // Queue-based Class-A, random gateway placement).
 //
-// Sweeps fan out over a worker pool (-parallel, default GOMAXPROCS) and can
+// The sweeps are three grids of labelled runs: the figure grid (figs
+// 8/9/12/13), the outage grid (-fig resilience) and the ADR grid (-fig adr).
+// All three run on one path: a worker pool (-parallel, default GOMAXPROCS), the
+// run-artifact store (-store), the progress line (-progress) and, across
+// processes, the sweep farm (-serve/-connect). The figure grid can also
 // replicate every cell across derived seeds (-reps), reporting each metric
 // as mean ± 95% confidence interval instead of a one-seed point estimate.
 //
@@ -52,14 +56,14 @@
 // The observability layer adds -listen (serve a live HTML dashboard,
 // /metrics Prometheus exposition, /spans flight-recorder dump, and
 // /debug/pprof/* while the command runs), -progress (a single live status
-// line for the figure sweeps), and -spans (dump the phase-span ring as
+// line for the sweeps), and -spans (dump the phase-span ring as
 // JSONL on exit). See README "Observability":
 //
 //	expsweep -fig 8 -reps 5 -listen :9109    # watch at http://localhost:9109/
 //	expsweep -fig 8 -quick -progress         # terminal status line
 //	expsweep -fig 8 -quick -shards 4 -spans spans.jsonl
 //
-// The same binary splits a figure sweep across processes over TCP through
+// The same binary splits any one sweep across processes over TCP through
 // the crash-tolerant sweep farm (see README "Sweep farm"): -serve runs the
 // coordinator, which leases cells, merges each result exactly once and
 // prints the tables; -connect runs a disposable worker, any number of them.
@@ -68,6 +72,7 @@
 //
 //	expsweep -fig 8 -env urban -store /shared/cache -serve :7600           # coordinator
 //	expsweep -fig 8 -env urban -store /shared/cache -connect host:7600     # worker
+//	expsweep -fig adr -env urban -serve :7601                              # the ADR grid, storeless
 //
 // The coordinator's stdout is byte-identical to the single-process sweep's.
 // A worker refuses any leased cell whose key or label differs from the grid
@@ -115,7 +120,7 @@ func run(args []string) (err error) {
 		reps        = fs.Int("reps", 1, "replications per sweep cell (figs 8/9/12/13); tables report mean ± 95% CI")
 		scenario    = fs.String("scenario", "buses", "mobility scenario: buses | randomwaypoint | sensorgrid")
 		nodes       = fs.Int("nodes", 0, "node count for the randomwaypoint/sensorgrid scenarios (0 = default)")
-		storeDir    = fs.String("store", "", "run-artifact store directory: figure-sweep cells already stored are loaded instead of re-simulated, fresh cells are persisted (resumable sweeps)")
+		storeDir    = fs.String("store", "", "run-artifact store directory: sweep cells (figs 8/9/12/13, resilience, adr) already stored are loaded instead of re-simulated, fresh cells are persisted (resumable sweeps)")
 		traceFile   = fs.String("trace", "", "write a sampled per-packet event trace to this file ('-' = stdout)")
 		traceFormat = fs.String("trace-format", "jsonl", "trace encoding: jsonl | csv")
 		traceSample = fs.Int("trace-sample", 1, "trace one in N messages (1 = every message; sampled messages trace completely)")
@@ -126,9 +131,9 @@ func run(args []string) (err error) {
 		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memprofile  = fs.String("memprofile", "", "write a pprof heap profile to this file on clean exit")
 		listen      = fs.String("listen", "", "serve live observability on this address (host:port) while the command runs: / is an HTML dashboard, /metrics a Prometheus exposition, /spans the flight-recorder dump, /debug/pprof/* profiling")
-		progress    = fs.Bool("progress", false, "render the figure sweeps (figs 8/9/12/13) as one live status line on stderr instead of per-replication lines")
+		progress    = fs.Bool("progress", false, "render the sweeps (figs 8/9/12/13, resilience, adr) as one live status line on stderr instead of per-replication lines")
 		spansFile   = fs.String("spans", "", "dump the recorded phase spans as JSONL to this file on exit ('-' = stderr)")
-		serve       = fs.String("serve", "", "coordinate a figure sweep (figs 8/9/12/13, one -env) across processes: lease its cells to expsweep -connect workers on this address and print the tables here")
+		serve       = fs.String("serve", "", "coordinate one sweep (figs 8/9/12/13, resilience or adr; one -env) across processes: lease its cells to expsweep -connect workers on this address and print the tables here")
 		connect     = fs.String("connect", "", "run as a worker process against an expsweep -serve coordinator at this address, computing up to 2 cells at once until the sweep is done (give it the coordinator's sweep and config flags)")
 		workerID    = fs.String("id", "", "worker name in leases and events for -connect (default: hostname-pid)")
 		giveUp      = fs.Duration("giveup", time.Minute, "with -connect: exit with an error after this long without one successful coordinator call (the supervision signal that the coordinator is gone)")
@@ -159,12 +164,8 @@ func run(args []string) (err error) {
 	if *traceFile == "" && *traceSample != 1 {
 		fmt.Fprintln(os.Stderr, "expsweep: note: -trace-sample has no effect without -trace")
 	}
-	switch *fig {
-	case "8", "9", "12", "13":
-	default:
-		if *progress {
-			return fmt.Errorf("-progress renders figure-sweep progress; -fig %s has no sweep cells (use figs 8/9/12/13)", *fig)
-		}
+	if _, ok := sweepGrid(*fig); !ok && *fig != "all" && *progress {
+		return fmt.Errorf("-progress renders sweep progress; -fig %s has no sweep cells (use figs 8/9/12/13, resilience, adr or all)", *fig)
 	}
 	if *progress && *quiet {
 		return fmt.Errorf("-progress and -quiet are contradictory: one asks for a live status line, the other for silence")
@@ -173,10 +174,8 @@ func run(args []string) (err error) {
 		if *serve != "" && *connect != "" {
 			return fmt.Errorf("-serve and -connect are exclusive: a process is the coordinator or a worker, not both")
 		}
-		switch *fig {
-		case "8", "9", "12", "13":
-		default:
-			return fmt.Errorf("-serve/-connect farm the figure sweeps (figs 8/9/12/13); -fig %s runs in one process", *fig)
+		if _, ok := sweepGrid(*fig); !ok {
+			return fmt.Errorf("-serve/-connect farm one sweep (figs 8/9/12/13, resilience or adr); -fig %s runs in one process", *fig)
 		}
 		// Cell indexes restart per environment, so a remote worker cannot
 		// tell which environment's grid a lease belongs to; the wire mode
@@ -346,7 +345,7 @@ func run(args []string) (err error) {
 
 	sw := sweeper{workers: *parallel, reps: *reps, quiet: *quiet,
 		store: store, percentiles: *percentiles,
-		figName: *fig, tracker: tracker, progress: *progress}
+		tracker: tracker, progress: *progress}
 
 	switch {
 	case *serve != "":
@@ -354,13 +353,13 @@ func run(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		return sw.serveSweep(ln, base, envs[0], *leaseTTL, *drain)
+		return sw.serveSweep(ln, *fig, base, envs[0], *leaseTTL, *drain)
 	case *connect != "":
 		id := *workerID
 		if id == "" {
 			id = defaultWorkerID()
 		}
-		return sw.connectSweep(*connect, base, envs[0], id, *giveUp)
+		return sw.connectSweep(*connect, *fig, base, envs[0], id, *giveUp)
 	}
 
 	switch *fig {
@@ -368,33 +367,25 @@ func run(args []string) (err error) {
 		// These artefacts run outside the sweep engine; say so rather
 		// than silently dropping the flags.
 		if *reps > 1 || fs.Lookup("parallel").Value.String() != fs.Lookup("parallel").DefValue {
-			fmt.Fprintf(os.Stderr, "expsweep: note: -parallel/-reps apply to the figure sweeps only; -fig %s runs single-seed, serial\n", *fig)
+			fmt.Fprintf(os.Stderr, "expsweep: note: -parallel/-reps apply to the sweeps only; -fig %s runs single-seed, serial\n", *fig)
 		}
 		if store != nil {
-			fmt.Fprintf(os.Stderr, "expsweep: note: -store caches figure-sweep cells only; -fig %s always simulates\n", *fig)
+			fmt.Fprintf(os.Stderr, "expsweep: note: -store caches sweep cells only; -fig %s always simulates\n", *fig)
 		}
 		if *percentiles {
 			fmt.Fprintf(os.Stderr, "expsweep: note: -percentiles applies to the figure sweeps (figs 8/9/12/13) only\n")
-		}
-	case "resilience", "adr":
-		if store != nil {
-			fmt.Fprintf(os.Stderr, "expsweep: note: -store caches figure-sweep cells only; the %s sweep always simulates\n", *fig)
 		}
 	}
 
 	switch *fig {
 	case "7":
 		return fig7(base)
-	case "8", "9", "12", "13":
-		return sw.sweepFig(base, envs)
+	case "8", "9", "12", "13", "resilience", "adr":
+		return sw.sweep(*fig, base, envs)
 	case "10":
 		return series(base, experiment.Urban)
 	case "11":
 		return series(base, experiment.Rural)
-	case "resilience":
-		return sw.resilience(base, envs)
-	case "adr":
-		return sw.adr(base, envs)
 	case "ablations":
 		if model != experiment.MobilityBuses {
 			return fmt.Errorf("the placement ablation needs the bus timetable; run -fig ablations with -scenario buses")
@@ -406,7 +397,7 @@ func run(args []string) (err error) {
 				return err
 			}
 		}
-		if err := sw.sweepFig(base, envs); err != nil {
+		if err := sw.sweep("8", base, envs); err != nil {
 			return err
 		}
 		if err := series(base, experiment.Urban); err != nil {
@@ -415,13 +406,13 @@ func run(args []string) (err error) {
 		if err := series(base, experiment.Rural); err != nil {
 			return err
 		}
-		if err := sw.resilience(base, envs); err != nil {
+		if err := sw.sweep("resilience", base, envs); err != nil {
 			return err
 		}
 		if *adr || *confirmed {
 			// The ADR sweep needs its own fixed-SF baseline column.
 			fmt.Fprintln(os.Stderr, "expsweep: note: skipping the adr figure under -adr/-confirmed (it sweeps the MAC modes itself)")
-		} else if err := sw.adr(base, envs); err != nil {
+		} else if err := sw.sweep("adr", base, envs); err != nil {
 			return err
 		}
 		if model != experiment.MobilityBuses {
@@ -492,7 +483,21 @@ func fig7(base experiment.Config) error {
 	return nil
 }
 
-// sweeper runs the figure sweeps through the parallel engine, or across
+// sweepGrid returns the sweep grid -fig fig runs; ok is false for a
+// figure with no sweep cells.
+func sweepGrid(fig string) (grid experiment.Grid, ok bool) {
+	switch fig {
+	case "8", "9", "12", "13":
+		return experiment.FigureGrid, true
+	case "resilience":
+		return experiment.OutageGrid, true
+	case "adr":
+		return experiment.ADRGrid, true
+	}
+	return 0, false
+}
+
+// sweeper runs the sweep grids through the parallel engine, or across
 // processes through the wire farm (wire.go).
 type sweeper struct {
 	workers     int
@@ -500,15 +505,16 @@ type sweeper struct {
 	quiet       bool
 	store       *runstore.Store
 	percentiles bool
-	// Observability: figName labels the tracker, tracker (when non-nil)
-	// feeds the dashboard/metrics sweep gauges, progress switches the
-	// per-replication stderr lines to one live status line.
-	figName  string
+	// Observability: tracker (when non-nil) feeds the dashboard/metrics
+	// sweep gauges, progress switches the per-replication stderr lines to
+	// one live status line.
 	tracker  *obs.SweepTracker
 	progress bool
 }
 
-func (sw sweeper) sweepFig(base experiment.Config, envs []experiment.Environment) error {
+// sweep runs -fig fig's grid for each environment and prints its tables.
+func (sw sweeper) sweep(fig string, base experiment.Config, envs []experiment.Environment) error {
+	grid, _ := sweepGrid(fig)
 	for _, env := range envs {
 		// Stats are cumulative since Open; report this sweep's delta.
 		var before runstore.Stats
@@ -516,7 +522,7 @@ func (sw sweeper) sweepFig(base experiment.Config, envs []experiment.Environment
 			before = sw.store.Stats()
 		}
 		if sw.tracker != nil {
-			sw.tracker.Begin(fmt.Sprintf("fig %s %s", sw.figName, env), sw.workers)
+			sw.tracker.Begin(fmt.Sprintf("fig %s %s", fig, env), sw.workers)
 		}
 		var fn func(experiment.CellUpdate)
 		if sw.tracker != nil || !sw.quiet {
@@ -531,12 +537,12 @@ func (sw sweeper) sweepFig(base experiment.Config, envs []experiment.Environment
 					if u.Cached {
 						from = " (cached)"
 					}
-					fmt.Fprintf(os.Stderr, "  [%3d/%3d] rep %d seed %d%s: %s\n",
-						u.Completed, u.Total, u.Rep, u.Seed, from, u.Result.String())
+					fmt.Fprintf(os.Stderr, "  [%3d/%3d] %s seed %d%s: %s\n",
+						u.Completed, u.Total, u.Label, u.Seed, from, u.Result.String())
 				}
 			}
 		}
-		points, err := experiment.ParallelSweepFunc(base, env,
+		points, err := grid.Sweep(base, env,
 			experiment.SweepOptions{Workers: sw.workers, Reps: sw.reps, Store: sw.store}, fn)
 		sw.tracker.Finish()
 		if sw.progress {
@@ -550,41 +556,7 @@ func (sw sweeper) sweepFig(base experiment.Config, envs []experiment.Environment
 			fmt.Fprintf(os.Stderr, "expsweep: store %s: %d loaded, %d simulated and persisted\n",
 				sw.store.Dir(), st.Hits-before.Hits, st.Puts-before.Puts)
 		}
-		experiment.RenderFigureTables(os.Stdout, points, sw.reps, sw.percentiles)
-	}
-	return nil
-}
-
-// resilience runs the outage sweep: delivery ratio per scheme as a growing
-// fraction of gateways goes down for one outage window each.
-func (sw sweeper) resilience(base experiment.Config, envs []experiment.Environment) error {
-	for _, env := range envs {
-		var fn func(string)
-		if !sw.quiet {
-			fn = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
-		}
-		points, err := experiment.OutageSweep(base, env, sw.workers, fn)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.OutageTable(points))
-	}
-	return nil
-}
-
-// adr runs the adaptive-data-rate sweep: the fixed-SF7 baseline against the
-// ADR and ADR+confirmed modes, per gateway density.
-func (sw sweeper) adr(base experiment.Config, envs []experiment.Environment) error {
-	for _, env := range envs {
-		var fn func(string)
-		if !sw.quiet {
-			fn = func(line string) { fmt.Fprintln(os.Stderr, "  "+line) }
-		}
-		points, err := experiment.ADRSweep(base, env, sw.workers, fn)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.ADRTable(points))
+		grid.Render(os.Stdout, points, sw.reps, sw.percentiles)
 	}
 	return nil
 }

@@ -106,6 +106,32 @@ func TestFigADRRuns(t *testing.T) {
 	}
 }
 
+// TestFigAllProgress: -fig all takes -progress, and each sweep grid it runs
+// (figure, resilience, adr) draws its status line to completion.
+func TestFigAllProgress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick artefact")
+	}
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	old := os.Stderr
+	os.Stderr = stderr
+	defer func() { os.Stderr = old }()
+	captureRun(t, "-fig", "all", "-quick", "-env", "urban", "-progress")
+	log, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"fig 8 urban: 21/21 cells", "fig resilience urban: 15/15 cells", "fig adr urban: 21/21 cells"} {
+		if !strings.Contains(string(log), want) {
+			t.Errorf("stderr missing status %q:\n%s", want, log)
+		}
+	}
+}
+
 // TestConfirmedFlagThreadsThrough checks -adr/-confirmed reach the
 // simulation: the throughput series still renders under the MAC control
 // plane, proving the flags compose with the classic figures rather than

@@ -32,19 +32,21 @@ func farmCells(fsweep *experiment.FarmSweep, store *runstore.Store) ([]sweepfarm
 	return cells, nil
 }
 
-// serveSweep runs one environment's figure grid as the coordinator half of a
-// multi-process farm: cells are leased to expsweep -connect workers through
-// ln, and the tables print here once every cell is done or quarantined.
+// serveSweep runs one environment's grid of -fig fig as the coordinator half
+// of a multi-process farm: cells are leased to expsweep -connect workers
+// through ln, and the tables print here once every cell is done or
+// quarantined.
 // After the sweep completes the server keeps answering for the drain window
 // so connected workers hear "done" and exit cleanly, instead of dying with
 // ErrLost against a vanished coordinator. If serving stops first (an Accept
 // error), no worker can reach the sweep any more and the error is returned.
-func (sw sweeper) serveSweep(ln net.Listener, base experiment.Config, env experiment.Environment,
+func (sw sweeper) serveSweep(ln net.Listener, fig string, base experiment.Config, env experiment.Environment,
 	leaseTTL, drain time.Duration) error {
 
-	fsweep := experiment.NewFarmSweep(base, env, sw.reps)
+	grid, _ := sweepGrid(fig)
+	fsweep := grid.Farm(base, env, sw.reps)
 	cells, artifacts := farmCells(fsweep, sw.store)
-	sw.tracker.Begin(fmt.Sprintf("fig %s %s", sw.figName, env), 0)
+	sw.tracker.Begin(fmt.Sprintf("fig %s %s", fig, env), 0)
 
 	// The coordinator emits events (and runs Absorb) under its lock, so the
 	// handler below is single-threaded: lastSnap set by OnResult is consumed
@@ -106,7 +108,7 @@ func (sw sweeper) serveSweep(ln net.Listener, base experiment.Config, env experi
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "expsweep: coordinating fig %s %s on %s (%d cells; workers join with -connect)\n",
-		sw.figName, env, ln.Addr(), len(cells))
+		fig, env, ln.Addr(), len(cells))
 
 	select {
 	case <-coord.DoneCh():
@@ -135,7 +137,7 @@ func (sw sweeper) serveSweep(ln net.Listener, base experiment.Config, env experi
 		fmt.Fprintf(os.Stderr, "expsweep: store %s: %d recovered, %d computed by remote workers\n",
 			sw.store.Dir(), recovered, rep.Done-recovered)
 	}
-	experiment.RenderFigureTables(os.Stdout, fsweep.Points(), sw.reps, sw.percentiles)
+	grid.Render(os.Stdout, fsweep.Points(), sw.reps, sw.percentiles)
 	if gaps := rep.Gaps(); gaps != "" {
 		// The explicit gap contract: a sweep missing cells says so on
 		// stdout, right under the tables it could not fill.
@@ -150,10 +152,11 @@ func (sw sweeper) serveSweep(ln net.Listener, base experiment.Config, env experi
 // loud failure mode for a config mismatch between the two processes. It
 // exits 0 once the coordinator reports the sweep done, and with an error if
 // the coordinator stays unreachable for the give-up window.
-func (sw sweeper) connectSweep(addr string, base experiment.Config, env experiment.Environment,
+func (sw sweeper) connectSweep(addr, fig string, base experiment.Config, env experiment.Environment,
 	id string, giveUp time.Duration) error {
 
-	fsweep := experiment.NewFarmSweep(base, env, sw.reps)
+	grid, _ := sweepGrid(fig)
+	fsweep := grid.Farm(base, env, sw.reps)
 	local, artifacts := farmCells(fsweep, sw.store)
 	run := func(c sweepfarm.Cell) ([]byte, error) {
 		if c.Index < 0 || c.Index >= len(local) {
@@ -172,7 +175,7 @@ func (sw sweeper) connectSweep(addr string, base experiment.Config, env experime
 		Concurrency: wireInflight,
 		GiveUp:      giveUp,
 	}, client, artifacts, run, fsweep.Verify, nil, nil)
-	fmt.Fprintf(os.Stderr, "expsweep: worker %s computing fig %s %s via %s\n", id, sw.figName, env, addr)
+	fmt.Fprintf(os.Stderr, "expsweep: worker %s computing fig %s %s via %s\n", id, fig, env, addr)
 	if err := w.Run(); err != nil {
 		return fmt.Errorf("worker %s: %w", id, err)
 	}

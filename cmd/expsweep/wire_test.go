@@ -74,8 +74,8 @@ func captureRun(t *testing.T, args ...string) string {
 }
 
 // TestFlagValidation covers the flag combinations only the wire modes
-// reject: -serve and -connect are exclusive, each pins one environment, and
-// the observability and non-figure flags stay on the coordinator side.
+// reject: -serve and -connect are exclusive, each pins one environment and
+// one sweep grid, and the observability flags stay on the coordinator side.
 func TestFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -87,7 +87,7 @@ func TestFlagValidation(t *testing.T) {
 		{"connect env both", []string{"-connect", "y:1"}, "ambiguous over the wire"},
 		{"connect with listen", []string{"-connect", "y:1", "-env", "urban", "-listen", ":0"}, "-listen (observability) belongs on the -serve side"},
 		{"connect with progress", []string{"-connect", "y:1", "-env", "urban", "-progress"}, "-progress belongs on the -serve side"},
-		{"serve non-figure fig", []string{"-serve", "x:1", "-env", "urban", "-fig", "resilience"}, "-fig resilience runs in one process"},
+		{"serve non-sweep fig", []string{"-serve", "x:1", "-env", "urban", "-fig", "all"}, "-fig all runs in one process"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(tc.args)
@@ -134,10 +134,10 @@ func (acceptFailListener) Addr() net.Addr            { return &net.TCPAddr{IP: n
 // no worker can ever complete a cell, so serveSweep must return the serve
 // error instead of hanging.
 func TestServeReturnsWhenServingFails(t *testing.T) {
-	sw := sweeper{reps: 1, quiet: true, figName: "8"}
+	sw := sweeper{reps: 1, quiet: true}
 	done := make(chan error, 1)
 	go func() {
-		done <- sw.serveSweep(acceptFailListener{}, experiment.QuickConfig(), experiment.Urban, time.Second, 0)
+		done <- sw.serveSweep(acceptFailListener{}, "8", experiment.QuickConfig(), experiment.Urban, time.Second, 0)
 	}()
 	select {
 	case err := <-done:
@@ -223,19 +223,29 @@ func wireRound(ctx context.Context, t *testing.T, sweep []string, drain string, 
 }
 
 // TestWireMatchesLocalUnderConfigFlags checks that the wire mode builds its
-// config through the same path as the local sweep: with non-default engine
-// and MAC flags on both sides, and no store (artefacts travel inline), the
-// coordinator's tables are byte-identical to the single-process run's.
+// config and grid through the same path as the local sweep: for every sweep
+// grid, with non-default engine and MAC flags on both sides, and no store
+// (artefacts travel inline), the coordinator's tables are byte-identical to
+// the single-process run's.
 func TestWireMatchesLocalUnderConfigFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep is slow; skipped in -short")
 	}
-	sweep := []string{"-fig", "8", "-quick", "-env", "urban", "-seed", "1", "-shards", "2", "-adr", "-quiet"}
-	want := captureRun(t, sweep...)
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-	defer cancel()
-	if got, _ := wireRound(ctx, t, sweep, "1s"); got != want {
-		t.Errorf("wire tables differ from the local run\ngot:\n%s\nwant:\n%s", got, want)
+	common := []string{"-quick", "-env", "urban", "-seed", "1", "-shards", "2", "-quiet"}
+	for _, grid := range [][]string{
+		{"-fig", "8", "-adr"},
+		{"-fig", "resilience", "-adr"},
+		{"-fig", "adr"},
+	} {
+		t.Run(grid[1], func(t *testing.T) {
+			sweep := append(append([]string{}, grid...), common...)
+			want := captureRun(t, sweep...)
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+			defer cancel()
+			if got, _ := wireRound(ctx, t, sweep, "1s"); got != want {
+				t.Errorf("wire tables differ from the local run\ngot:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 

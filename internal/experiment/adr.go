@@ -7,11 +7,11 @@ import (
 	"mlorass/internal/radio"
 )
 
-// ADRMode is one column of the ADR sweep: a MAC configuration applied on
+// ADRMode is one column of the ADR grid: a MAC configuration applied on
 // top of the base scenario.
 type ADRMode int
 
-// ADR sweep modes, in figure order.
+// ADR grid modes, in figure order.
 const (
 	// ADRModeFixed is the paper's baseline: fixed SF, instant acks
 	// (Config.MAC zero-valued).
@@ -53,57 +53,15 @@ func (m ADRMode) apply() MACConfig {
 	}
 }
 
-// ADRModes lists the sweep's MAC configurations in column order.
+// ADRModes lists the ADR grid's MAC configurations in column order.
 func ADRModes() []ADRMode { return []ADRMode{ADRModeFixed, ADRModeADR, ADRModeConfirmed} }
 
-// ADRPoint is one (mode, gateway-count) cell of the ADR sweep.
-type ADRPoint struct {
-	Environment Environment
-	Mode        ADRMode
-	Gateways    int
-	Result      *Result
-}
-
-// ADRSweep runs the adaptive-data-rate figure: every MAC mode × gateway
-// count for the given environment on the shared worker pool (values < 1
-// mean GOMAXPROCS). The paper fixes SF7 because "ADR degrades under
-// mobility" — this sweep measures exactly that claim in the reproduction,
-// plus what confirmed traffic's downlink load costs on the shared channel.
-func ADRSweep(base Config, env Environment, workers int, progress func(string)) ([]ADRPoint, error) {
-	var points []ADRPoint
-	for _, gw := range GatewaySweep() {
-		for _, mode := range ADRModes() {
-			points = append(points, ADRPoint{Environment: env, Mode: mode, Gateways: gw})
-		}
-	}
-	i, err := runPool(len(points), workers,
-		func(i int) (*Result, error) {
-			cfg := base
-			cfg.Environment = env
-			cfg.D2DRangeM = 0 // re-derive from environment
-			cfg.NumGateways = points[i].Gateways
-			cfg.MAC = points[i].Mode.apply()
-			return Run(cfg)
-		},
-		func(i int, res *Result) {
-			points[i].Result = res
-			if progress != nil {
-				progress(fmt.Sprintf("%-13s %s", points[i].Mode, res))
-			}
-		})
-	if err != nil {
-		return nil, fmt.Errorf("adr sweep %v/%v/gw=%d: %w",
-			env, points[i].Mode, points[i].Gateways, err)
-	}
-	return points, nil
-}
-
-// ADRTable renders the ADR sweep: delivery ratio, mean uplink SF, and the
-// confirmed-path costs (retransmissions, downlink budget drops) per mode as
-// gateway density grows. Each cell reads "deliv% @ meanSF"; the confirmed
-// column appends "retx" counts so the downlink tax is visible in the same
-// artefact.
-func ADRTable(points []ADRPoint) string {
+// ADRTable renders the ADR grid from each cell's replication 0: delivery
+// ratio, mean uplink SF, and the confirmed-path costs (retransmissions,
+// downlink budget drops) per mode as gateway density grows. Each cell reads
+// "deliv% @ meanSF"; the confirmed column appends "retx" counts so the
+// downlink tax is visible in the same artefact.
+func ADRTable(points []AggregatePoint) string {
 	type key struct {
 		gw   int
 		mode ADRMode
@@ -112,7 +70,7 @@ func ADRTable(points []ADRPoint) string {
 	gwSet := map[int]bool{}
 	var env Environment
 	for _, p := range points {
-		byKey[key{p.Gateways, p.Mode}] = p.Result
+		byKey[key{p.Gateways, p.Mode}] = p.rep0()
 		gwSet[p.Gateways] = true
 		env = p.Environment
 	}

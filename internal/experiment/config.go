@@ -277,7 +277,8 @@ type TelemetryOptions struct {
 	Trace *telemetry.Tracer
 	// Spans, when non-nil, receives wall-clock phase spans: per-window
 	// kernel/resolve/deliver and merge timings from the sharded engine,
-	// per-cell timings from ParallelSweep. Span timing lives entirely in
+	// one labelled "cell" timing per job from Grid.Sweep (every sweep
+	// grid: figure, outage, ADR). Span timing lives entirely in
 	// the sink (internal/obs.FlightRecorder) — the engines never read the
 	// clock, so instrumentation cannot perturb results. Runtime-only:
 	// excluded from JSON artefacts and from the run-store key, like Trace.

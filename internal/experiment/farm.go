@@ -10,48 +10,11 @@ import (
 	"mlorass/internal/sweepfarm"
 )
 
-// layoutSweep lays out the figure grid's cells and jobs in deterministic
-// figure order: gateway count outer, scheme inner, replication innermost.
-// Both the in-process ParallelSweep pool and the crash-tolerant sweep farm
-// enumerate cells through this one function, so their grids — and therefore
-// their store keys and their output tables — are identical by construction.
-// Every job shares one city set, so each replication's city is generated at
-// most once per sweep.
-func layoutSweep(base Config, env Environment, reps int) (cells []AggregatePoint, jobs []sweepJob) {
-	if reps < 1 {
-		reps = 1
-	}
-	cities := &citySet{}
-	for _, gw := range GatewaySweep() {
-		for _, scheme := range Schemes() {
-			ci := len(cells)
-			cells = append(cells, AggregatePoint{
-				Environment: env,
-				Scheme:      scheme,
-				Gateways:    gw,
-				Seeds:       make([]uint64, reps),
-				Reps:        make([]*Result, reps),
-			})
-			for rep := 0; rep < reps; rep++ {
-				cfg := base
-				cfg.Environment = env
-				cfg.D2DRangeM = 0 // re-derive from environment
-				cfg.NumGateways = gw
-				cfg.Scheme = scheme
-				cfg.Seed = RepSeed(base.Seed, rep)
-				cells[ci].Seeds[rep] = cfg.Seed
-				jobs = append(jobs, sweepJob{cell: ci, rep: rep, cfg: cfg, cities: cities})
-			}
-		}
-	}
-	return cells, jobs
-}
-
-// FarmSweep adapts one figure sweep to the sweepfarm protocol: it enumerates
-// the grid as sweepfarm cells (keyed by the same content address the run
-// store uses), computes cells as encoded artefacts, verifies artefacts with
-// the store decoder's integrity checks, and merges verified artefacts into
-// AggregatePoints — idempotently, deduped by store key, so a cell result
+// FarmSweep adapts one sweep grid to the sweepfarm protocol: it enumerates
+// the grid's jobs as sweepfarm cells (keyed by the same content address the
+// run store uses), computes cells as encoded artefacts, verifies artefacts
+// with the store decoder's integrity checks, and merges verified artefacts
+// into AggregatePoints — idempotently, deduped by store key, so a cell result
 // that arrives twice (duplicate completion, coordinator restart replaying
 // recovery) changes nothing. expsweep -serve/-connect build one on each side
 // of the wire from the same flags.
@@ -87,7 +50,13 @@ type verifiedArtifact struct {
 // NewFarmSweep lays out the figure grid for env: every scheme × gateway
 // count, replicated reps times with seeds derived via RepSeed.
 func NewFarmSweep(base Config, env Environment, reps int) *FarmSweep {
-	cells, jobs := layoutSweep(base, env, reps)
+	return FigureGrid.Farm(base, env, reps)
+}
+
+// Farm lays out grid g for env as a FarmSweep: the same jobs, labels and
+// store keys as g.Sweep runs in one process.
+func (g Grid) Farm(base Config, env Environment, reps int) *FarmSweep {
+	cells, jobs := layoutSweep(g, base, env, reps)
 	return &FarmSweep{
 		cells:    cells,
 		jobs:     jobs,
@@ -97,20 +66,16 @@ func NewFarmSweep(base Config, env Environment, reps int) *FarmSweep {
 }
 
 // Cells enumerates the sweep as sweepfarm cells, one per (cell, replication)
-// job, in figure order. Cell keys are the run store's content addresses, so
-// a farm over the same store directory as a previous expsweep -store run
-// reuses its artefacts; a config without a canonical byte form (an explicit
-// Dataset) yields keyless cells whose artefacts travel inline.
+// job, in table order and labelled as the job is. Cell keys are the run
+// store's content addresses, so a farm over the same store directory as a
+// previous expsweep -store run reuses its artefacts; a config without a
+// canonical byte form (an explicit Dataset) yields keyless cells whose
+// artefacts travel inline.
 func (f *FarmSweep) Cells() []sweepfarm.Cell {
 	out := make([]sweepfarm.Cell, len(f.jobs))
 	for i, j := range f.jobs {
 		key, _ := cacheKey(j.cfg)
-		c := f.cells[j.cell]
-		out[i] = sweepfarm.Cell{
-			Index: i,
-			Key:   key,
-			Label: fmt.Sprintf("%v/%v/gw=%d/rep=%d", c.Environment, c.Scheme, c.Gateways, j.rep),
-		}
+		out[i] = sweepfarm.Cell{Index: i, Key: key, Label: j.label}
 	}
 	return out
 }
@@ -193,12 +158,27 @@ func (f *FarmSweep) Points() []AggregatePoint {
 	return out
 }
 
+// Render writes grid g's complete stdout block for one environment's points:
+// the figure tables through RenderFigureTables (reps and percentiles apply
+// to them alone), or the outage or ADR grid's one table.
+func (g Grid) Render(w io.Writer, points []AggregatePoint, reps int, percentiles bool) {
+	switch g {
+	case OutageGrid:
+		fmt.Fprintln(w, OutageTable(points))
+	case ADRGrid:
+		fmt.Fprintln(w, ADRTable(points))
+	default:
+		RenderFigureTables(w, points, reps, percentiles)
+	}
+}
+
 // RenderFigureTables writes the figure sweep's complete stdout block for one
 // environment: the Fig 8/9/12/13 aggregate tables, the optional pooled
 // percentile table, the matched-coverage table over replication 0, and the
-// overhead-ratio lines. expsweep prints through this one function both
-// after a pool sweep and as a -serve coordinator, which is what makes the
-// two outputs byte-identical by construction rather than by test alone.
+// overhead-ratio lines. expsweep prints through this one function (by way
+// of Grid.Render) both after a pool sweep and as a -serve coordinator,
+// which is what makes the two outputs byte-identical by construction
+// rather than by test alone.
 // A cell whose replication 0 was quarantined under the farm renders "-" in
 // the matched-coverage table, and a gateway count with no replication 0 at
 // all is left out of it; the aggregate tables keep every row and aggregate

@@ -91,13 +91,13 @@ func oneRepFigTables(t *testing.T, base Config, gws []int) string {
 }
 
 // TestGoldenOutageTable locks the PR 2 resilience figure the same way the
-// Fig 8/9/12/13 tables are locked: the full OutageSweep grid for QuickConfig
+// Fig 8/9/12/13 tables are locked: the full OutageGrid for QuickConfig
 // at seed 1, urban. Disruption-compilation or table-rendering drift fails
 // here before it corrupts the resilience artefact.
 func TestGoldenOutageTable(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Seed = 1
-	points, err := OutageSweep(cfg, Urban, 1, nil)
+	points, err := OutageGrid.Sweep(cfg, Urban, SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,7 +286,7 @@ func TestGoldenADRTable(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			points, err := ADRSweep(adrGoldenConfig(seed), Urban, 1, nil)
+			points, err := ADRGrid.Sweep(adrGoldenConfig(seed), Urban, SweepOptions{Workers: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,17 +299,17 @@ func TestGoldenADRTable(t *testing.T) {
 // is order-independent.
 func TestADRSweepParallelMatchesSerial(t *testing.T) {
 	base := adrGoldenConfig(1)
-	serial, err := ADRSweep(base, Urban, 1, nil)
+	serial, err := ADRGrid.Sweep(base, Urban, SweepOptions{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lines []string
-	parallel, err := ADRSweep(base, Urban, 4, func(s string) { lines = append(lines, s) })
+	var updates []CellUpdate
+	parallel, err := ADRGrid.Sweep(base, Urban, SweepOptions{Workers: 4}, func(u CellUpdate) { updates = append(updates, u) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != len(parallel) {
-		t.Fatalf("progress reported %d of %d cells", len(lines), len(parallel))
+	if len(updates) != len(parallel) {
+		t.Fatalf("progress reported %d of %d cells", len(updates), len(parallel))
 	}
 	if got, want := ADRTable(parallel), ADRTable(serial); got != want {
 		t.Fatalf("parallel ADR table differs:\n--- got ---\n%s--- want ---\n%s", got, want)

@@ -132,40 +132,52 @@ func TestLiveScrapeShardedMatchesUninstrumented(t *testing.T) {
 	}
 }
 
-// TestSweepCellSpans: ParallelSweep emits one labelled cell span per
+// TestSweepCellSpans: every sweep grid emits one labelled cell span per
 // replication, marking store hits.
 func TestSweepCellSpans(t *testing.T) {
-	flight := obs.NewFlightRecorder(64)
-	base := QuickConfig()
-	base.Seed = 3
-	base.Duration = time.Hour
-	base.Telemetry.Spans = flight
-	if _, err := ParallelSweep(base, Urban, SweepOptions{Workers: 2, Reps: 1}); err != nil {
-		t.Fatal(err)
-	}
-	spans := flight.Spans(0)
-	want := len(GatewaySweep()) * len(Schemes())
-	if len(spans) != want {
-		t.Fatalf("recorded %d cell spans, want %d", len(spans), want)
-	}
-	labels := map[string]bool{}
-	for _, sp := range spans {
-		if sp.Name != "cell" {
-			t.Errorf("unexpected span %q", sp.Name)
-		}
-		if sp.Attr != 0 {
-			t.Errorf("storeless sweep marked span cached: %+v", sp)
-		}
-		if sp.SimNS != base.Duration.Nanoseconds() {
-			t.Errorf("cell span sim clock = %d, want %d", sp.SimNS, base.Duration.Nanoseconds())
-		}
-		labels[sp.Label] = true
-	}
-	if len(labels) != want {
-		t.Errorf("cell labels not unique: %d distinct of %d", len(labels), want)
-	}
-	if !labels["urban/ROBC/gw=10/rep=0"] {
-		t.Errorf("missing expected label, got %v", labels)
+	for _, tc := range []struct {
+		name  string
+		grid  Grid
+		cells int
+		label string // one expected label
+	}{
+		{"figure", FigureGrid, len(GatewaySweep()) * len(Schemes()), "urban/ROBC/gw=10/rep=0"},
+		{"outage", OutageGrid, len(OutageFractions()) * len(Schemes()), "urban/ROBC/down=80%/rep=0"},
+		{"adr", ADRGrid, len(GatewaySweep()) * len(ADRModes()), "urban/ADR+confirmed/gw=25/rep=0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flight := obs.NewFlightRecorder(64)
+			base := QuickConfig()
+			base.Seed = 3
+			base.Duration = time.Hour
+			base.Telemetry.Spans = flight
+			if _, err := tc.grid.Sweep(base, Urban, SweepOptions{Workers: 2, Reps: 1}, nil); err != nil {
+				t.Fatal(err)
+			}
+			spans := flight.Spans(0)
+			if len(spans) != tc.cells {
+				t.Fatalf("recorded %d cell spans, want %d", len(spans), tc.cells)
+			}
+			labels := map[string]bool{}
+			for _, sp := range spans {
+				if sp.Name != "cell" {
+					t.Errorf("unexpected span %q", sp.Name)
+				}
+				if sp.Attr != 0 {
+					t.Errorf("storeless sweep marked span cached: %+v", sp)
+				}
+				if sp.SimNS != base.Duration.Nanoseconds() {
+					t.Errorf("cell span sim clock = %d, want %d", sp.SimNS, base.Duration.Nanoseconds())
+				}
+				labels[sp.Label] = true
+			}
+			if len(labels) != tc.cells {
+				t.Errorf("cell labels not unique: %d distinct of %d", len(labels), tc.cells)
+			}
+			if !labels[tc.label] {
+				t.Errorf("missing expected label %q, got %v", tc.label, labels)
+			}
+		})
 	}
 }
 

@@ -12,12 +12,14 @@ import (
 	"mlorass/internal/telemetry"
 )
 
-// SweepOptions configures ParallelSweep and ParallelSweepFunc.
+// SweepOptions configures a sweep: ParallelSweep, ParallelSweepFunc and
+// Grid.Sweep.
 type SweepOptions struct {
 	// Workers is the worker-pool size; values < 1 mean GOMAXPROCS.
 	Workers int
 	// Reps is the number of replications per cell, each with a seed
-	// derived from the base config's via RepSeed; values < 1 mean 1.
+	// derived from the base config's via RepSeed; values < 1 mean 1. The
+	// outage and ADR grids run one replication per cell whatever it says.
 	Reps int
 	// Store, when non-nil, backs the sweep with the run-artifact cache:
 	// a cell whose (config, seed) key is already stored is loaded
@@ -33,6 +35,9 @@ type CellUpdate struct {
 	Environment Environment
 	Scheme      routing.Scheme
 	Gateways    int
+	// Label names the replication in its grid, as its cell span and
+	// farm cell do (for the figure grid "urban/ROBC/gw=10/rep=0").
+	Label string
 	// Rep is the replication index within the cell, Seed its derived seed.
 	Rep  int
 	Seed uint64
@@ -47,19 +52,33 @@ type CellUpdate struct {
 	Total     int
 }
 
-// AggregatePoint is one (environment, scheme, gateway-count) cell of a
-// replicated figure sweep: every replication's Result plus the collapsed
-// cross-replication statistics.
+// AggregatePoint is one cell of a sweep grid: every replication's Result
+// plus the collapsed cross-replication statistics. Environment, Scheme and
+// Gateways are the cell's config; Fraction is set in the outage grid and
+// Mode in the ADR grid.
 type AggregatePoint struct {
 	Environment Environment
 	Scheme      routing.Scheme
 	Gateways    int
+	// Fraction is the fraction of gateways an outage-grid cell takes down
+	// for one outage window.
+	Fraction float64
+	// Mode is an ADR-grid cell's MAC configuration (zero elsewhere).
+	Mode ADRMode
 	// Seeds holds the replication seeds in replication order.
 	Seeds []uint64
 	// Reps holds each replication's Result in replication order.
 	Reps []*Result
 	// Agg is the cross-replication aggregate of Reps.
 	Agg *Aggregate
+}
+
+// rep0 returns the cell's replication-0 Result, nil when it has none.
+func (p AggregatePoint) rep0() *Result {
+	if len(p.Reps) == 0 {
+		return nil
+	}
+	return p.Reps[0]
 }
 
 // RepSeed derives the seed of replication rep from a base seed.
@@ -76,33 +95,136 @@ func RepSeed(base uint64, rep int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// sweepJob is one (cell, replication) run of a sweep.
+// Grid is one sweep grid. Every grid lays out into labelled Config jobs in
+// table order (layoutSweep) and runs through one in-process executor
+// (Sweep), one farm adapter (Farm) and one renderer (Render).
+type Grid int
+
+const (
+	// FigureGrid is the paper's Figs. 8/9/12/13 grid: gateway count ×
+	// scheme, replicated.
+	FigureGrid Grid = iota
+	// OutageGrid is the outage-resilience grid: fraction of gateways down
+	// × scheme. The paper never tests infrastructure failure; this grid
+	// asks whether the forwarding schemes' delivery advantage survives it.
+	OutageGrid
+	// ADRGrid is the adaptive-data-rate grid: gateway count × MAC mode. The
+	// paper fixes SF7 because "ADR degrades under mobility"; this grid
+	// measures that claim, plus what confirmed traffic's downlink load
+	// costs on the shared channel.
+	ADRGrid
+)
+
+// sweepJob is one labelled (cell, replication) run of a sweep.
 type sweepJob struct {
-	cell int // index into the AggregatePoint slice
-	rep  int
-	cfg  Config
+	cell  int // index into the AggregatePoint slice
+	rep   int
+	label string
+	cfg   Config
 	// cities is the sweep's shared set of generated cities.
 	cities *citySet
 }
 
-// runPool executes jobs 0..n-1 across a pool of workers (values < 1 mean
-// GOMAXPROCS). run is called concurrently; every successful result is handed
-// to onDone from the single collector goroutine, in completion order. Once
-// any job fails the remaining jobs are skipped, and the lowest-index failure
-// is reported as (index, error) so a failing sweep names the same job no
-// matter how completions interleave; full success returns (-1, nil). Both
-// figure and resilience sweeps run on this pool.
-func runPool(n, workers int, run func(i int) (*Result, error), onDone func(i int, res *Result)) (int, error) {
+// layoutSweep lays out grid g's cells and jobs for env in table order,
+// outer axis first and replication innermost: gateway count × scheme for
+// the figure grid, fraction down × scheme for the outage grid, gateway
+// count × mode for the ADR grid. The outage and ADR grids run one
+// replication per cell (their tables read replication 0). Both the
+// in-process executor and the sweep farm enumerate a grid through this one
+// function, so their jobs — and therefore their store keys, labels and
+// output tables — are identical by construction. Every job shares one city
+// set, so each replication's city is generated at most once per sweep.
+func layoutSweep(g Grid, base Config, env Environment, reps int) (cells []AggregatePoint, jobs []sweepJob) {
+	base.Environment = env
+	base.D2DRangeM = 0 // re-derive from environment
+	cities := &citySet{}
+	add := func(p AggregatePoint, cfg Config, n int, name string) {
+		p.Environment, p.Scheme, p.Gateways = env, cfg.Scheme, cfg.NumGateways
+		p.Seeds, p.Reps = make([]uint64, n), make([]*Result, n)
+		for rep := range n {
+			cfg.Seed = RepSeed(base.Seed, rep)
+			p.Seeds[rep] = cfg.Seed
+			jobs = append(jobs, sweepJob{cell: len(cells), rep: rep, cfg: cfg, cities: cities,
+				label: fmt.Sprintf("%s/rep=%d", name, rep)})
+		}
+		cells = append(cells, p)
+	}
+	switch g {
+	case OutageGrid:
+		for _, f := range OutageFractions() {
+			for _, scheme := range Schemes() {
+				cfg := base
+				cfg.Scheme = scheme
+				cfg.Disruption.GatewayOutageFraction = f
+				add(AggregatePoint{Fraction: f}, cfg, 1, fmt.Sprintf("%v/%v/down=%.0f%%", env, scheme, 100*f))
+			}
+		}
+	case ADRGrid:
+		for _, gw := range GatewaySweep() {
+			for _, mode := range ADRModes() {
+				cfg := base
+				cfg.NumGateways = gw
+				cfg.MAC = mode.apply()
+				add(AggregatePoint{Mode: mode}, cfg, 1, fmt.Sprintf("%v/%v/gw=%d", env, mode, gw))
+			}
+		}
+	default:
+		for _, gw := range GatewaySweep() {
+			for _, scheme := range Schemes() {
+				cfg := base
+				cfg.NumGateways = gw
+				cfg.Scheme = scheme
+				add(AggregatePoint{}, cfg, max(reps, 1), fmt.Sprintf("%v/%v/gw=%d", env, scheme, gw))
+			}
+		}
+	}
+	return cells, jobs
+}
+
+// run executes the job through the run store (nil runs it plainly). When
+// the config carries a span sink it emits one cell span: wall time, whether
+// the store served the run (attr 1) or it was simulated (attr 0), and the
+// job's label.
+func (j sweepJob) run(store *runstore.Store, index int) (res *Result, cached bool, err error) {
+	sink := j.cfg.Telemetry.Spans
+	var tok telemetry.SpanToken
+	if sink != nil {
+		tok = sink.StartSpan()
+	}
+	res, cached, err = runThroughStore(store, j.cfg, j.cities)
+	if sink != nil && err == nil {
+		var attr int64
+		if cached {
+			attr = 1
+		}
+		sink.EndSpan(telemetry.SpanEnd{
+			Token: tok, Name: "cell", Shard: index, At: j.cfg.Duration, Attr: attr, Label: j.label,
+		})
+	}
+	return res, cached, err
+}
+
+// Sweep runs grid g for env across a pool of opts.Workers goroutines. Each
+// job is independently seeded and shares no state but the city set, so jobs
+// execute concurrently; results are slotted back into table order
+// regardless of completion order, and each cell's replications are
+// collapsed into an Aggregate. fn, when non-nil, receives one CellUpdate per
+// completed job, in completion order, called sequentially from the pool's
+// single collector goroutine. Once a job fails the remaining jobs are
+// skipped, and the error names the lowest-index failing job by its label,
+// so a failing sweep reports the same job no matter how completions
+// interleave.
+func (g Grid) Sweep(base Config, env Environment, opts SweepOptions, fn func(CellUpdate)) ([]AggregatePoint, error) {
+	cells, jobs := layoutSweep(g, base, env, opts.Reps)
+	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
 	type done struct {
-		idx int
-		res *Result
-		err error
+		idx    int
+		res    *Result
+		cached bool
+		err    error
 	}
 	jobCh := make(chan int)
 	doneCh := make(chan done)
@@ -110,22 +232,21 @@ func runPool(n, workers int, run func(i int) (*Result, error), onDone func(i int
 		failed atomic.Bool // workers skip remaining jobs once set
 		wg     sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for range min(workers, len(jobs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobCh {
-				if failed.Load() {
-					doneCh <- done{idx: i}
-					continue
+				d := done{idx: i}
+				if !failed.Load() {
+					d.res, d.cached, d.err = jobs[i].run(opts.Store, i)
 				}
-				res, err := run(i)
-				doneCh <- done{idx: i, res: res, err: err}
+				doneCh <- d
 			}
 		}()
 	}
 	go func() {
-		for i := 0; i < n; i++ {
+		for i := range jobs {
 			jobCh <- i
 		}
 		close(jobCh)
@@ -133,81 +254,18 @@ func runPool(n, workers int, run func(i int) (*Result, error), onDone func(i int
 		close(doneCh)
 	}()
 
-	firstErrIdx, firstErr := n, error(nil)
+	completed, errIdx := 0, len(jobs)
+	var firstErr error
 	for d := range doneCh {
-		if d.err != nil {
+		switch {
+		case d.err != nil:
 			failed.Store(true)
-			if d.idx < firstErrIdx {
-				firstErrIdx, firstErr = d.idx, d.err
+			if d.idx < errIdx {
+				errIdx, firstErr = d.idx, d.err
 			}
-			continue
-		}
-		if d.res == nil {
-			continue // skipped after a failure elsewhere
-		}
-		onDone(d.idx, d.res)
-	}
-	if firstErr != nil {
-		return firstErrIdx, firstErr
-	}
-	return -1, nil
-}
-
-// ParallelSweep runs the full figure grid — every scheme × gateway count for
-// the given environment, replicated opts.Reps times with seeds derived via
-// RepSeed — across a pool of opts.Workers goroutines. Each Run is
-// independently seeded and shares no state, so cells execute concurrently;
-// results are slotted back into deterministic figure order (gateway count
-// outer, scheme inner, replication innermost) regardless of completion
-// order, and each cell's replications are collapsed into an Aggregate.
-func ParallelSweep(base Config, env Environment, opts SweepOptions) ([]AggregatePoint, error) {
-	return ParallelSweepFunc(base, env, opts, nil)
-}
-
-// ParallelSweepFunc is ParallelSweep with streamed progress: fn, when
-// non-nil, receives one CellUpdate per completed replication, in completion
-// order, called sequentially from the pool's single collector goroutine.
-func ParallelSweepFunc(base Config, env Environment, opts SweepOptions, fn func(CellUpdate)) ([]AggregatePoint, error) {
-	// Lay out cells and jobs in figure order (shared with the sweep farm);
-	// results land by index.
-	cells, jobs := layoutSweep(base, env, opts.Reps)
-	// The collector slots results and streams progress; runPool keeps the
-	// lowest-index error so a failing sweep reports the same cell no
-	// matter how completions interleave. cached[i] is written only by the
-	// worker running job i and read by the single collector after that
-	// job's done message, so the flags need no lock.
-	completed := 0
-	cached := make([]bool, len(jobs))
-	ji, err := runPool(len(jobs), opts.Workers,
-		func(i int) (*Result, error) {
-			j := jobs[i]
-			sink := j.cfg.Telemetry.Spans
-			var tok telemetry.SpanToken
-			if sink != nil {
-				tok = sink.StartSpan()
-			}
-			res, hit, err := runThroughStore(opts.Store, j.cfg, j.cities)
-			cached[i] = hit
-			if sink != nil && err == nil {
-				// One span per cell replication: wall time, whether the
-				// store served it (attr 1) or it was simulated (attr 0),
-				// and the cell identity. The label formats only on the
-				// instrumented path.
-				var attr int64
-				if hit {
-					attr = 1
-				}
-				c := cells[j.cell]
-				sink.EndSpan(telemetry.SpanEnd{
-					Token: tok, Name: "cell", Shard: i, At: j.cfg.Duration, Attr: attr,
-					Label: fmt.Sprintf("%v/%v/gw=%d/rep=%d", c.Environment, c.Scheme, c.Gateways, j.rep),
-				})
-			}
-			return res, err
-		},
-		func(i int, res *Result) {
-			j := jobs[i]
-			cells[j.cell].Reps[j.rep] = res
+		case d.res != nil: // nil: skipped after a failure elsewhere
+			j := jobs[d.idx]
+			cells[j.cell].Reps[j.rep] = d.res
 			completed++
 			if fn != nil {
 				c := cells[j.cell]
@@ -215,24 +273,38 @@ func ParallelSweepFunc(base Config, env Environment, opts SweepOptions, fn func(
 					Environment: c.Environment,
 					Scheme:      c.Scheme,
 					Gateways:    c.Gateways,
+					Label:       j.label,
 					Rep:         j.rep,
 					Seed:        c.Seeds[j.rep],
-					Result:      res,
-					Cached:      cached[i],
+					Result:      d.res,
+					Cached:      d.cached,
 					Completed:   completed,
 					Total:       len(jobs),
 				})
 			}
-		})
-	if err != nil {
-		c := cells[jobs[ji].cell]
-		return nil, fmt.Errorf("sweep %v/%v/gw=%d rep=%d: %w",
-			c.Environment, c.Scheme, c.Gateways, jobs[ji].rep, err)
+		}
+	}
+	if firstErr != nil {
+		return nil, fmt.Errorf("sweep %s: %w", jobs[errIdx].label, firstErr)
 	}
 	for i := range cells {
 		cells[i].Agg = AggregateResults(cells[i].Reps)
 	}
 	return cells, nil
+}
+
+// ParallelSweep runs the figure grid — every scheme × gateway count for the
+// given environment, replicated opts.Reps times with seeds derived via
+// RepSeed — through FigureGrid.Sweep, in figure order (gateway count outer,
+// scheme inner, replication innermost).
+func ParallelSweep(base Config, env Environment, opts SweepOptions) ([]AggregatePoint, error) {
+	return FigureGrid.Sweep(base, env, opts, nil)
+}
+
+// ParallelSweepFunc is ParallelSweep with streamed progress: fn, when
+// non-nil, receives one CellUpdate per completed replication.
+func ParallelSweepFunc(base Config, env Environment, opts SweepOptions, fn func(CellUpdate)) ([]AggregatePoint, error) {
+	return FigureGrid.Sweep(base, env, opts, fn)
 }
 
 // Fig8AggTable renders the replicated mean end-to-end delay table (paper
@@ -270,12 +342,13 @@ func Fig8MatchedTable(points []AggregatePoint) string {
 	var rep0 []AggregatePoint
 	minDelivered := map[int]int{}
 	for _, p := range points {
-		if len(p.Reps) == 0 || p.Reps[0] == nil {
+		r := p.rep0()
+		if r == nil {
 			continue
 		}
 		rep0 = append(rep0, p)
-		if cur, ok := minDelivered[p.Gateways]; !ok || p.Reps[0].Delivered < cur {
-			minDelivered[p.Gateways] = p.Reps[0].Delivered
+		if cur, ok := minDelivered[p.Gateways]; !ok || r.Delivered < cur {
+			minDelivered[p.Gateways] = r.Delivered
 		}
 	}
 	return gridTable(rep0, "Fig 8 (matched coverage): mean delay [s] over each scheme's K fastest deliveries", "",

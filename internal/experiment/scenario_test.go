@@ -345,7 +345,7 @@ func TestOutageSweepAndTable(t *testing.T) {
 	base := tinyConfig()
 	base.Duration = time.Hour
 	base.Disruption.OutageDuration = time.Hour // downed gateways stay down
-	points, err := OutageSweep(base, Urban, 4, nil)
+	points, err := OutageGrid.Sweep(base, Urban, SweepOptions{Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +354,11 @@ func TestOutageSweepAndTable(t *testing.T) {
 	}
 	byFrac := map[float64]int{}
 	for _, p := range points {
-		if p.Result == nil {
-			t.Fatalf("missing result for %v down=%.1f", p.Scheme, p.Fraction)
+		if len(p.Reps) != 1 || p.Reps[0] == nil {
+			t.Fatalf("want one result for %v down=%.1f, got %v", p.Scheme, p.Fraction, p.Reps)
 		}
 		if p.Scheme == routing.SchemeNoRouting {
-			byFrac[p.Fraction] = p.Result.Delivered
+			byFrac[p.Fraction] = p.Reps[0].Delivered
 		}
 	}
 	if byFrac[0.8] >= byFrac[0] {
@@ -460,7 +460,7 @@ func TestCitySetConcurrentGeneratesOnce(t *testing.T) {
 // city encodes to the same artefact as a plain Run.
 func TestSweepSharesCityPerReplication(t *testing.T) {
 	const reps = 2
-	_, jobs := layoutSweep(sweepTestConfig(), Urban, reps)
+	_, jobs := layoutSweep(FigureGrid, sweepTestConfig(), Urban, reps)
 	set := jobs[0].cities
 	for _, j := range jobs {
 		if j.cities != set {

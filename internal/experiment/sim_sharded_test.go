@@ -276,7 +276,7 @@ func TestShardEquivalenceOutageTable(t *testing.T) {
 		t.Helper()
 		cfg := shardTestBase()
 		cfg.Shards = shards
-		points, err := OutageSweep(cfg, Urban, 1, nil)
+		points, err := OutageGrid.Sweep(cfg, Urban, SweepOptions{Workers: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestShardEquivalenceADRTable(t *testing.T) {
 		t.Helper()
 		cfg := adrGoldenConfig(1)
 		cfg.Shards = shards
-		points, err := ADRSweep(cfg, Urban, 1, nil)
+		points, err := ADRGrid.Sweep(cfg, Urban, SweepOptions{Workers: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -197,55 +197,58 @@ func sweepTables(points []AggregatePoint) string {
 		Fig9AggTable(points), Fig12AggTable(points), Fig13AggTable(points))
 }
 
-// TestParallelSweepStoreRoundTrip is the resumability acceptance test: a
-// repeated sweep against the same store re-simulates nothing (every cell
-// loads from cache) and renders byte-identical aggregate tables.
+// TestParallelSweepStoreRoundTrip is the resumability acceptance test, for
+// every sweep grid: a repeated sweep against the same store re-simulates
+// nothing (every cell loads from cache) and renders byte-identical tables.
 func TestParallelSweepStoreRoundTrip(t *testing.T) {
-	store, err := runstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := sweepTestConfig()
-	opts := SweepOptions{Workers: 4, Reps: 2, Store: store}
+	for _, tc := range []struct {
+		name string
+		grid Grid
+	}{{"figure", FigureGrid}, {"outage", OutageGrid}, {"adr", ADRGrid}} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := runstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := sweepTestConfig()
+			opts := SweepOptions{Workers: 4, Reps: 2, Store: store}
+			_, layout := layoutSweep(tc.grid, base, Urban, opts.Reps)
+			jobs := len(layout)
+			sweep := func() (tables string, cached, total int) {
+				points, err := tc.grid.Sweep(base, Urban, opts, func(u CellUpdate) {
+					total++
+					if u.Cached {
+						cached++
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				tc.grid.Render(&b, points, opts.Reps, true)
+				return b.String(), cached, total
+			}
 
-	var firstCached, secondCached, secondTotal int
-	first, err := ParallelSweepFunc(base, Urban, opts, func(u CellUpdate) {
-		if u.Cached {
-			firstCached++
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if firstCached != 0 {
-		t.Fatalf("cold sweep reported %d cached cells", firstCached)
-	}
-	jobs := len(GatewaySweep()) * len(Schemes()) * opts.Reps
-	if st := store.Stats(); st.Puts != uint64(jobs) {
-		t.Fatalf("cold sweep persisted %d artefacts, want %d", st.Puts, jobs)
-	}
-
-	second, err := ParallelSweepFunc(base, Urban, opts, func(u CellUpdate) {
-		secondTotal++
-		if u.Cached {
-			secondCached++
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if secondCached != jobs || secondTotal != jobs {
-		t.Fatalf("warm sweep re-simulated %d of %d cells, want 0", secondTotal-secondCached, secondTotal)
-	}
-	if st := store.Stats(); st.Puts != uint64(jobs) {
-		t.Fatalf("warm sweep wrote %d extra artefacts", st.Puts-uint64(jobs))
-	}
-	if got, want := sweepTables(second), sweepTables(first); got != want {
-		t.Fatalf("cached sweep tables differ:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-	// Replication 0's raw samples (matched-coverage table path) match too.
-	if got, want := Fig8MatchedTable(second), Fig8MatchedTable(first); got != want {
-		t.Fatal("cached matched-coverage table differs")
+			first, cached, _ := sweep()
+			if cached != 0 {
+				t.Fatalf("cold sweep reported %d cached cells", cached)
+			}
+			if st := store.Stats(); st.Puts != uint64(jobs) {
+				t.Fatalf("cold sweep persisted %d artefacts, want %d", st.Puts, jobs)
+			}
+			second, cached, total := sweep()
+			if cached != jobs || total != jobs {
+				t.Fatalf("warm sweep re-simulated %d of %d cells, want 0 of %d", total-cached, total, jobs)
+			}
+			if st := store.Stats(); st.Puts != uint64(jobs) {
+				t.Fatalf("warm sweep wrote %d extra artefacts", st.Puts-uint64(jobs))
+			}
+			// For the figure grid this includes replication 0's raw
+			// samples (the matched-coverage table).
+			if second != first {
+				t.Fatalf("cached sweep tables differ:\n--- got ---\n%s\n--- want ---\n%s", second, first)
+			}
+		})
 	}
 }
 

@@ -31,58 +31,11 @@ func PaperEquivalentGateways(n int) int { return n * 4 }
 // sweep (0 is the paper's permanently healthy baseline).
 func OutageFractions() []float64 { return []float64{0, 0.2, 0.4, 0.6, 0.8} }
 
-// OutagePoint is one (scheme, fraction-of-gateways-down) cell of the
-// resilience sweep.
-type OutagePoint struct {
-	Environment Environment
-	Scheme      routing.Scheme
-	// Fraction is the configured fraction of gateways taken down for one
-	// outage window during the run.
-	Fraction float64
-	Result   *Result
-}
-
-// OutageSweep runs the outage-resilience grid: every scheme × gateway-down
-// fraction for the given environment, on the same worker pool as the figure
-// sweeps (values < 1 mean GOMAXPROCS). Each run is independently seeded and
-// deterministic; results land in (fraction outer, scheme inner) order
-// regardless of completion order. The paper never tests infrastructure
-// failure — this sweep asks whether the forwarding schemes' delivery
-// advantage survives it.
-func OutageSweep(base Config, env Environment, workers int, progress func(string)) ([]OutagePoint, error) {
-	var points []OutagePoint
-	for _, f := range OutageFractions() {
-		for _, scheme := range Schemes() {
-			points = append(points, OutagePoint{Environment: env, Scheme: scheme, Fraction: f})
-		}
-	}
-	i, err := runPool(len(points), workers,
-		func(i int) (*Result, error) {
-			cfg := base
-			cfg.Environment = env
-			cfg.D2DRangeM = 0 // re-derive from environment
-			cfg.Scheme = points[i].Scheme
-			cfg.Disruption.GatewayOutageFraction = points[i].Fraction
-			return Run(cfg)
-		},
-		func(i int, res *Result) {
-			points[i].Result = res
-			if progress != nil {
-				progress(fmt.Sprintf("down=%.0f%% %s", 100*points[i].Fraction, res))
-			}
-		})
-	if err != nil {
-		return nil, fmt.Errorf("outage sweep %v/%v/down=%.0f%%: %w",
-			env, points[i].Scheme, 100*points[i].Fraction, err)
-	}
-	return points, nil
-}
-
-// OutageTable renders the resilience sweep: delivery ratio (and delivered
-// counts) per scheme as the fraction of gateways down grows. Rows are the
-// distinct fractions present in points, ascending, so callers sweeping
-// custom fractions render in full.
-func OutageTable(points []OutagePoint) string {
+// OutageTable renders the outage grid: delivery ratio (and delivered
+// counts) of each cell's replication 0 per scheme as the fraction of
+// gateways down grows. Rows are the distinct fractions present in points,
+// ascending, so callers sweeping custom fractions render in full.
+func OutageTable(points []AggregatePoint) string {
 	type key struct {
 		frac   float64
 		scheme routing.Scheme
@@ -92,7 +45,7 @@ func OutageTable(points []OutagePoint) string {
 	seen := map[float64]bool{}
 	var env Environment
 	for _, p := range points {
-		byKey[key{p.Fraction, p.Scheme}] = p.Result
+		byKey[key{p.Fraction, p.Scheme}] = p.rep0()
 		if !seen[p.Fraction] {
 			seen[p.Fraction] = true
 			fracs = append(fracs, p.Fraction)

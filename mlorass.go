@@ -203,47 +203,41 @@ func Fig8PercentilesAggTable(points []AggregatePoint) string {
 // GatewaySweep returns the gateway counts used by the figure sweeps.
 func GatewaySweep() []int { return experiment.GatewaySweep() }
 
-// OutagePoint is one (scheme, fraction-of-gateways-down) cell of the
-// outage-resilience sweep.
-type OutagePoint = experiment.OutagePoint
-
 // OutageFractions returns the gateway-down fractions of the resilience sweep.
 func OutageFractions() []float64 { return experiment.OutageFractions() }
 
 // OutageSweep runs the outage-resilience grid (every scheme × gateway-down
-// fraction) across a worker pool; workers < 1 means GOMAXPROCS.
-func OutageSweep(base Config, env Environment, workers int, progress func(string)) ([]OutagePoint, error) {
-	return experiment.OutageSweep(base, env, workers, progress)
+// fraction, one replication per cell) on ParallelSweep's worker pool and
+// run store.
+func OutageSweep(base Config, env Environment, opts SweepOptions) ([]AggregatePoint, error) {
+	return experiment.OutageGrid.Sweep(base, env, opts, nil)
 }
 
 // OutageTable renders the resilience sweep: delivery ratio per scheme as the
 // fraction of gateways down grows.
-func OutageTable(points []OutagePoint) string { return experiment.OutageTable(points) }
+func OutageTable(points []AggregatePoint) string { return experiment.OutageTable(points) }
 
 // MACConfig parameterises the adaptive-data-rate and confirmed-traffic
 // subsystem (Config.MAC). The zero value is the paper's uplink-only model,
 // byte-identical to a simulator without the MAC control plane.
 type MACConfig = experiment.MACConfig
 
-// ADRMode is one column of the ADR sweep (fixed-SF, ADR, ADR+confirmed);
-// ADRPoint is one of its (mode, gateway-count) cells.
-type (
-	ADRMode  = experiment.ADRMode
-	ADRPoint = experiment.ADRPoint
-)
+// ADRMode is one column of the ADR sweep (fixed-SF, ADR, ADR+confirmed).
+type ADRMode = experiment.ADRMode
 
 // ADRModes lists the ADR sweep's MAC configurations in column order.
 func ADRModes() []ADRMode { return experiment.ADRModes() }
 
 // ADRSweep runs the adaptive-data-rate grid (every MAC mode × gateway
-// count) across a worker pool; workers < 1 means GOMAXPROCS.
-func ADRSweep(base Config, env Environment, workers int, progress func(string)) ([]ADRPoint, error) {
-	return experiment.ADRSweep(base, env, workers, progress)
+// count, one replication per cell) on ParallelSweep's worker pool and run
+// store.
+func ADRSweep(base Config, env Environment, opts SweepOptions) ([]AggregatePoint, error) {
+	return experiment.ADRGrid.Sweep(base, env, opts, nil)
 }
 
 // ADRTable renders the ADR sweep: delivery ratio, mean uplink SF, and
 // retransmissions per MAC mode as gateway density grows.
-func ADRTable(points []ADRPoint) string { return experiment.ADRTable(points) }
+func ADRTable(points []AggregatePoint) string { return experiment.ADRTable(points) }
 
 // GenerateDataset builds the synthetic TFL-like bus dataset used by the
 // evaluation; see the tfl package for the CSV interchange format.
