@@ -354,6 +354,11 @@ func (s *Simulator) RunUntil(horizon time.Duration) error {
 	return nil
 }
 
+// NextAt returns the scheduled time of the next live event, and false when
+// none is queued. It runs nothing; it may discard cancelled entries from the
+// top of the heap, which leaves the pop order unchanged.
+func (s *Simulator) NextAt() (time.Duration, bool) { return s.peek() }
+
 // peek returns the scheduled time of the next live event, discarding
 // cancelled entries from the top of the heap along the way.
 //

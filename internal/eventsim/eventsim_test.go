@@ -94,6 +94,31 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestNextAt: the accessor reports the earliest live event, skips
+// cancelled ones, runs nothing and leaves the clock alone.
+func TestNextAt(t *testing.T) {
+	s := New()
+	if _, ok := s.NextAt(); ok {
+		t.Fatal("empty simulator reports a next event")
+	}
+	ran := false
+	h, err := s.At(time.Second, func(time.Duration) { ran = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAt(t, s, 3*time.Second, func(time.Duration) { ran = true })
+	if at, ok := s.NextAt(); !ok || at != time.Second {
+		t.Fatalf("NextAt = %v, %v; want 1s, true", at, ok)
+	}
+	s.Cancel(h)
+	if at, ok := s.NextAt(); !ok || at != 3*time.Second {
+		t.Fatalf("after cancel NextAt = %v, %v; want 3s, true", at, ok)
+	}
+	if ran || s.Now() != 0 || s.Executed() != 0 {
+		t.Fatalf("NextAt ran events or moved the clock: ran=%v now=%v", ran, s.Now())
+	}
+}
+
 func TestCancelInvalidHandle(t *testing.T) {
 	s := New()
 	if s.Cancel(Handle{}) {

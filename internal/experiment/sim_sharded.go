@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
@@ -18,33 +19,43 @@ import (
 // This file is the sharded execution engine (Config.Shards ≥ 1): the city is
 // partitioned into spatial tiles, each tile runs its own event kernel on its
 // own goroutine, and the tiles advance in lockstep through conservative
-// lookahead windows. Per window (W, W+L]:
+// lookahead windows. Window j covers (W, W+L] and costs two barriers:
 //
-//   phase A (parallel)  every tile applies its inbox (handover settlements,
-//                       downlink plans) and runs its kernel to the window
-//                       horizon H = W+L: slot ticks, duty retries, churn.
-//                       Transmissions begun are recorded in a per-tile
-//                       outbox instead of scheduling kernel resolutions.
-//   A/B barrier         the coordinator merges every tile's new
-//                       transmissions; each tile imports the foreign ones
-//                       into its radio-medium view (order-free: capture
-//                       takes a max over the interferer set).
-//   phase B (parallel)  each tile resolves its transmissions due by H in
-//                       (time, device, kind) order: gateway reception with
-//                       keyed shadowing draws, MAC requests, broadcast
-//                       records for receivers — all emitted to outboxes.
-//   B/C barrier         the coordinator feeds decoded frames to the ledger,
-//                       throughput series and delay histogram in intrinsic
-//                       (time, sender, seq) order, and replays MAC
-//                       operations against the one global ADR controller
-//                       and downlink scheduler; downlink plans route to
-//                       their device's tile for the next window.
-//   phase C (parallel)  each tile delivers the window's broadcasts to its
-//                       own devices in global (time, sender, seq) order:
-//                       handover reception and neighbour overhearing.
-//                       Failed handovers emit settlements routed back to
-//                       the sender's tile.
-//   C barrier           trace events merge-sort and emit; next window.
+//   phase B (parallel)  every tile imports the window's foreign
+//                       transmissions into its radio-medium view
+//                       (order-free: capture takes a max over the
+//                       interferer set) and resolves its transmissions due
+//                       by H = W+L in (time, device, kind) order: gateway
+//                       reception with keyed shadowing draws, MAC requests,
+//                       and the handover verdict, judged on the sender's
+//                       tile from state that is fixed until the end of
+//                       phase C. A missed handover settles on the sender's
+//                       own inbox. Outboxes come out in resolve order.
+//   B/C barrier         the coordinator merges the tiles' sorted outboxes
+//                       (no sort; one tile's outbox is used in place),
+//                       feeds decoded frames to the ledger, throughput
+//                       series and delay histogram in intrinsic (time,
+//                       sender, seq) order, and replays MAC operations
+//                       against the one global ADR controller and downlink
+//                       scheduler; downlink plans route to their device's
+//                       tile. It then picks the next window to run: the
+//                       next grid window when any tile has an inbox entry,
+//                       otherwise the grid window holding the earliest
+//                       pending kernel event or resolution (the skipped
+//                       windows had no work).
+//   phase C+A (parallel) each tile delivers window j's broadcasts to its
+//                       own devices in global (time, sender, seq) order —
+//                       handover reception and neighbour overhearing — and
+//                       then runs the next window's phase A: it applies its
+//                       inbox (settlements, downlink plans) and runs its
+//                       kernel to that window's horizon. Transmissions begun
+//                       go to a per-tile outbox instead of scheduling
+//                       kernel resolutions. Neither half reads what the
+//                       other half writes on another tile.
+//   C+A barrier         window j's trace events merge-sort and emit; the
+//                       next window's phase B follows.
+//
+// The first window's phase A runs alone, before the loop.
 //
 // Determinism contract: every cross-device random draw is keyed on
 // intrinsic identities (seed, sender, frame sequence, receiver) via
@@ -65,7 +76,8 @@ import (
 // property tests). Duty-cycle retries that would land inside the already-run
 // window are clamped to the window grid and counted as lateRetries.
 
-// shardPhase* number the pool phases.
+// shardPhase* number the pool phases. shardPhaseDeliver also runs the next
+// window's kernel when one is due; shardPhaseKernel runs only the first.
 const (
 	shardPhaseKernel = iota
 	shardPhaseResolve
@@ -85,7 +97,7 @@ const (
 )
 
 // txRec is one transmission begun this window, merged into every tile's
-// medium view at the A/B barrier.
+// medium view at the start of phase B.
 type txRec struct {
 	shard      int32
 	from       int
@@ -101,10 +113,10 @@ type bcastRec struct {
 	from  int
 	seq   uint32
 	shard int32
-	// dest is the effective handover target (-1 when sink-addressed or
-	// preempted by a gateway decode); skip is the originally addressed
-	// device, excluded from overhearing either way (as in the serial
-	// engine's overhear loop).
+	// dest is the target of a handover the sender's tile judged received
+	// (-1 when sink-addressed, missed, or preempted by a gateway decode);
+	// skip is the originally addressed device, excluded from overhearing
+	// either way (as in the serial engine's overhear loop).
 	dest         int
 	skip         int
 	pow          radio.DBm
@@ -149,12 +161,11 @@ type planRec struct {
 }
 
 // settleRec reconciles a failed handover back onto the sender: the bundle
-// (still in the sender shard's arena) returns to its queue head at the next
+// (still in the sender tile's arena) returns to its queue head at the next
 // window start.
 type settleRec struct {
 	at           time.Duration
 	sender       int
-	shard        int32
 	mStart, mEnd int32
 }
 
@@ -177,6 +188,9 @@ type resolveRef struct {
 type shardDiag struct {
 	// Windows is the number of lookahead windows executed.
 	Windows int
+	// Skipped is the number of grid windows passed over without work:
+	// Windows + Skipped is the grid's window count.
+	Skipped int
 	// Causality counts inbox events carrying a timestamp earlier than the
 	// receiving tile's local clock — always zero (property-tested).
 	Causality uint64
@@ -207,23 +221,31 @@ type sharded struct {
 	d2dSeed      uint64
 	listenSeed   uint64
 
-	// Current window bounds, written by the coordinator between barriers.
-	windowStart time.Duration
-	horizon     time.Duration
+	// Bounds of the window whose kernel and resolve phases run next, and
+	// the start of the window phase C delivers; written by the coordinator
+	// between barriers. kernelDue is false for the last window's phase C.
+	windowStart  time.Duration
+	horizon      time.Duration
+	deliverStart time.Duration
+	kernelDue    bool
+
+	// dense runs every grid window, idle or not (tests compare it against
+	// the skipping loop).
+	dense bool
 
 	// Merged per-window views (coordinator-written, shard-read).
 	windowTx    []txRec
 	windowBcast []bcastRec
 
 	// Coordinator scratch, reused across windows.
-	freshBuf   []ingestRec
-	airBuf     []airRec
-	macBuf     []macOp
-	settleBuf  []settleRec
+	bcast      merger[bcastRec]
+	fresh      merger[ingestRec]
+	air        merger[airRec]
+	mac        merger[macOp]
 	traceBuf   []telemetry.Event
 	coordTrace []telemetry.Event
 
-	windows int
+	windows, skipped int
 }
 
 // frameKey packs a transmission's intrinsic identity (sender, sequence)
@@ -283,9 +305,19 @@ func defaultAssign(area geo.Rect, k int) func(id int, home geo.Point) int {
 // for newWorld. The returned diagnostics back the causality and equivalence
 // test layer.
 func runSharded(cfg Config, assign func(id int, home geo.Point) int, cities *citySet) (*Result, *shardDiag, error) {
-	w, err := newWorld(cfg, cities)
+	e, err := newSharded(cfg, assign, cities)
 	if err != nil {
 		return nil, nil, err
+	}
+	return e.execute()
+}
+
+// newSharded builds the world, the tiles and every device's initial kernel
+// events, ready to execute.
+func newSharded(cfg Config, assign func(id int, home geo.Point) int, cities *citySet) (*sharded, error) {
+	w, err := newWorld(cfg, cities)
+	if err != nil {
+		return nil, err
 	}
 	k := max(cfg.Shards, 1)
 	e := &sharded{
@@ -306,7 +338,7 @@ func runSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 	for i := range e.shards {
 		medium, err := radio.NewMedium(e.mediumConfig())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s := &shard{
 			eng:    e,
@@ -366,13 +398,17 @@ func runSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := e.scheduleDisruption(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	return e, nil
+}
 
-	if live := cfg.Telemetry.Live; live != nil {
+// execute runs the window loop and collects the result.
+func (e *sharded) execute() (*Result, *shardDiag, error) {
+	if live := e.cfg.Telemetry.Live; live != nil {
 		// Publish every recorder — coordinator (delay/airtime stream) and
 		// per-shard (tile-local counters) — for the run's duration; a
 		// scrape merges them exactly like collect() does at the end.
@@ -386,7 +422,7 @@ func runSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 		}
 	}
 
-	e.pool = eventsim.NewPool(k, e.phase)
+	e.pool = eventsim.NewPool(len(e.shards), e.phase)
 	if err := e.run(); err != nil {
 		return nil, nil, err
 	}
@@ -456,85 +492,135 @@ func (e *sharded) aliveAt(dev int, at time.Duration) bool {
 }
 
 // phase dispatches one pool phase on one shard. With a span sink
-// configured, every dispatch is timed: the sink owns the clock, so the
+// configured, every tile phase is timed: the sink owns the clock, so the
 // engine stays determinism-lint clean, and the SpanEnd is a stack value
-// with constant-string names — no allocation per window.
+// with constant-string names — no allocation per window. Phase C and the
+// next window's phase A share one dispatch but keep their own spans.
 func (e *sharded) phase(ph, si int) {
 	s := e.shards[si]
-	sink := e.cfg.Telemetry.Spans
-	var tok telemetry.SpanToken
-	if sink != nil {
-		tok = sink.StartSpan()
-	}
 	switch ph {
-	case shardPhaseKernel:
-		s.runKernel()
 	case shardPhaseResolve:
+		tok := e.startSpan()
 		s.runResolve()
-	case shardPhaseDeliver:
-		s.runDeliver()
-	}
-	if sink == nil {
-		return
-	}
-	var name string
-	var attr int64
-	switch ph {
-	case shardPhaseKernel:
-		// Queue depth after the advance: how much future work the tile
-		// is carrying into the next window.
-		name, attr = "kernel", int64(s.es.QueueLen())
-	case shardPhaseResolve:
 		// Cross-tile import fan-out: every shard scans the window's full
 		// transmission set, so this is the replication cost driver.
-		name, attr = "resolve", int64(len(e.windowTx))
+		e.endSpan(tok, "resolve", si, e.windowStart, len(e.windowTx))
+		return
 	case shardPhaseDeliver:
-		name, attr = "deliver", int64(len(e.windowBcast))
+		tok := e.startSpan()
+		s.runDeliver()
+		e.endSpan(tok, "deliver", si, e.deliverStart, len(e.windowBcast))
+		// Everything traced so far belongs to the delivered window's flush;
+		// the next window's kernel events wait for the next one.
+		s.traceMark = len(s.outTrace)
+		if !e.kernelDue {
+			return
+		}
 	}
-	sink.EndSpan(telemetry.SpanEnd{Token: tok, Name: name, Shard: si, At: e.windowStart, Attr: attr})
+	tok := e.startSpan()
+	s.runKernel()
+	// Queue depth after the advance: how much future work the tile is
+	// carrying into the next window.
+	e.endSpan(tok, "kernel", si, e.windowStart, s.es.QueueLen())
 }
 
-// run drives the window loop.
+// startSpan opens a span on the configured sink, if any.
+func (e *sharded) startSpan() telemetry.SpanToken {
+	if sink := e.cfg.Telemetry.Spans; sink != nil {
+		return sink.StartSpan()
+	}
+	return 0
+}
+
+// endSpan closes a span opened by startSpan.
+func (e *sharded) endSpan(tok telemetry.SpanToken, name string, si int, at time.Duration, attr int) {
+	if sink := e.cfg.Telemetry.Spans; sink != nil {
+		sink.EndSpan(telemetry.SpanEnd{Token: tok, Name: name, Shard: si, At: at, Attr: int64(attr)})
+	}
+}
+
+// run drives the window loop: the first window's kernel, then per window
+// phase B, the coordinator's serial section, and phase C fused with the
+// next window's phase A.
 func (e *sharded) run() error {
 	defer e.pool.Close()
-	d := e.cfg.Duration
-	for w := time.Duration(0); w < d; {
-		h := w + e.lookahead
-		if h > d {
-			h = d
-		}
-		e.windowStart, e.horizon = w, h
-		e.windows++
-
-		e.pool.Run(shardPhaseKernel)
+	e.setWindow(0)
+	e.pool.Run(shardPhaseKernel)
+	for {
 		if err := e.firstErr(); err != nil {
 			return err
 		}
+		w := e.windowStart
+		e.windows++
 		e.gatherTx()
 		e.pool.Run(shardPhaseResolve)
-		if err := e.firstErr(); err != nil {
-			return err
-		}
-		sink := e.cfg.Telemetry.Spans
-		var tok telemetry.SpanToken
-		if sink != nil {
-			tok = sink.StartSpan()
-		}
-		e.coordinate()
+
+		tok := e.startSpan()
+		fresh := e.coordinate()
 		e.gatherBcast()
-		if sink != nil {
-			// The coordinator's serial section; attr is the window's
-			// fresh-delivery count, the merge's output volume.
-			sink.EndSpan(telemetry.SpanEnd{
-				Token: tok, Name: "merge", Shard: -1, At: w, Attr: int64(len(e.freshBuf)),
-			})
+		next := e.nextWindow()
+		// The coordinator's serial section; attr is the window's
+		// fresh-delivery count, the merge's output volume.
+		e.endSpan(tok, "merge", -1, w, fresh)
+
+		e.deliverStart = w
+		e.kernelDue = next < e.cfg.Duration
+		if e.kernelDue {
+			e.setWindow(next)
 		}
 		e.pool.Run(shardPhaseDeliver)
-		e.routeSettlements()
 		e.flushTrace()
-		w = h
+		if !e.kernelDue {
+			return nil
+		}
 	}
-	return nil
+}
+
+// setWindow makes the grid window starting at w the next to run.
+func (e *sharded) setWindow(w time.Duration) {
+	e.windowStart, e.horizon = w, min(w+e.lookahead, e.cfg.Duration)
+}
+
+// nextWindow returns the start of the next window to run after the current
+// one, or the duration when none is left, counting the idle grid windows in
+// between as skipped. A window is idle when no tile has an inbox entry, a
+// kernel event or a resolution inside it: it would run nothing but clock
+// advances, so the kernels' clocks are advanced to the returned start
+// instead. This is the lower bound on time stamp (LBTS) of conservative
+// parallel simulation, kept on the window grid so the medium's prune epoch
+// is unchanged for every window that resolves a frame.
+func (e *sharded) nextWindow() time.Duration {
+	h, d, l := e.horizon, e.cfg.Duration, e.lookahead
+	if e.dense {
+		return h
+	}
+	t := d + 1 // earliest pending work; past the last window when none
+	for _, s := range e.shards {
+		if len(s.inSettle) > 0 || len(s.inPlan) > 0 {
+			return h
+		}
+		if len(s.resolves) > 0 {
+			t = min(t, s.resolves[0].at) // phase B leaves them sorted
+		}
+		if at, ok := s.es.NextAt(); ok {
+			t = min(t, at)
+		}
+	}
+	if t > d {
+		e.skipped += int((d - h + l - 1) / l)
+		return d
+	}
+	if t <= h+l {
+		return h // due in the next grid window (or clamped to its start)
+	}
+	next := (t - 1) / l * l // the grid window (W, W+L] holding t
+	e.skipped += int((next - h) / l)
+	for _, s := range e.shards {
+		if err := s.es.RunUntil(next); err != nil {
+			s.err = err
+		}
+	}
+	return next
 }
 
 func (e *sharded) firstErr() error {
@@ -546,7 +632,7 @@ func (e *sharded) firstErr() error {
 	return nil
 }
 
-// gatherTx merges the window's transmissions for the A/B barrier import.
+// gatherTx merges the window's transmissions for phase B's import.
 func (e *sharded) gatherTx() {
 	e.windowTx = e.windowTx[:0]
 	for _, s := range e.shards {
@@ -554,51 +640,36 @@ func (e *sharded) gatherTx() {
 	}
 }
 
-// gatherBcast merges and orders the window's broadcasts for phase C.
+// gatherBcast merges the window's broadcasts into phase C's global order.
 func (e *sharded) gatherBcast() {
-	e.windowBcast = e.windowBcast[:0]
-	for _, s := range e.shards {
-		e.windowBcast = append(e.windowBcast, s.outBcast...)
-	}
-	slices.SortFunc(e.windowBcast, cmpBcast)
+	e.windowBcast = e.bcast.merge(e.shards, func(s *shard) []bcastRec { return s.outBcast }, cmpBcast)
 }
 
 // coordinate runs the B/C barrier work: ledger ingest, the single-stream
-// airtime histogram, and the MAC control plane, all in intrinsic order.
-func (e *sharded) coordinate() {
-	e.freshBuf = e.freshBuf[:0]
-	for _, s := range e.shards {
-		e.freshBuf = append(e.freshBuf, s.outFresh...)
-	}
-	slices.SortFunc(e.freshBuf, cmpIngest)
-	for i := range e.freshBuf {
-		rec := &e.freshBuf[i]
+// airtime histogram, and the MAC control plane, all in intrinsic order. It
+// returns the window's gateway-decoded frame count.
+func (e *sharded) coordinate() int {
+	fresh := e.fresh.merge(e.shards, func(s *shard) []ingestRec { return s.outFresh }, cmpIngest)
+	for i := range fresh {
+		rec := &fresh[i]
 		msgs := e.shards[rec.shard].msgArena[rec.mStart:rec.mEnd]
-		fresh := e.server.Ingest(rec.at, rec.gw, msgs)
-		e.rec.AddServerFresh(fresh)
-		e.throughput.Record(rec.at, fresh)
+		n := e.server.Ingest(rec.at, rec.gw, msgs)
+		e.rec.AddServerFresh(n)
+		e.throughput.Record(rec.at, n)
 	}
 
-	e.airBuf = e.airBuf[:0]
-	for _, s := range e.shards {
-		e.airBuf = append(e.airBuf, s.outAir...)
-	}
-	slices.SortFunc(e.airBuf, cmpAir)
-	for i := range e.airBuf {
-		e.rec.ObserveAirtime(e.airBuf[i].sec)
+	air := e.air.merge(e.shards, func(s *shard) []airRec { return s.outAir }, cmpAir)
+	for i := range air {
+		e.rec.ObserveAirtime(air[i].sec)
 	}
 
 	if !e.macOn {
-		return
+		return len(fresh)
 	}
-	e.macBuf = e.macBuf[:0]
-	for _, s := range e.shards {
-		e.macBuf = append(e.macBuf, s.outMac...)
-	}
-	slices.SortFunc(e.macBuf, cmpMacOp)
+	ops := e.mac.merge(e.shards, func(s *shard) []macOp { return s.outMac }, cmpMacOp)
 	m := e.server.MAC()
-	for i := range e.macBuf {
-		op := &e.macBuf[i]
+	for i := range ops {
+		op := &ops[i]
 		if op.kind == macOpReset {
 			if m.ADR != nil {
 				m.ADR.Reset(op.dev)
@@ -620,23 +691,12 @@ func (e *sharded) coordinate() {
 			hasCmd: plan.HasCmd,
 		})
 	}
+	return len(fresh)
 }
 
-// routeSettlements distributes failed-handover reconciliations to their
-// senders' tiles in intrinsic order.
-func (e *sharded) routeSettlements() {
-	e.settleBuf = e.settleBuf[:0]
-	for _, s := range e.shards {
-		e.settleBuf = append(e.settleBuf, s.outSettle...)
-	}
-	slices.SortFunc(e.settleBuf, cmpSettle)
-	for _, st := range e.settleBuf {
-		sh := e.shards[st.shard]
-		sh.inSettle = append(sh.inSettle, st)
-	}
-}
-
-// flushTrace merge-sorts the window's trace events and emits them.
+// flushTrace merge-sorts the delivered window's trace events — each tile's
+// up to its mark, and the coordinator's — and emits them. A tile's events
+// past its mark come from the next window's kernel and wait for its flush.
 func (e *sharded) flushTrace() {
 	if e.tracer == nil {
 		e.coordTrace = e.coordTrace[:0]
@@ -644,7 +704,8 @@ func (e *sharded) flushTrace() {
 	}
 	e.traceBuf = e.traceBuf[:0]
 	for _, s := range e.shards {
-		e.traceBuf = append(e.traceBuf, s.outTrace...)
+		e.traceBuf = append(e.traceBuf, s.outTrace[:s.traceMark]...)
+		s.outTrace = s.outTrace[:copy(s.outTrace, s.outTrace[s.traceMark:])]
 	}
 	e.traceBuf = append(e.traceBuf, e.coordTrace...)
 	e.coordTrace = e.coordTrace[:0]
@@ -654,6 +715,74 @@ func (e *sharded) flushTrace() {
 		ev.Run = e.traceRun
 		e.tracer.Emit(ev)
 		e.rec.AddTraceEvent()
+	}
+}
+
+// merger merges one outbox kind across tiles; its buffers are reused across
+// windows.
+type merger[T any] struct {
+	runs [][]T
+	buf  []T
+}
+
+// merge merges every tile's outbox, each already in cmp order, and returns
+// the result, valid until the next merge.
+func (m *merger[T]) merge(shards []*shard, outbox func(*shard) []T, cmp func(a, b T) int) []T {
+	m.runs = m.runs[:0]
+	for _, s := range shards {
+		m.runs = append(m.runs, outbox(s))
+	}
+	out := mergeRuns(m.buf, m.runs, cmp)
+	if len(shards) > 1 {
+		m.buf = out
+	}
+	return out
+}
+
+// assertSortedRuns makes mergeRuns check that every run it merges is in
+// order; the package's tests turn it on.
+var assertSortedRuns bool
+
+// mergeRuns merges runs, each already in cmp order, into dst's storage and
+// returns the merged slice; equal elements keep run order. A single run is
+// returned itself, without copying. It consumes runs' slice headers.
+//
+//mlorass:hotpath
+func mergeRuns[T any](dst []T, runs [][]T, cmp func(a, b T) int) []T {
+	if assertSortedRuns {
+		checkSortedRuns(runs, cmp)
+	}
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	dst = dst[:0]
+	for {
+		best, live := -1, 0
+		for i, r := range runs {
+			if len(r) == 0 {
+				continue
+			}
+			live++
+			if best < 0 || cmp(r[0], runs[best][0]) < 0 {
+				best = i
+			}
+		}
+		switch live {
+		case 0:
+			return dst
+		case 1:
+			return append(dst, runs[best]...)
+		}
+		dst = append(dst, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
+}
+
+func checkSortedRuns[T any](runs [][]T, cmp func(a, b T) int) {
+	for i, r := range runs {
+		if !slices.IsSortedFunc(r, cmp) {
+			panic(fmt.Sprintf("experiment: tile %d's outbox is not in merge order", i))
+		}
 	}
 }
 
@@ -683,7 +812,7 @@ func (e *sharded) Duplicate(now time.Duration, gw int, m lorawan.Message) {
 // collect sums the tiles' counters, channel statistics and telemetry into
 // the world's Result.
 func (e *sharded) collect() (*Result, *shardDiag) {
-	diag := &shardDiag{Windows: e.windows, Lookahead: e.lookahead, Devices: e.devices}
+	diag := &shardDiag{Windows: e.windows, Skipped: e.skipped, Lookahead: e.lookahead, Devices: e.devices}
 	var c counters
 	var ms radio.MediumStats
 	snap := e.rec.Snapshot()
@@ -765,16 +894,6 @@ func cmpAir(a, b airRec) int {
 		return 1
 	}
 	return a.dev - b.dev
-}
-
-func cmpSettle(a, b settleRec) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	}
-	return a.sender - b.sender
 }
 
 func traceRank(k telemetry.EventKind) int {

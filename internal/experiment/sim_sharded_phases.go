@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mlorass/internal/eventsim"
+	"mlorass/internal/geo"
 	"mlorass/internal/lorawan"
 	"mlorass/internal/mac"
 	"mlorass/internal/radio"
@@ -17,6 +18,8 @@ import (
 // spatial index, and telemetry recorder over the devices it owns. All
 // cross-tile state flows through the out*/in* window buffers, exchanged at
 // the coordinator's barriers — no shard ever writes another shard's state.
+// Phase B reads other tiles' devices only where that state is fixed for the
+// phase: flight intervals, listen fractions, trajectories, the plan.
 type shard struct {
 	counters
 	eng    *sharded
@@ -46,14 +49,22 @@ type shard struct {
 	// after last window's settlements were applied.
 	msgArena []lorawan.Message
 
-	outTx     []txRec
-	outAir    []airRec
-	outFresh  []ingestRec
-	outBcast  []bcastRec
-	outMac    []macOp
-	outSettle []settleRec
-	outTrace  []telemetry.Event
+	// Outboxes. outTx and outAir fill in phase A (outAir is sorted at its
+	// end), the rest in phase B in resolve order, so the coordinator merges
+	// all but outTx without sorting.
+	outTx    []txRec
+	outAir   []airRec
+	outFresh []ingestRec
+	outBcast []bcastRec
+	outMac   []macOp
 
+	// outTrace holds sampled events not yet flushed; those before
+	// traceMark belong to the window being flushed.
+	outTrace  []telemetry.Event
+	traceMark int
+
+	// Inboxes for the next window's phase A: downlink plans from the
+	// coordinator, and this tile's own missed handovers.
 	inPlan   []planRec
 	inSettle []settleRec
 }
@@ -124,30 +135,24 @@ func (s *shard) scheduleTick(d *device, at time.Duration) {
 
 // runKernel applies the tile's inbox from the previous window and runs its
 // kernel to the horizon. Settlements are applied before downlink plans, both
-// in the coordinator's intrinsic routing order, then the window's slot
-// ticks, retries, and churn events execute.
+// in intrinsic (time, device) order, then the window's slot ticks, retries,
+// and churn events execute.
 func (s *shard) runKernel() {
 	e := s.eng
 	w := e.windowStart
 
 	s.outTx = s.outTx[:0]
 	s.outAir = s.outAir[:0]
-	s.outFresh = s.outFresh[:0]
-	s.outBcast = s.outBcast[:0]
-	s.outMac = s.outMac[:0]
-	s.outSettle = s.outSettle[:0]
-	s.outTrace = s.outTrace[:0]
 
 	// Failed handovers from last window: the bundle (still in this tile's
-	// previous-window arena — the sender is always local) returns to the
-	// sender's queue head, and a retry is armed like the serial engine does
-	// at resolve time.
+	// previous-window arena) returns to the sender's queue head, and a retry
+	// is armed like the serial engine does at resolve time.
 	for _, st := range s.inSettle {
 		if st.at > w {
 			s.causality++
 		}
 		d := e.devices[st.sender]
-		d.queue.PushFront(e.shards[st.shard].msgArena[st.mStart:st.mEnd])
+		d.queue.PushFront(s.msgArena[st.mStart:st.mEnd])
 		s.scheduleNextAttempt(d)
 	}
 	s.inSettle = s.inSettle[:0]
@@ -167,6 +172,9 @@ func (s *shard) runKernel() {
 	if err := s.es.RunUntil(e.horizon); err != nil {
 		s.err = err
 	}
+	// Same-instant transmissions leave the kernel in scheduling order; the
+	// coordinator merges airtimes in (time, device) order.
+	slices.SortFunc(s.outAir, cmpAir)
 }
 
 // tick mirrors sim.tick with intrinsic message identity: the estimator
@@ -374,6 +382,9 @@ func (s *shard) runResolve() {
 	e := s.eng
 	h := e.horizon
 	s.msgArena = s.msgArena[:0]
+	s.outFresh = s.outFresh[:0]
+	s.outBcast = s.outBcast[:0]
+	s.outMac = s.outMac[:0]
 	for i := range e.windowTx {
 		t := &e.windowTx[i]
 		if t.shard == int32(s.idx) {
@@ -397,10 +408,9 @@ func (s *shard) runResolve() {
 	s.resolves = kept
 }
 
-// resolveUp mirrors sim.resolve's sender side: gateway reception, MAC
-// reaction or retry bookkeeping, and the broadcast record receivers consume
-// in phase C. The handover outcome itself is receiver-side (phase C), with
-// failure settling back next window.
+// resolveUp mirrors sim.resolve: gateway reception, MAC reaction or retry
+// bookkeeping, the handover verdict, and the broadcast record receivers
+// consume in phase C. A missed handover settles back next window.
 //
 //mlorass:hotpath
 func (s *shard) resolveUp(d *device, now time.Duration) {
@@ -444,9 +454,18 @@ func (s *shard) resolveUp(d *device, now time.Duration) {
 			s.uplinkAcked(d)
 		}
 	case dest >= 0:
-		// One handover attempt per decision; the receiving tile judges it
-		// in phase C and settles a miss back to this tile next window.
+		// One handover attempt per decision. The target's tile applies a
+		// received bundle in phase C; a miss returns to this device's queue
+		// head at the next window's start.
 		d.fwdTarget = -1
+		s.handoverAttempts++
+		if !s.handoverReceived(tx.Pos, d.id, frame.Seq, dest, now) {
+			s.handoverLostMsgs += uint64(len(frame.Messages))
+			s.inSettle = append(s.inSettle, settleRec{
+				at: now, sender: d.id, mStart: mStart, mEnd: mEnd,
+			})
+			bDest = -1
+		}
 		s.scheduleNextAttempt(d)
 	default:
 		d.queue.PushFront(frame.Messages)
@@ -465,6 +484,22 @@ func (s *shard) resolveUp(d *device, now time.Duration) {
 			mStart:      mStart, mEnd: mEnd,
 		})
 	}
+}
+
+// handoverReceived mirrors sim.resolveHandover's reception test, run on the
+// sender's tile in phase B: the target must be awake, alive, off the air,
+// listening and in range at the frame's end. It reads the target's flight
+// intervals and listen fraction, which only phase A writes, its stateless
+// trajectory and the disruption plan, so the target's own tile may run
+// concurrently.
+func (s *shard) handoverReceived(pos geo.Point, from int, seq uint32, dest int, at time.Duration) bool {
+	e := s.eng
+	target := e.devices[dest]
+	if target.busyAt(at) || !e.aliveAt(dest, at) || !s.listeningAt(target, from, seq) {
+		return false
+	}
+	tpos, ok := target.node.PositionAt(at)
+	return ok && pos.Dist(tpos) <= e.cfg.D2DRangeM
 }
 
 // receiveAtGateways mirrors sim.receiveAtGateways with intrinsic gateway
@@ -630,16 +665,16 @@ func (s *shard) ackTimeout(d *device, now time.Duration) {
 // ---------------------------------------------------------------- phase C
 
 // runDeliver walks the window's merged broadcasts in global (time, sender,
-// seq) order, handling handover reception for targets this tile owns and
+// seq) order, applying received handovers to targets this tile owns and
 // overhearing across the tile's own spatial index. Every random draw is
 // keyed on (frame, receiver), so outcomes are identical for every tile
-// layout even though each tile only judges its own receivers.
+// layout even though each tile only updates its own receivers.
 func (s *shard) runDeliver() {
 	e := s.eng
 	for i := range e.windowBcast {
 		b := &e.windowBcast[i]
 		if b.dest >= 0 && int(e.owner[b.dest]) == s.idx {
-			s.receiveHandover(b)
+			s.acceptHandover(b)
 		}
 		if e.overhearOn {
 			s.overhearBcast(b)
@@ -647,25 +682,12 @@ func (s *shard) runDeliver() {
 	}
 }
 
-// receiveHandover mirrors sim.resolveHandover's receiver side. A miss emits
-// a settlement the coordinator routes back to the sender's tile.
-func (s *shard) receiveHandover(b *bcastRec) {
+// acceptHandover mirrors sim.resolveHandover's success path for a handover
+// the sender's tile judged received: the bundle joins the target's queue.
+func (s *shard) acceptHandover(b *bcastRec) {
 	e := s.eng
-	s.handoverAttempts++
 	target := e.devices[b.dest]
 	msgs := e.shards[b.shard].msgArena[b.mStart:b.mEnd]
-	tpos, ok := target.pos(b.at)
-	received := ok && !target.busyAt(b.at) && e.aliveAt(b.dest, b.at) &&
-		s.listeningAt(target, b.from, b.seq) &&
-		b.pos.Dist(tpos) <= e.cfg.D2DRangeM
-	if !received {
-		s.handoverLostMsgs += uint64(len(msgs))
-		s.outSettle = append(s.outSettle, settleRec{
-			at: b.at, sender: b.from, shard: b.shard,
-			mStart: b.mStart, mEnd: b.mEnd,
-		})
-		return
-	}
 	s.handoverSuccesses++
 	s.handoverMsgs += uint64(len(msgs))
 	s.rec.AddRelayHops(len(msgs))

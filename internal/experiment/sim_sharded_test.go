@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"mlorass/internal/lorawan"
 	"mlorass/internal/rng"
 	"mlorass/internal/routing"
+	"mlorass/internal/telemetry"
 )
 
 // The sharded engine's contract is shard-count and tile-layout invariance:
@@ -16,6 +18,11 @@ import (
 // every partition of the city, and every GOMAXPROCS. Shards = 1 is the
 // reference (locked by its own golden); every test here compares against it.
 // All tests run under the CI race job (`go test -race -run Shard ./...`).
+
+// Every merge of tile outboxes in this package's tests checks that each
+// outbox arrives in merge order — with one tile, that the outbox used in
+// place is already the window's order.
+func init() { assertSortedRuns = true }
 
 // shardTestVariants spans the engine's cross-tile machinery: plain uplinks,
 // handover/overhear forwarding, the keyed Class-A listen gate, the MAC
@@ -189,6 +196,59 @@ func TestShardRandomBoundaryInvariance(t *testing.T) {
 			t.Errorf("trial %d (%s, k=%d): partition changed the result:\n--- reference\n%s\n--- got\n%s",
 				trial, kind, k, ref, got)
 		}
+	}
+}
+
+// TestShardTraceInvariance: the per-packet trace is part of the tile
+// engine's N-invariance contract. For every variant, a full-sampling trace
+// at 1, 2 and 4 tiles and under a random layout must be the identical event
+// stream, in non-decreasing time, with one event per counted trace event.
+func TestShardTraceInvariance(t *testing.T) {
+	record := func(t *testing.T, cfg Config, assign func(id int, home geo.Point) int) []telemetry.Event {
+		t.Helper()
+		sink := &telemetry.MemSink{}
+		cfg.Telemetry.Trace = telemetry.NewTracer(sink, 1)
+		res, _ := shardRun(t, cfg, assign)
+		events := sink.Events()
+		if n := res.Telemetry.Counters.TraceEvents; uint64(len(events)) != n {
+			t.Fatalf("shards=%d: sink holds %d events, counter says %d", cfg.Shards, len(events), n)
+		}
+		for i := 1; i < len(events); i++ {
+			if events[i].T < events[i-1].T {
+				t.Fatalf("shards=%d: event %d at %v precedes event %d at %v",
+					cfg.Shards, i, events[i].T, i-1, events[i-1].T)
+			}
+		}
+		return events
+	}
+	for name, mut := range shardTestVariants() {
+		t.Run(name, func(t *testing.T) {
+			base := shardTestBase()
+			mut(&base)
+			base.Shards = 1
+			ref := record(t, base, nil)
+			if len(ref) == 0 {
+				t.Fatal("trace is empty")
+			}
+			owners := rng.New(rng.Key2(5, uint64(len(name)), 3))
+			random := func(int, geo.Point) int { return owners.Intn(3) }
+			for _, run := range []struct {
+				shards int
+				assign func(id int, home geo.Point) int
+			}{{2, nil}, {4, nil}, {3, random}} {
+				cfg := base
+				cfg.Shards = run.shards
+				got := record(t, cfg, run.assign)
+				if !slices.Equal(got, ref) {
+					i := 0
+					for i < min(len(got), len(ref)) && got[i] == ref[i] {
+						i++
+					}
+					t.Errorf("shards=%d (random layout %v): trace differs from shards=1 at event %d of %d/%d",
+						run.shards, run.assign != nil, i, len(got), len(ref))
+				}
+			}
+		})
 	}
 }
 
@@ -409,5 +469,97 @@ func TestShardKernelLoopAllocInvariant(t *testing.T) {
 	if perWindow > 0.5 {
 		t.Errorf("kernel loop allocates in steady state: %.2f allocs/window over %d extra windows (%.0f → %.0f)",
 			perWindow, extraWindows, a1, a2)
+	}
+}
+
+// TestShardSkipsIdleWindows: on a 1-tile quick fig-8 cell the window loop
+// jumps over grid windows without work. Every grid window is either run or
+// skipped, at least a quarter are skipped, no boundary event arrives before
+// a tile's clock, and the report is the one the loop gives when it runs
+// every window. At 20 gateways most uplinks land first time, so about half
+// the windows are idle (at 10, about a fifth).
+func TestShardSkipsIdleWindows(t *testing.T) {
+	for _, scheme := range Schemes() {
+		cfg := QuickConfig()
+		cfg.Seed = 1
+		cfg.Scheme = scheme
+		cfg.NumGateways = 20
+		cfg.Shards = 1
+		cfg.Normalize()
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		run := func(dense bool) (*Result, *shardDiag) {
+			e, err := newSharded(cfg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.dense = dense
+			res, diag, err := e.execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, diag
+		}
+		res, diag := run(false)
+		ref, refDiag := run(true)
+		grid := int((cfg.Duration + diag.Lookahead - 1) / diag.Lookahead)
+		if diag.Windows+diag.Skipped != grid || refDiag.Windows != grid || refDiag.Skipped != 0 {
+			t.Errorf("%v: ran %d + skipped %d windows (dense: %d + %d), grid has %d",
+				scheme, diag.Windows, diag.Skipped, refDiag.Windows, refDiag.Skipped, grid)
+		}
+		if 4*diag.Skipped < grid {
+			t.Errorf("%v: skipped %d of %d windows, want at least a quarter", scheme, diag.Skipped, grid)
+		}
+		if diag.Causality != 0 {
+			t.Errorf("%v: %d causality violations", scheme, diag.Causality)
+		}
+		if got, want := res.Report(), ref.Report(); got != want {
+			t.Errorf("%v: skipping idle windows changed the report:\n--- every window\n%s\n--- skipping\n%s",
+				scheme, want, got)
+		}
+		t.Logf("%v: skipped %d of %d windows", scheme, diag.Skipped, grid)
+	}
+}
+
+// TestMergeRuns: one run is returned in place without allocating, and 2–4
+// random sorted runs merge to what sorting their concatenation gives.
+func TestMergeRuns(t *testing.T) {
+	cmp := func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return a[0] - b[0]
+		}
+		return a[1] - b[1]
+	}
+	one := [][2]int{{1, 0}, {2, 0}, {2, 1}}
+	runs := [][][2]int{one}
+	var got [][2]int
+	if allocs := testing.AllocsPerRun(10, func() { got = mergeRuns(nil, runs, cmp) }); allocs != 0 {
+		t.Errorf("merging one run allocates %.0f times", allocs)
+	}
+	if len(got) != len(one) || &got[0] != &one[0] {
+		t.Error("merging one run did not return it in place")
+	}
+
+	src := rng.New(11)
+	var buf [][2]int
+	for trial := 0; trial < 200; trial++ {
+		k := 2 + src.Intn(3)
+		runs := make([][][2]int, k)
+		var all [][2]int
+		for i := range runs {
+			for n := src.Intn(20); n > 0; n-- {
+				// Keys collide across runs; the second field tells the
+				// run apart, so the merge order is total.
+				runs[i] = append(runs[i], [2]int{src.Intn(15), i})
+			}
+			slices.SortFunc(runs[i], cmp)
+			all = append(all, runs[i]...)
+		}
+		slices.SortFunc(all, cmp)
+		buf = mergeRuns(buf, runs, cmp)
+		if !slices.Equal(buf, all) {
+			t.Fatalf("trial %d (k=%d): merge %v, sort %v", trial, k, buf, all)
+		}
 	}
 }
