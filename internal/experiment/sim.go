@@ -653,12 +653,13 @@ func (s *sim) overhear(sender *device, tx *radio.Transmission, frame lorawan.Fra
 	if s.ix.stale(now) {
 		s.ix.refresh(now, s.activeList, s.motionFn)
 	}
+	// Candidates all hold data: the index drops empty queues.
 	for _, zi := range s.ix.candidates(now, tx.Pos, maxR) {
 		if zi == sender.id || zi == dest {
 			continue
 		}
 		z := s.devices[zi]
-		if z.busy || z.failed || z.queue.Len() == 0 {
+		if z.busy || z.failed {
 			continue
 		}
 		zpos, ok := z.pos(now)

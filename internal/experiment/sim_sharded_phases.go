@@ -752,12 +752,14 @@ func (s *shard) overhearBcast(b *bcastRec) {
 		AdvertisedRCAETX:   b.advRCAETX,
 		AdvertisedQueueLen: b.advQueueLen,
 	}
+	// Candidates all hold data: the index drops empty queues, and only
+	// this tile writes its devices' queues.
 	for _, zi := range s.ix.candidates(now, b.pos, maxR) {
 		if zi == b.from || zi == b.skip {
 			continue
 		}
 		z := e.devices[zi]
-		if z.busyAt(now) || !e.aliveAt(zi, now) || z.queue.Len() == 0 {
+		if z.busyAt(now) || !e.aliveAt(zi, now) {
 			continue
 		}
 		zpos, ok := z.pos(now)

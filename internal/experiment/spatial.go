@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mlorass/internal/geo"
+	"mlorass/internal/lorawan"
 	"mlorass/internal/mobility"
 )
 
@@ -27,8 +28,12 @@ import (
 //
 // A bus's span is its current route segment, so for most devices most of
 // the time the bound is the radius itself. Queries return a superset of the
-// devices within the radius, ascending by id; callers check exact distances
-// against live positions.
+// devices within the radius that hold data, ascending by id; callers check
+// exact distances against live positions. A device holds data when its
+// queue in the world's slab is non-empty; only a holder can act on an
+// overheard broadcast. The filter runs before the line test and costs one
+// load from the slab. Callers must not change a queue while they walk a
+// query's result.
 //
 // Rows start at the lowest placement and are rowM high, or taller when
 // that would take more than 2n + 8 rows for n devices. Each row is cut into
@@ -44,6 +49,10 @@ type devIndex struct {
 
 	builtAt, mid time.Duration
 	valid        bool
+
+	// queues is the world's queue slab, by device id: a query keeps only
+	// devices whose queue holds data.
+	queues []lorawan.Queue
 
 	// Row r is the band y0 + [r, r+1)·rowH, cut into the bins row[r]
 	// describes: binStart[b]..binStart[b+1] delimits bin b's entries in
@@ -116,8 +125,9 @@ const (
 // a variable only so a test can prove that.
 var ixRebuildEvery = 30 * time.Second
 
-// newDevIndex sizes the rows by the nominal query radius.
-func newDevIndex(radiusM float64, period time.Duration, maxSpeedMPS float64) *devIndex {
+// newDevIndex sizes the rows by the nominal query radius. queues is the
+// queue slab, indexed by every id the index will be given.
+func newDevIndex(radiusM float64, period time.Duration, maxSpeedMPS float64, queues []lorawan.Queue) *devIndex {
 	if radiusM <= 0 {
 		radiusM = 1000
 	}
@@ -125,6 +135,7 @@ func newDevIndex(radiusM float64, period time.Duration, maxSpeedMPS float64) *de
 		rowM:        radiusM * ixRowFrac,
 		period:      period,
 		maxSpeedMPS: maxSpeedMPS,
+		queues:      queues,
 	}
 }
 
@@ -276,10 +287,11 @@ func (ix *devIndex) slotOf(id int) int {
 	return k
 }
 
-// candidates returns device ids possibly within radius of p at query time,
-// in ascending id order for deterministic iteration. The result is a
-// superset of the devices within the radius (callers filter by exact
-// distance). The result slice is reused across calls; callers must not
+// candidates returns the ids of devices holding data that are possibly
+// within radius of p at query time, in ascending id order for deterministic
+// iteration. The result is a superset of the holders within the radius
+// (callers filter by exact distance) and holds no device whose queue is
+// empty. The result slice is reused across calls; callers must not
 // retain it.
 //
 //mlorass:hotpath
@@ -346,14 +358,17 @@ func (ix *devIndex) scan(out []int, q *ixQuery) []int {
 	return out
 }
 
-// keep appends the entries whose line at the query instant lies within
-// the tight radius of the query point, or within the slack their span
-// allows when the instant lies off it.
+// keep appends the entries of devices holding data whose line at the query
+// instant lies within the tight radius of the query point, or within the
+// slack their span allows when the instant lies off it.
 //
 //mlorass:hotpath
 func (ix *devIndex) keep(out []int, ents []ixEntry, q *ixQuery) []int {
 	for i := range ents {
 		e := &ents[i]
+		if ix.queues[e.id].Len() == 0 {
+			continue
+		}
 		ex := e.x + e.vx*q.dt - q.p.X
 		ey := e.y + e.vy*q.dt - q.p.Y
 		if d2 := ex*ex + ey*ey; d2 <= q.tight2 || ix.offSpan(e, q.now, d2, q.tight) {

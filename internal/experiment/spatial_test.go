@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"mlorass/internal/geo"
+	"mlorass/internal/lorawan"
 	"mlorass/internal/mobility"
 	"mlorass/internal/routing"
 	"mlorass/internal/tfl"
@@ -24,7 +26,7 @@ func (w gridWorld) motion(id int, now, mid time.Duration) (mobility.Motion, bool
 }
 
 func TestDevIndexFindsNeighbours(t *testing.T) {
-	ix := newDevIndex(1000, 30*time.Second, 11)
+	ix := newDevIndex(1000, 30*time.Second, 11, heldQueues(5))
 	world := gridWorld{
 		1: {X: 100, Y: 100},
 		2: {X: 500, Y: 100},
@@ -41,8 +43,12 @@ func TestDevIndexFindsNeighbours(t *testing.T) {
 	}
 }
 
+// TestDevIndexCandidatesSorted: candidates come back ascending, and with
+// queue emptiness drawn afresh for every query they are exactly the devices
+// holding data (all twenty lie within the query radius).
 func TestDevIndexCandidatesSorted(t *testing.T) {
-	ix := newDevIndex(500, time.Minute, 11)
+	queues := heldQueues(20)
+	ix := newDevIndex(500, time.Minute, 11, queues)
 	world := gridWorld{}
 	ids := make([]int, 0, 20)
 	for i := 19; i >= 0; i-- {
@@ -50,16 +56,67 @@ func TestDevIndexCandidatesSorted(t *testing.T) {
 		ids = append(ids, i)
 	}
 	ix.refresh(0, ids, world.motion)
-	got := ix.candidates(0, geo.Point{X: 450, Y: 450}, 2000)
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("candidates not sorted: %v", got)
+	rnd := rand.New(rand.NewSource(1))
+	for q := 0; q < 20; q++ {
+		if q > 0 {
+			holdRandomly(queues, rnd)
+		}
+		got := ix.candidates(0, geo.Point{X: 450, Y: 450}, 2000)
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("query %d: candidates not sorted: %v", q, got)
+			}
+		}
+		var want []int
+		for id := range queues {
+			if queues[id].Len() > 0 {
+				want = append(want, id)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %d: candidates %v, want the holders %v", q, got, want)
+		}
+	}
+}
+
+// heldQueues returns a queue slab of n queues holding one message each.
+func heldQueues(n int) []lorawan.Queue {
+	qs := make([]lorawan.Queue, n)
+	for i := range qs {
+		qs[i].Push(lorawan.Message{ID: uint64(i)})
+	}
+	return qs
+}
+
+// holdRandomly empties about half the slab's queues at random and gives
+// the others one message each.
+func holdRandomly(qs []lorawan.Queue, rnd *rand.Rand) {
+	for i := range qs {
+		qs[i] = lorawan.Queue{}
+		if rnd.Intn(2) == 0 {
+			qs[i].Push(lorawan.Message{ID: uint64(i)})
+		}
+	}
+}
+
+// checkHolders fails unless got, a query's result, holds every device
+// inRange reports among those holding data, and none whose queue is empty.
+func checkHolders(t *testing.T, got []int, ids []int, qs []lorawan.Queue, inRange func(id int) bool) {
+	t.Helper()
+	for _, id := range got {
+		if qs[id].Len() == 0 {
+			t.Fatalf("device %d with an empty queue among candidates %v", id, got)
+		}
+	}
+	for _, id := range ids {
+		if qs[id].Len() > 0 && inRange(id) && !containsInt(got, id) {
+			t.Fatalf("device %d holds data and is in range, but missing from %v", id, got)
 		}
 	}
 }
 
 func TestDevIndexSkipsInactive(t *testing.T) {
-	ix := newDevIndex(1000, time.Minute, 11)
+	ix := newDevIndex(1000, time.Minute, 11, heldQueues(3))
 	world := gridWorld{1: {X: 10, Y: 10}}
 	// Device 2 reports no motion (out of service) and must not be indexed.
 	src := func(id int, now, mid time.Duration) (mobility.Motion, bool) {
@@ -76,7 +133,7 @@ func TestDevIndexSkipsInactive(t *testing.T) {
 }
 
 func TestDevIndexStaleness(t *testing.T) {
-	ix := newDevIndex(1000, 30*time.Second, 11)
+	ix := newDevIndex(1000, 30*time.Second, 11, heldQueues(3))
 	world := gridWorld{1: {X: 100, Y: 100}}
 	ix.refresh(0, []int{1}, world.motion)
 	// Within the rebuild window the index is not rebuilt even if the
@@ -97,7 +154,7 @@ func TestDevIndexSlackCoversMovement(t *testing.T) {
 	// A device whose motion is known only at the placement instant (the
 	// stateless cursor's answer) must still be found anywhere it can reach
 	// at max speed over the rebuild window.
-	ix := newDevIndex(500, 30*time.Second, 11)
+	ix := newDevIndex(500, 30*time.Second, 11, heldQueues(2))
 	start := geo.Point{X: 1000, Y: 1000}
 	pos := func(at time.Duration) geo.Point {
 		return geo.Point{X: start.X + 11*at.Seconds(), Y: start.Y}
@@ -114,7 +171,7 @@ func TestDevIndexSlackCoversMovement(t *testing.T) {
 }
 
 func TestDevIndexDefaultCell(t *testing.T) {
-	ix := newDevIndex(0, time.Minute, 11) // 0 falls back to a 1 km radius
+	ix := newDevIndex(0, time.Minute, 11, nil) // 0 falls back to a 1 km radius
 	if ix.rowM != 1000*ixRowFrac {
 		t.Fatalf("default row height = %v", ix.rowM)
 	}
@@ -124,7 +181,7 @@ func TestDevIndexDefaultCell(t *testing.T) {
 // query radius appears among the candidates.
 func TestQuickDevIndexComplete(t *testing.T) {
 	f := func(coords []uint16, qx, qy uint16, radRaw uint8) bool {
-		ix := newDevIndex(700, time.Minute, 11)
+		ix := newDevIndex(700, time.Minute, 11, heldQueues(len(coords)/2))
 		world := gridWorld{}
 		ids := make([]int, 0, len(coords)/2)
 		for i := 0; i+1 < len(coords); i += 2 {
@@ -161,7 +218,7 @@ func containsInt(xs []int, v int) bool {
 // invariant: once the row and scratch buffers are warm, rebuilds and
 // candidate queries allocate nothing.
 func TestDevIndexZeroAllocSteadyState(t *testing.T) {
-	ix := newDevIndex(500, 30*time.Second, 11)
+	ix := newDevIndex(500, 30*time.Second, 11, heldQueues(1001))
 	world := gridWorld{}
 	ids := make([]int, 0, 200)
 	for i := 0; i < 200; i++ {
@@ -193,12 +250,16 @@ func TestDevIndexZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestDevIndexMatchesBruteForce cross-checks the index against a brute force
-// reference over randomised worlds: candidate supersets and ascending order,
-// for ascending and non-ascending id input.
+// reference over randomised worlds, for ascending and non-ascending id
+// input, with queue emptiness drawn afresh for every query: candidates come
+// back ascending, hold every in-range device that holds data, and no device
+// whose queue is empty.
 func TestDevIndexMatchesBruteForce(t *testing.T) {
 	rnd := func(seed, mod int) float64 { return float64((seed*2654435761)%mod) + 0.25 }
+	held := rand.New(rand.NewSource(2))
 	for _, descending := range []bool{false, true} {
-		ix := newDevIndex(700, 30*time.Second, 11)
+		queues := heldQueues(300)
+		ix := newDevIndex(700, 30*time.Second, 11, queues)
 		world := gridWorld{}
 		var ids []int
 		for i := 0; i < 300; i++ {
@@ -214,18 +275,14 @@ func TestDevIndexMatchesBruteForce(t *testing.T) {
 		for q := 0; q < 50; q++ {
 			p := geo.Point{X: rnd(q+3, 9000), Y: rnd(q+11, 9000)}
 			radius := 400 + float64(q*37%1200)
+			holdRandomly(queues, held)
 			got := ix.candidates(time.Duration(q)*time.Second, p, radius)
 			for i := 1; i < len(got); i++ {
 				if got[i] <= got[i-1] {
 					t.Fatalf("descending=%v query %d: candidates not ascending: %v", descending, q, got)
 				}
 			}
-			for id, pt := range world {
-				if pt.Dist(p) <= radius && !containsInt(got, id) {
-					t.Fatalf("descending=%v query %d: device %d within %v missing from %v",
-						descending, q, id, radius, got)
-				}
-			}
+			checkHolders(t, got, ids, queues, func(id int) bool { return world[id].Dist(p) <= radius })
 		}
 	}
 }
@@ -302,7 +359,7 @@ func TestDevIndexSupersetOfTrueNeighbours(t *testing.T) {
 	const radius = 500
 	rnd := rand.New(rand.NewSource(3))
 	for _, period := range []time.Duration{10 * time.Second, 30 * time.Second, 2 * time.Minute} {
-		ix := newDevIndex(radius, period, maxSpeed)
+		ix := newDevIndex(radius, period, maxSpeed, heldQueues(len(devs)))
 		src := func(id int, now, mid time.Duration) (mobility.Motion, bool) {
 			return indexMotion(devs[id], now, mid)
 		}
@@ -397,7 +454,7 @@ func TestDevIndexRebuildIndependentOfArea(t *testing.T) {
 			world[i], ids[i] = p, i
 		}
 		src := motionSource(world.motion)
-		ix := newDevIndex(100, 30*time.Second, 11)
+		ix := newDevIndex(100, 30*time.Second, 11, heldQueues(n))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		ix.refresh(0, ids, src)
@@ -424,9 +481,10 @@ func TestDevIndexRebuildIndependentOfArea(t *testing.T) {
 }
 
 // FuzzDevIndexSuperset: over arbitrary placements — far off, negative,
-// stacked on one x in one row — and query instants, the index never panics
-// and every query returns, strictly ascending, a superset of the devices a
-// brute force finds in range.
+// stacked on one x in one row — and query instants, with queue emptiness
+// drawn afresh for every query, the index never panics and every query
+// returns, strictly ascending, a superset of the devices holding data that
+// a brute force finds in range, and no device whose queue is empty.
 func FuzzDevIndexSuperset(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 10, 0, 0, 0}, int64(0), int64(0), int64(0), uint16(500))
 	f.Add([]byte{1, 2, 3, 4, 1, 2, 9, 9, 1, 2, 200, 7, 1, 2, 0, 0}, int64(12), int64(3), int64(90), uint16(40))
@@ -469,7 +527,9 @@ func FuzzDevIndexSuperset(f *testing.F) {
 			m.Pos, m.At = pos(id, mid), mid
 			return m, true
 		}
-		ix := newDevIndex(float64(radRaw%2000)+1, 30*time.Second, 8)
+		queues := heldQueues(len(ids))
+		held := rand.New(rand.NewSource(qt ^ qx<<1 ^ qy<<2 ^ int64(radRaw)))
+		ix := newDevIndex(float64(radRaw%2000)+1, 30*time.Second, 8, queues)
 		radius := float64(radRaw%3000) + 1
 		now := time.Duration(qt % int64(time.Hour))
 		if now < 0 {
@@ -484,18 +544,14 @@ func FuzzDevIndexSuperset(f *testing.F) {
 				if q%2 == 1 && len(ids) > 0 {
 					p = pos(ids[q%len(ids)], qAt)
 				}
+				holdRandomly(queues, held)
 				got := ix.candidates(qAt, p, radius)
 				for i := 1; i < len(got); i++ {
 					if got[i] <= got[i-1] {
 						t.Fatalf("candidates not ascending: %v", got)
 					}
 				}
-				for _, id := range ids {
-					if pos(id, qAt).Dist(p) <= radius && !containsInt(got, id) {
-						t.Fatalf("device %d at %v is within %v of %v but missing from %v",
-							id, pos(id, qAt), radius, p, got)
-					}
-				}
+				checkHolders(t, got, ids, queues, func(id int) bool { return pos(id, qAt).Dist(p) <= radius })
 			}
 		}
 	})
@@ -560,7 +616,7 @@ func BenchmarkDevIndex(b *testing.B) {
 			ids[i] = (i * 7) % sc.n // activation order, not id order
 		}
 		b.Run("Refresh/"+sc.name, func(b *testing.B) {
-			ix := newDevIndex(500, 30*time.Second, 11)
+			ix := newDevIndex(500, 30*time.Second, 11, heldQueues(sc.n))
 			now := time.Duration(0)
 			b.ReportAllocs()
 			for b.Loop() {
@@ -569,7 +625,7 @@ func BenchmarkDevIndex(b *testing.B) {
 			}
 		})
 		b.Run("Query/"+sc.name, func(b *testing.B) {
-			ix := newDevIndex(500, 30*time.Second, 11)
+			ix := newDevIndex(500, 30*time.Second, 11, heldQueues(sc.n))
 			ix.refresh(time.Hour, ids, src)
 			type query struct {
 				at time.Duration

@@ -37,6 +37,10 @@ type world struct {
 	gwCfg   core.GatewayConfig
 	retry   lorawan.RetryPolicy
 	devices []*device // by fleet id; nil when the window opens at or after the horizon
+	// queues is the device queue slab, by fleet id: every device's queue
+	// lives here, so the neighbour index tests a queue for data with one
+	// load from a dense table.
+	queues []lorawan.Queue
 
 	// contactCapacityPPS is the service rate credited to a sink contact:
 	// one full bundle per duty-cycled transmission opportunity.
@@ -83,7 +87,10 @@ func newWorld(cfg Config, cities *citySet) (world, error) {
 	if err != nil {
 		return world{}, err
 	}
-	w := world{cfg: cfg, fleet: fleet, area: cfg.area(), retry: lorawan.DefaultRetryPolicy()}
+	w := world{
+		cfg: cfg, fleet: fleet, area: cfg.area(), retry: lorawan.DefaultRetryPolicy(),
+		queues: make([]lorawan.Queue, fleet.Len()),
+	}
 	if ds != nil {
 		w.area = ds.Area
 	}
@@ -201,9 +208,10 @@ func (w *world) mediumConfig() radio.MediumConfig {
 	}
 }
 
-// newIndex returns an empty device-to-device spatial index.
+// newIndex returns an empty device-to-device spatial index over the queue
+// slab.
 func (w *world) newIndex() *devIndex {
-	return newDevIndex(w.cfg.D2DRangeM, ixRebuildEvery, w.idxSpeed)
+	return newDevIndex(w.cfg.D2DRangeM, ixRebuildEvery, w.idxSpeed, w.queues)
 }
 
 // buildDevices creates, in id order, every device whose service window
@@ -236,11 +244,12 @@ func (w *world) buildDevices(place func(d *device, first time.Duration, serves b
 		if err != nil {
 			return err
 		}
+		w.queues[i] = *lorawan.NewQueue(cfg.QueueMax)
 		d := &device{
 			id:             i,
 			node:           node,
 			cursor:         mobility.NewCursor(node),
-			queue:          lorawan.NewQueue(cfg.QueueMax),
+			queue:          &w.queues[i],
 			est:            est,
 			duty:           lorawan.NewDutyGovernor(cfg.DutyCycle),
 			rnd:            rootRNG.Split(),
@@ -350,7 +359,12 @@ func (w *world) collect(c *counters, ms radio.MediumStats, snap telemetry.Snapsh
 		r.ADRCommands = m.Commands
 		r.DownlinkDrops = m.Sched.Stats().Dropped
 	}
-	for _, del := range w.server.Deliveries() {
+	// Sized once: grown by append, the two columns would leave about four
+	// times their size in outgrown copies at the run's memory peak.
+	dels := w.server.Deliveries()
+	r.rawDelays = make([]float64, 0, len(dels))
+	r.originDelivered = make([]int, 0, len(dels))
+	for _, del := range dels {
 		r.Delay.AddDuration(del.Delay())
 		r.rawDelays = append(r.rawDelays, del.Delay().Seconds())
 		r.originDelivered = append(r.originDelivered, del.Origin)
@@ -413,7 +427,7 @@ type device struct {
 	// layer): it stops generating, transmitting, and overhearing.
 	failed bool
 
-	queue  *lorawan.Queue
+	queue  *lorawan.Queue // the device's entry in world.queues
 	est    *core.GatewayEstimator
 	duty   *lorawan.DutyGovernor
 	energy lorawan.EnergyMeter

@@ -29,7 +29,13 @@ const FrameOverheadBytes = 13 + 8
 
 // Message is one application-layer telemetry message.
 type Message struct {
-	// ID is unique across the simulation.
+	// ID is unique across the simulation. Its high word names the
+	// numbering source and its low word counts that source's messages
+	// consecutively: the serial engine numbers row 0 from one global
+	// counter, the tile engine numbers row dev+1 from device dev's own
+	// counter. The network
+	// server's ledger indexes its table by the two words, so it relies on
+	// each row being dense.
 	ID uint64
 	// Origin is the device index that generated the message.
 	Origin int

@@ -12,37 +12,51 @@ import (
 
 // BenchmarkIngest times the ledger's per-frame work: one full bundle
 // (lorawan.MaxBundle messages) decoded by 1 or by 4 gateways, so the first
-// copy is fresh and the others are deduplicated. The ledger is replaced
-// every ledgerSpan frames, so it stays near the size of a quick cell's
-// ledger instead of growing with b.N.
+// copy is fresh and the others are deduplicated. Each ledger takes
+// ledgerSpan timed frames and is then replaced; its message IDs restart
+// from 1, as each run's do. A quick ledger starts empty, about a quick
+// cell's size; a day ledger starts holding the ~100k deliveries of a
+// paper-scale day, filled untimed.
 func BenchmarkIngest(b *testing.B) {
 	const ledgerSpan = 4096
-	for _, gws := range []int{1, 4} {
-		b.Run(fmt.Sprintf("gateways=%d", gws), func(b *testing.B) {
-			bundle := make([]lorawan.Message, lorawan.MaxBundle)
-			s := New()
-			for i := 0; i < b.N; i++ {
-				if i%ledgerSpan == 0 && i > 0 {
-					b.StopTimer()
-					s = New()
-					b.StartTimer()
-				}
-				now := time.Duration(i) * time.Second
-				for j := range bundle {
-					bundle[j] = lorawan.Message{
-						ID:      uint64(i*lorawan.MaxBundle + j),
-						Origin:  j,
-						Created: now - time.Minute,
+	for _, size := range []struct {
+		name string
+		held int
+	}{{"quick", 0}, {"day", 100_000}} {
+		for _, gws := range []int{1, 4} {
+			b.Run(fmt.Sprintf("ledger=%s/gateways=%d", size.name, gws), func(b *testing.B) {
+				bundle := make([]lorawan.Message, lorawan.MaxBundle)
+				var s *Server
+				var next uint64 // the ledger's last message ID
+				frame := func(now time.Duration, gws int) {
+					for j := range bundle {
+						next++
+						bundle[j] = lorawan.Message{ID: next, Origin: j, Created: now - time.Minute}
+					}
+					for gw := 0; gw < gws; gw++ {
+						s.Ingest(now, gw, bundle)
 					}
 				}
-				for gw := 0; gw < gws; gw++ {
-					s.Ingest(now, gw, bundle)
+				fresh := func() {
+					s, next = New(), 0
+					for s.Count() < size.held {
+						frame(0, 1)
+					}
 				}
-			}
-			if s.Count() == 0 {
-				b.Fatal("nothing delivered")
-			}
-		})
+				fresh()
+				for i := 0; i < b.N; i++ {
+					if i%ledgerSpan == 0 && i > 0 {
+						b.StopTimer()
+						fresh()
+						b.StartTimer()
+					}
+					frame(time.Duration(i+1)*time.Second, gws)
+				}
+				if s.Count() <= size.held {
+					b.Fatal("nothing delivered")
+				}
+			})
+		}
 	}
 }
 

@@ -1,0 +1,183 @@
+package netserver
+
+import (
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"mlorass/internal/lorawan"
+)
+
+// refLedger is the map-keyed ledger the dense ID table replaced, kept as
+// the reference its behaviour must match.
+type refLedger struct {
+	seen       map[uint64]int
+	deliveries []Delivery
+	duplicates uint64
+}
+
+func (r *refLedger) ingest(now time.Duration, gw int, msgs []lorawan.Message) int {
+	if r.seen == nil {
+		r.seen = map[uint64]int{}
+	}
+	fresh := 0
+	for _, m := range msgs {
+		if idx, dup := r.seen[m.ID]; dup {
+			r.duplicates++
+			if d := &r.deliveries[idx]; now == d.Arrived && m.Hops+1 < d.Hops {
+				d.Hops = m.Hops + 1
+				d.Gateway = gw
+			}
+			continue
+		}
+		r.seen[m.ID] = len(r.deliveries)
+		r.deliveries = append(r.deliveries, Delivery{
+			MessageID: m.ID, Origin: m.Origin, Created: m.Created,
+			Arrived: now, Hops: m.Hops + 1, Gateway: gw,
+		})
+		fresh++
+	}
+	return fresh
+}
+
+// ingestOp is one Ingest call: a bundle decoded by gateway gw at at.
+type ingestOp struct {
+	at   time.Duration
+	gw   int
+	msgs []lorawan.Message
+}
+
+// serialID and tileID are the two engines' message ID schemes: one global
+// counter in row 0, and device dev's own counter in row dev+1.
+func serialID(n uint32) uint64        { return uint64(n) }
+func tileID(dev int, n uint32) uint64 { return uint64(dev+1)<<32 | uint64(n) }
+
+// checkLedger replays ops on a Server and on the map reference and fails at
+// the first difference in Ingest's fresh counts, Deliveries, Duplicates, or
+// Delivered over every ID in probe.
+func checkLedger(t *testing.T, ops []ingestOp, probe []uint64) {
+	t.Helper()
+	s, ref := New(), &refLedger{}
+	for i, op := range ops {
+		if got, want := s.Ingest(op.at, op.gw, op.msgs), ref.ingest(op.at, op.gw, op.msgs); got != want {
+			t.Fatalf("op %d: Ingest fresh = %d, reference %d", i, got, want)
+		}
+	}
+	if !slices.Equal(s.Deliveries(), ref.deliveries) {
+		t.Fatalf("Deliveries:\n got %+v\nwant %+v", s.Deliveries(), ref.deliveries)
+	}
+	if s.Duplicates() != ref.duplicates || s.Count() != len(ref.deliveries) {
+		t.Fatalf("duplicates/count = %d/%d, reference %d/%d",
+			s.Duplicates(), s.Count(), ref.duplicates, len(ref.deliveries))
+	}
+	for _, id := range probe {
+		if _, want := ref.seen[id]; s.Delivered(id) != want {
+			t.Fatalf("Delivered(%#x) = %v, reference %v", id, !want, want)
+		}
+	}
+}
+
+// TestLedgerMatchesMapReference runs the dense table against the map
+// reference over both ID schemes, duplicates, out-of-order arrivals and
+// same-instant ties across gateways.
+func TestLedgerMatchesMapReference(t *testing.T) {
+	msg := func(id uint64, hops int) lorawan.Message {
+		return lorawan.Message{ID: id, Origin: int(id >> 32), Created: time.Duration(id&0xff) * time.Second, Hops: hops}
+	}
+	probe := []uint64{0, 1, 2, 3, 7, 8, 99, tileID(0, 0), tileID(0, 1), tileID(2, 5), tileID(4000, 3), tileID(4000, 4), tileID(9999, 1), 1 << 62}
+	for _, tc := range []struct {
+		name string
+		ops  []ingestOp
+	}{
+		{"serial in order", []ingestOp{
+			{time.Minute, 0, []lorawan.Message{msg(serialID(1), 0), msg(serialID(2), 0)}},
+			{2 * time.Minute, 1, []lorawan.Message{msg(serialID(3), 1)}},
+		}},
+		{"serial out of order", []ingestOp{
+			{time.Minute, 0, []lorawan.Message{msg(serialID(7), 0), msg(serialID(3), 2)}},
+			{2 * time.Minute, 0, []lorawan.Message{msg(serialID(1), 1), msg(serialID(0), 0)}},
+			{3 * time.Minute, 2, []lorawan.Message{msg(serialID(3), 0), msg(serialID(8), 0)}},
+		}},
+		{"tile rows interleaved", []ingestOp{
+			{time.Second, 0, []lorawan.Message{msg(tileID(4000, 3), 0), msg(tileID(2, 5), 1)}},
+			{time.Second, 1, []lorawan.Message{msg(tileID(2, 5), 0), msg(tileID(0, 1), 0)}},
+			{5 * time.Second, 0, []lorawan.Message{msg(tileID(4000, 4), 2), msg(tileID(4000, 3), 0)}},
+		}},
+		{"same-instant ties", []ingestOp{
+			{time.Hour, 3, []lorawan.Message{msg(serialID(2), 3)}},
+			{time.Hour, 1, []lorawan.Message{msg(serialID(2), 1)}},
+			{time.Hour, 0, []lorawan.Message{msg(serialID(2), 1)}},
+			{time.Hour, 2, []lorawan.Message{msg(serialID(2), 0)}},
+			{time.Hour + 1, 4, []lorawan.Message{msg(serialID(2), 0)}},
+		}},
+		{"duplicates in one bundle", []ingestOp{
+			{time.Minute, 0, []lorawan.Message{msg(tileID(0, 1), 2), msg(tileID(0, 1), 0), msg(tileID(0, 0), 1)}},
+		}},
+		{"empty bundles", []ingestOp{
+			{0, 0, nil},
+			{time.Second, 1, []lorawan.Message{}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkLedger(t, tc.ops, probe) })
+	}
+}
+
+// TestLedgerRejectsSparseIDs: an ID far past the table's end, in rows or in
+// its row's columns, breaks the dense-ID contract and panics instead of
+// allocating for the gap; one just inside the bound is accepted.
+func TestLedgerRejectsSparseIDs(t *testing.T) {
+	s := New()
+	if s.Ingest(0, 0, []lorawan.Message{{ID: maxIDLeap - 1}, {ID: tileID(1000, 1)}}) != 2 {
+		t.Fatal("IDs inside the leap bound were not ingested")
+	}
+	for _, id := range []uint64{3 * maxIDLeap, uint64(2*maxIDLeap) << 32, 1 << 63, 0xdeadbeefcafe} {
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "dense per row") {
+					t.Errorf("ID %#x: recovered %q, want a dense-ID contract panic", id, r)
+				}
+			}()
+			s.Ingest(time.Second, 0, []lorawan.Message{{ID: id}})
+		}()
+	}
+	if s.Count() != 2 || !s.Delivered(maxIDLeap-1) || s.Delivered(1<<63) {
+		t.Fatalf("rejected IDs changed the ledger: count %d", s.Count())
+	}
+}
+
+// FuzzLedger: over arbitrary ingest sequences mixing both ID schemes, with
+// duplicates, out-of-order arrivals and same-instant copies through several
+// gateways, the dense table matches the map reference exactly.
+//
+// Each 4-byte group is one message: b0's top bit starts a new bundle whose
+// instant advances by b0&0x0f seconds (0 keeps the instant) and whose
+// gateway is b1&3; b2's low bit picks the scheme (row 0, or device
+// (b2>>1)&7's row) and b3 the column (b3&31) and hop count (b3>>5).
+func FuzzLedger(f *testing.F) {
+	f.Add([]byte{0x81, 0, 0, 1, 0x00, 0, 0, 2, 0x80, 1, 0, 1, 0x80, 2, 3, 0x21})
+	f.Add([]byte{0x80, 0, 1, 9, 0x80, 1, 1, 0x49, 0x80, 2, 1, 0x29, 0x83, 0, 5, 0})
+	f.Add([]byte{0x8f, 3, 14, 31, 0x01, 0, 14, 30, 0x80, 0, 0, 0, 0x00, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ops []ingestOp
+		var probe []uint64
+		at := time.Duration(0)
+		for i := 0; i+4 <= len(data); i += 4 {
+			b0, b1, b2, b3 := data[i], data[i+1], data[i+2], data[i+3]
+			if b0&0x80 != 0 || len(ops) == 0 {
+				at += time.Duration(b0&0x0f) * time.Second
+				ops = append(ops, ingestOp{at: at, gw: int(b1 & 3)})
+			}
+			id := serialID(uint32(b3 & 31))
+			if b2&1 == 1 {
+				id = tileID(int(b2>>1)&7, uint32(b3&31))
+			}
+			op := &ops[len(ops)-1]
+			op.msgs = append(op.msgs, lorawan.Message{
+				ID: id, Origin: int(b2 >> 1), Created: at - time.Minute, Hops: int(b3 >> 5),
+			})
+			probe = append(probe, id, id+1, id^1<<32)
+		}
+		checkLedger(t, ops, probe)
+	})
+}

@@ -12,6 +12,8 @@
 package netserver
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"mlorass/internal/lorawan"
@@ -57,9 +59,21 @@ type Observer interface {
 
 // Server is the network server. Not safe for concurrent use (it lives on
 // the single-threaded simulator).
+//
+// The ledger's ID table is dense: it has one row per numbering source, the
+// ID's high word, and one column per message of that source, the low word.
+// A row is cut into pages of ledgerPage columns, allocated when a column in
+// them is first delivered, so a row never moves as it grows and a lookup is
+// three indexed loads. The table stays O(IDs numbered) because sources number
+// their messages consecutively (see lorawan.Message.ID); copies may arrive
+// in any order. An ID landing more than maxIDLeap past the table's end, in
+// rows or in its row's columns, breaks the contract and panics rather than
+// allocating for the gap.
 type Server struct {
-	// seen maps a delivered message ID to its ledger index.
-	seen       map[uint64]int
+	// rows[ID>>32][c/ledgerPage][c%ledgerPage], c = ID&0xffffffff, is a
+	// delivered message's ledger index plus one; 0, or a nil page, while
+	// the message is undelivered.
+	rows       [][]*[ledgerPage]int32
 	deliveries []Delivery
 	duplicates uint64
 	obs        Observer
@@ -68,10 +82,19 @@ type Server struct {
 	mac *MAC
 }
 
+const (
+	// ledgerPage is the columns per page of a ledger row: small enough
+	// that the tile engine's per-device rows, a few dozen messages each,
+	// waste little of their last page.
+	ledgerPage = 64
+	// maxIDLeap bounds how far past the ID table's end an ingested ID may
+	// land. Consecutive sources stay far inside it; a sparse or hashed ID
+	// scheme trips it on its first few IDs.
+	maxIDLeap = 1 << 20
+)
+
 // New returns an empty server.
-func New() *Server {
-	return &Server{seen: make(map[uint64]int)}
-}
+func New() *Server { return &Server{} }
 
 // SetObserver installs (or, with nil, removes) the ledger observer.
 func (s *Server) SetObserver(obs Observer) { s.obs = obs }
@@ -89,12 +112,13 @@ func (s *Server) SetObserver(obs Observer) { s.obs = obs }
 func (s *Server) Ingest(now time.Duration, gw int, msgs []lorawan.Message) int {
 	fresh := 0
 	for _, m := range msgs {
-		if idx, dup := s.seen[m.ID]; dup {
+		slot := s.slot(m.ID)
+		if *slot != 0 {
 			s.duplicates++
 			// Same-instant hop-count tie-break (see above). Late
 			// duplicates — now after the recorded arrival — never
 			// rewrite history: the ack already committed that entry.
-			if d := &s.deliveries[idx]; now == d.Arrived && m.Hops+1 < d.Hops {
+			if d := &s.deliveries[*slot-1]; now == d.Arrived && m.Hops+1 < d.Hops {
 				d.Hops = m.Hops + 1
 				d.Gateway = gw
 			}
@@ -103,7 +127,7 @@ func (s *Server) Ingest(now time.Duration, gw int, msgs []lorawan.Message) int {
 			}
 			continue
 		}
-		s.seen[m.ID] = len(s.deliveries)
+		*slot = int32(len(s.deliveries) + 1)
 		d := Delivery{
 			MessageID: m.ID,
 			Origin:    m.Origin,
@@ -121,10 +145,39 @@ func (s *Server) Ingest(now time.Duration, gw int, msgs []lorawan.Message) int {
 	return fresh
 }
 
+// slot returns id's cell in the ID table, growing the table to hold it.
+func (s *Server) slot(id uint64) *int32 {
+	r, c := id>>32, id&math.MaxUint32
+	if n := uint64(len(s.rows)); r >= n {
+		if r-n >= maxIDLeap {
+			panic(fmt.Sprintf("netserver: message ID %#x names row %d, %d past the ledger's; IDs must be dense per row (lorawan.Message.ID)", id, r, r-n))
+		}
+		s.rows = append(s.rows, make([][]*[ledgerPage]int32, r+1-n)...)
+	}
+	row := s.rows[r]
+	if end := uint64(len(row)) * ledgerPage; c >= end {
+		if c-end >= maxIDLeap {
+			panic(fmt.Sprintf("netserver: message ID %#x lands %d past its row's end; IDs must be dense per row (lorawan.Message.ID)", id, c-end))
+		}
+		row = append(row, make([]*[ledgerPage]int32, c/ledgerPage+1-uint64(len(row)))...)
+		s.rows[r] = row
+	}
+	page := row[c/ledgerPage]
+	if page == nil {
+		page = new([ledgerPage]int32)
+		row[c/ledgerPage] = page
+	}
+	return &page[c%ledgerPage]
+}
+
 // Delivered reports whether a message has reached the server.
 func (s *Server) Delivered(messageID uint64) bool {
-	_, ok := s.seen[messageID]
-	return ok
+	r, c := messageID>>32, messageID&math.MaxUint32
+	if r >= uint64(len(s.rows)) || c/ledgerPage >= uint64(len(s.rows[r])) {
+		return false
+	}
+	page := s.rows[r][c/ledgerPage]
+	return page != nil && page[c%ledgerPage] != 0
 }
 
 // Deliveries returns the delivery ledger in arrival order. Callers must not
