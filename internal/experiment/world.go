@@ -361,10 +361,9 @@ func (w *world) collect(c *counters, ms radio.MediumStats, snap telemetry.Snapsh
 	}
 	// Sized once: grown by append, the two columns would leave about four
 	// times their size in outgrown copies at the run's memory peak.
-	dels := w.server.Deliveries()
-	r.rawDelays = make([]float64, 0, len(dels))
-	r.originDelivered = make([]int, 0, len(dels))
-	for _, del := range dels {
+	r.rawDelays = make([]float64, 0, r.Delivered)
+	r.originDelivered = make([]int, 0, r.Delivered)
+	for del := range w.server.Deliveries() {
 		r.Delay.AddDuration(del.Delay())
 		r.rawDelays = append(r.rawDelays, del.Delay().Seconds())
 		r.originDelivered = append(r.originDelivered, del.Origin)

@@ -16,15 +16,32 @@ import (
 // ledgerSpan timed frames and is then replaced; its message IDs restart
 // from 1, as each run's do. A quick ledger starts empty, about a quick
 // cell's size; a day ledger starts holding the ~100k deliveries of a
-// paper-scale day, filled untimed.
+// paper-scale day, filled untimed. The fill case times that filling: one op
+// takes an empty ledger to 100k deliveries through one gateway, so its B/op
+// is the ledger's whole allocation over a paper-scale day.
 func BenchmarkIngest(b *testing.B) {
 	const ledgerSpan = 4096
+	b.Run("ledger=fill", func(b *testing.B) {
+		b.ReportAllocs()
+		bundle := make([]lorawan.Message, lorawan.MaxBundle)
+		for i := 0; i < b.N; i++ {
+			s := New()
+			for next := uint64(0); s.Count() < 100_000; {
+				for j := range bundle {
+					next++
+					bundle[j] = lorawan.Message{ID: next, Origin: j, Created: time.Duration(next)}
+				}
+				s.Ingest(time.Duration(next)+time.Minute, 0, bundle)
+			}
+		}
+	})
 	for _, size := range []struct {
 		name string
 		held int
 	}{{"quick", 0}, {"day", 100_000}} {
 		for _, gws := range []int{1, 4} {
 			b.Run(fmt.Sprintf("ledger=%s/gateways=%d", size.name, gws), func(b *testing.B) {
+				b.ReportAllocs()
 				bundle := make([]lorawan.Message, lorawan.MaxBundle)
 				var s *Server
 				var next uint64 // the ledger's last message ID
@@ -44,6 +61,7 @@ func BenchmarkIngest(b *testing.B) {
 					}
 				}
 				fresh()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if i%ledgerSpan == 0 && i > 0 {
 						b.StopTimer()

@@ -54,8 +54,8 @@ func serialID(n uint32) uint64        { return uint64(n) }
 func tileID(dev int, n uint32) uint64 { return uint64(dev+1)<<32 | uint64(n) }
 
 // checkLedger replays ops on a Server and on the map reference and fails at
-// the first difference in Ingest's fresh counts, Deliveries, Duplicates, or
-// Delivered over every ID in probe.
+// the first difference in Ingest's fresh counts, the collected Deliveries
+// sequence, Duplicates, or Delivered over every ID in probe.
 func checkLedger(t *testing.T, ops []ingestOp, probe []uint64) {
 	t.Helper()
 	s, ref := New(), &refLedger{}
@@ -64,8 +64,8 @@ func checkLedger(t *testing.T, ops []ingestOp, probe []uint64) {
 			t.Fatalf("op %d: Ingest fresh = %d, reference %d", i, got, want)
 		}
 	}
-	if !slices.Equal(s.Deliveries(), ref.deliveries) {
-		t.Fatalf("Deliveries:\n got %+v\nwant %+v", s.Deliveries(), ref.deliveries)
+	if got := slices.Collect(s.Deliveries()); !slices.Equal(got, ref.deliveries) {
+		t.Fatalf("Deliveries:\n got %+v\nwant %+v", got, ref.deliveries)
 	}
 	if s.Duplicates() != ref.duplicates || s.Count() != len(ref.deliveries) {
 		t.Fatalf("duplicates/count = %d/%d, reference %d/%d",
@@ -118,9 +118,31 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 			{0, 0, nil},
 			{time.Second, 1, []lorawan.Message{}},
 		}},
+		{"three record pages", pagedOps(msg)},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkLedger(t, tc.ops, probe) })
 	}
+}
+
+// pagedOps delivers 2*recordPage+500 messages, enough for three record
+// pages, in bundles of 16 through two gateways, all at one instant and with
+// both ID schemes interleaved. A last copy of the very first message then
+// wins the same-instant hop tie-break, amending a record on the first page.
+func pagedOps(msg func(id uint64, hops int) lorawan.Message) []ingestOp {
+	const at = 2 * time.Hour
+	ops := []ingestOp{{at, 0, []lorawan.Message{msg(serialID(0), 4)}}}
+	for n := uint32(1); n < 2*recordPage+500; n++ {
+		if n%16 == 1 {
+			ops = append(ops, ingestOp{at, int(n/16) % 2, nil})
+		}
+		id := serialID(n / 2)
+		if n%2 == 1 {
+			id = tileID(int(n%13), n/26)
+		}
+		op := &ops[len(ops)-1]
+		op.msgs = append(op.msgs, msg(id, int(n%3)))
+	}
+	return append(ops, ingestOp{at, 3, []lorawan.Message{msg(serialID(0), 1)}})
 }
 
 // TestLedgerRejectsSparseIDs: an ID far past the table's end, in rows or in
@@ -148,7 +170,9 @@ func TestLedgerRejectsSparseIDs(t *testing.T) {
 
 // FuzzLedger: over arbitrary ingest sequences mixing both ID schemes, with
 // duplicates, out-of-order arrivals and same-instant copies through several
-// gateways, the dense table matches the map reference exactly.
+// gateways, the ledger matches the map reference exactly: fresh counts, the
+// records read back through slices.Collect(Deliveries()), duplicates and
+// Delivered.
 //
 // Each 4-byte group is one message: b0's top bit starts a new bundle whose
 // instant advances by b0&0x0f seconds (0 keeps the instant) and whose
@@ -180,4 +204,53 @@ func FuzzLedger(f *testing.F) {
 		}
 		checkLedger(t, ops, probe)
 	})
+}
+
+// TestIngestAllocatesPerPage: ingesting a fresh message allocates only when
+// it opens a record page or an ID-table page, and a duplicate never
+// allocates, over both ID schemes and across four record pages.
+func TestIngestAllocatesPerPage(t *testing.T) {
+	const at = time.Minute
+	s := New()
+	fresh, dup := make([]lorawan.Message, 1), make([]lorawan.Message, 1)
+	ids := make([]uint64, 3*recordPage+100)
+	for n := range ids {
+		ids[n] = serialID(uint32(n / 2))
+		if n%2 == 1 {
+			ids[n] = tileID(n%7, uint32(n/14))
+		}
+	}
+	opensIDPage := func(id uint64) bool {
+		r, c := id>>32, id&0xffffffff
+		return r >= uint64(len(s.rows)) || c/idPage >= uint64(len(s.rows[r])) || s.rows[r][c/idPage] == nil
+	}
+	s.Ingest(at, 0, []lorawan.Message{{ID: ids[0]}})
+	for n := 1; n < len(ids); n++ {
+		fresh[0], dup[0] = lorawan.Message{ID: ids[n], Hops: n % 3}, lorawan.Message{ID: ids[n-1]}
+		opensRecords := s.Count()%recordPage == 0
+		opens := opensRecords || opensIDPage(ids[n])
+		// AllocsPerRun's unmeasured warm-up call ingests the duplicate,
+		// so the measured call is the fresh message's ingest alone.
+		warm := false
+		allocs := testing.AllocsPerRun(1, func() {
+			if !warm {
+				warm = true
+				s.Ingest(at, 1, dup)
+				return
+			}
+			s.Ingest(at, 0, fresh)
+		})
+		if allocs != 0 && !opens {
+			t.Fatalf("ingest %d (ID %#x) opened no page but allocated %v times", n, ids[n], allocs)
+		}
+		if opensRecords && allocs == 0 {
+			t.Fatalf("ingest %d opened a record page but no allocation was counted", n)
+		}
+	}
+	if s.Count() != len(ids) || len(s.records) != 4 {
+		t.Fatalf("count %d in %d record pages, want %d in 4", s.Count(), len(s.records), len(ids))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Ingest(at, 2, dup) }); allocs != 0 {
+		t.Fatalf("duplicate ingest allocated %v times", allocs)
+	}
 }

@@ -6,13 +6,16 @@
 // issues acknowledgements (assumed instantaneous and always successful, as
 // in the paper), and keeps the delivery ledger the evaluation metrics read:
 // per-message end-to-end delay, hop counts, and arrival times for the
-// throughput time series. An optional Observer watches the ledger as it
-// grows, which is how the telemetry layer streams delay histograms and
-// per-packet deliver/dedup trace records without a post-run pass.
+// throughput time series. The ledger stores one compact record per
+// delivered message in fixed-size pages that are never copied, and
+// Deliveries reads them in place. An optional Observer watches the ledger
+// as it grows, which is how the telemetry layer streams delay histograms
+// and per-packet deliver/dedup trace records without a post-run pass.
 package netserver
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"time"
 
@@ -40,15 +43,34 @@ type Delivery struct {
 // Delay returns the end-to-end delay δt = t_g − t_d (Sec. VII-B).
 func (d Delivery) Delay() time.Duration { return d.Arrived - d.Created }
 
+// record is a Delivery as the ledger stores it: 40 bytes instead of 48,
+// because device, hop and gateway counts fit in 32 bits.
+type record struct {
+	id               uint64
+	created, arrived time.Duration
+	origin, hops, gw int32
+}
+
+func (r *record) delivery() Delivery {
+	return Delivery{
+		MessageID: r.id,
+		Origin:    int(r.origin),
+		Created:   r.created,
+		Arrived:   r.arrived,
+		Hops:      int(r.hops),
+		Gateway:   int(r.gw),
+	}
+}
+
 // Observer watches the ledger in arrival order. Implementations must not
 // call back into the server.
 //
 // Callbacks are an event log, not the final ledger: Delivered fires with
 // the first copy's Hops/Gateway, and a later same-instant copy that wins
 // the hop tie-break (see Ingest) surfaces only as a Duplicate callback
-// while the ledger entry is amended in place. Consumers needing the
-// settled hop counts read Deliveries() after the run; the streamed delay
-// is unaffected (both copies share the arrival instant).
+// while the ledger record is amended in place. Consumers needing the
+// settled hop counts range over Deliveries() after the run; the streamed
+// delay is unaffected (both copies share the arrival instant).
 type Observer interface {
 	// Delivered fires when a message's first copy is accepted.
 	Delivered(d Delivery)
@@ -60,9 +82,13 @@ type Observer interface {
 // Server is the network server. Not safe for concurrent use (it lives on
 // the single-threaded simulator).
 //
+// The ledger keeps its records in arrival order, in pages of recordPage
+// records. A page is allocated when its first record is written, so the
+// ledger holds at most one partly filled page and never copies a record.
+//
 // The ledger's ID table is dense: it has one row per numbering source, the
 // ID's high word, and one column per message of that source, the low word.
-// A row is cut into pages of ledgerPage columns, allocated when a column in
+// A row is cut into pages of idPage columns, allocated when a column in
 // them is first delivered, so a row never moves as it grows and a lookup is
 // three indexed loads. The table stays O(IDs numbered) because sources number
 // their messages consecutively (see lorawan.Message.ID); copies may arrive
@@ -70,11 +96,13 @@ type Observer interface {
 // rows or in its row's columns, breaks the contract and panics rather than
 // allocating for the gap.
 type Server struct {
-	// rows[ID>>32][c/ledgerPage][c%ledgerPage], c = ID&0xffffffff, is a
-	// delivered message's ledger index plus one; 0, or a nil page, while
-	// the message is undelivered.
-	rows       [][]*[ledgerPage]int32
-	deliveries []Delivery
+	// rows[ID>>32][c/idPage][c%idPage], c = ID&0xffffffff, is a delivered
+	// message's ledger index plus one; 0, or a nil page, while the message
+	// is undelivered.
+	rows [][]*[idPage]int32
+	// records[i/recordPage][i%recordPage] is ledger entry i, for i < count.
+	records    []*[recordPage]record
+	count      int
 	duplicates uint64
 	obs        Observer
 	// mac is the optional MAC control plane (ADR + downlink scheduling);
@@ -83,10 +111,13 @@ type Server struct {
 }
 
 const (
-	// ledgerPage is the columns per page of a ledger row: small enough
+	// recordPage is the records per ledger page: 40 KiB, so a paper-scale
+	// day's ~100k deliveries fill about a hundred pages.
+	recordPage = 1024
+	// idPage is the columns per page of an ID-table row: small enough
 	// that the tile engine's per-device rows, a few dozen messages each,
 	// waste little of their last page.
-	ledgerPage = 64
+	idPage = 64
 	// maxIDLeap bounds how far past the ID table's end an ingested ID may
 	// land. Consecutive sources stay far inside it; a sparse or hashed ID
 	// scheme trips it on its first few IDs.
@@ -109,6 +140,8 @@ func (s *Server) SetObserver(obs Observer) { s.obs = obs }
 // fewer wireless hops, breaking remaining ties in favour of the earlier
 // ingest. This makes Fig. 12's hop statistics independent of gateway
 // enumeration order.
+//
+//mlorass:hotpath
 func (s *Server) Ingest(now time.Duration, gw int, msgs []lorawan.Message) int {
 	fresh := 0
 	for _, m := range msgs {
@@ -117,28 +150,34 @@ func (s *Server) Ingest(now time.Duration, gw int, msgs []lorawan.Message) int {
 			s.duplicates++
 			// Same-instant hop-count tie-break (see above). Late
 			// duplicates — now after the recorded arrival — never
-			// rewrite history: the ack already committed that entry.
-			if d := &s.deliveries[*slot-1]; now == d.Arrived && m.Hops+1 < d.Hops {
-				d.Hops = m.Hops + 1
-				d.Gateway = gw
+			// rewrite history: the ack already committed that record.
+			i := int(*slot - 1)
+			if r := &s.records[i/recordPage][i%recordPage]; now == r.arrived && m.Hops+1 < int(r.hops) {
+				r.hops = int32(m.Hops + 1)
+				r.gw = int32(gw)
 			}
 			if s.obs != nil {
 				s.obs.Duplicate(now, gw, m)
 			}
 			continue
 		}
-		*slot = int32(len(s.deliveries) + 1)
-		d := Delivery{
-			MessageID: m.ID,
-			Origin:    m.Origin,
-			Created:   m.Created,
-			Arrived:   now,
-			Hops:      m.Hops + 1,
-			Gateway:   gw,
+		if s.count%recordPage == 0 {
+			//lint:ignore hotpathlint one page per 1,024 deliveries
+			s.records = append(s.records, new([recordPage]record))
 		}
-		s.deliveries = append(s.deliveries, d)
+		r := &s.records[s.count/recordPage][s.count%recordPage]
+		s.count++
+		*slot = int32(s.count)
+		*r = record{
+			id:      m.ID,
+			created: m.Created,
+			arrived: now,
+			origin:  int32(m.Origin),
+			hops:    int32(m.Hops + 1),
+			gw:      int32(gw),
+		}
 		if s.obs != nil {
-			s.obs.Delivered(d)
+			s.obs.Delivered(r.delivery())
 		}
 		fresh++
 	}
@@ -146,46 +185,61 @@ func (s *Server) Ingest(now time.Duration, gw int, msgs []lorawan.Message) int {
 }
 
 // slot returns id's cell in the ID table, growing the table to hold it.
+//
+//mlorass:hotpath
 func (s *Server) slot(id uint64) *int32 {
 	r, c := id>>32, id&math.MaxUint32
 	if n := uint64(len(s.rows)); r >= n {
 		if r-n >= maxIDLeap {
+			//lint:ignore hotpathlint cold contract panic
 			panic(fmt.Sprintf("netserver: message ID %#x names row %d, %d past the ledger's; IDs must be dense per row (lorawan.Message.ID)", id, r, r-n))
 		}
-		s.rows = append(s.rows, make([][]*[ledgerPage]int32, r+1-n)...)
+		//lint:ignore hotpathlint one row per numbering source
+		s.rows = append(s.rows, make([][]*[idPage]int32, r+1-n)...)
 	}
 	row := s.rows[r]
-	if end := uint64(len(row)) * ledgerPage; c >= end {
+	if end := uint64(len(row)) * idPage; c >= end {
 		if c-end >= maxIDLeap {
+			//lint:ignore hotpathlint cold contract panic
 			panic(fmt.Sprintf("netserver: message ID %#x lands %d past its row's end; IDs must be dense per row (lorawan.Message.ID)", id, c-end))
 		}
-		row = append(row, make([]*[ledgerPage]int32, c/ledgerPage+1-uint64(len(row)))...)
+		//lint:ignore hotpathlint one page pointer per 64 IDs of a row
+		row = append(row, make([]*[idPage]int32, c/idPage+1-uint64(len(row)))...)
 		s.rows[r] = row
 	}
-	page := row[c/ledgerPage]
+	page := row[c/idPage]
 	if page == nil {
-		page = new([ledgerPage]int32)
-		row[c/ledgerPage] = page
+		//lint:ignore hotpathlint one page per 64 IDs of a row
+		page = new([idPage]int32)
+		row[c/idPage] = page
 	}
-	return &page[c%ledgerPage]
+	return &page[c%idPage]
 }
 
 // Delivered reports whether a message has reached the server.
 func (s *Server) Delivered(messageID uint64) bool {
 	r, c := messageID>>32, messageID&math.MaxUint32
-	if r >= uint64(len(s.rows)) || c/ledgerPage >= uint64(len(s.rows[r])) {
+	if r >= uint64(len(s.rows)) || c/idPage >= uint64(len(s.rows[r])) {
 		return false
 	}
-	page := s.rows[r][c/ledgerPage]
-	return page != nil && page[c%ledgerPage] != 0
+	page := s.rows[r][c/idPage]
+	return page != nil && page[c%idPage] != 0
 }
 
-// Deliveries returns the delivery ledger in arrival order. Callers must not
-// modify the returned slice.
-func (s *Server) Deliveries() []Delivery { return s.deliveries }
+// Deliveries yields the delivery ledger in arrival order, reading each
+// record in place.
+func (s *Server) Deliveries() iter.Seq[Delivery] {
+	return func(yield func(Delivery) bool) {
+		for i := range s.count {
+			if !yield(s.records[i/recordPage][i%recordPage].delivery()) {
+				return
+			}
+		}
+	}
+}
 
 // Count returns the number of distinct delivered messages.
-func (s *Server) Count() int { return len(s.deliveries) }
+func (s *Server) Count() int { return s.count }
 
 // Duplicates returns the number of duplicate copies discarded.
 func (s *Server) Duplicates() uint64 { return s.duplicates }

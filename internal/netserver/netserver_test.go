@@ -1,6 +1,7 @@
 package netserver
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ func TestIngestRecordsDelivery(t *testing.T) {
 	if s.Count() != 1 || !s.Delivered(1) {
 		t.Fatal("delivery not recorded")
 	}
-	d := s.Deliveries()[0]
+	d := slices.Collect(s.Deliveries())[0]
 	if d.Origin != 4 || d.Gateway != 3 {
 		t.Fatalf("delivery = %+v", d)
 	}
@@ -42,7 +43,7 @@ func TestIngestDeduplicates(t *testing.T) {
 		t.Fatalf("Duplicates = %d", s.Duplicates())
 	}
 	// First arrival wins: delay measured from the first copy.
-	if got := s.Deliveries()[0].Arrived; got != time.Minute {
+	if got := slices.Collect(s.Deliveries())[0].Arrived; got != time.Minute {
 		t.Fatalf("Arrived = %v", got)
 	}
 }
@@ -64,7 +65,7 @@ func TestDirectUplinkHopCount(t *testing.T) {
 	// that never hopped device-to-device arrives with Hops 1.
 	s := New()
 	s.Ingest(0, 0, []lorawan.Message{{ID: 1, Hops: 0}})
-	if got := s.Deliveries()[0].Hops; got != 1 {
+	if got := slices.Collect(s.Deliveries())[0].Hops; got != 1 {
 		t.Fatalf("direct uplink Hops = %d, want 1", got)
 	}
 }
@@ -103,7 +104,7 @@ func TestSameTickMultiGateway(t *testing.T) {
 	if s.Count() != 1 || s.Duplicates() != 3 {
 		t.Fatalf("count=%d dups=%d, want 1/3", s.Count(), s.Duplicates())
 	}
-	d := s.Deliveries()[0]
+	d := slices.Collect(s.Deliveries())[0]
 	if d.Gateway != 0 || d.Hops != 1 || d.Arrived != at {
 		t.Fatalf("delivery = %+v", d)
 	}
@@ -120,7 +121,7 @@ func TestSameTickHopCountTieBreak(t *testing.T) {
 	s := New()
 	s.Ingest(at, 1, []lorawan.Message{{ID: 8, Hops: 2}})
 	s.Ingest(at, 2, []lorawan.Message{{ID: 8, Hops: 0}})
-	d := s.Deliveries()[0]
+	d := slices.Collect(s.Deliveries())[0]
 	if d.Hops != 1 || d.Gateway != 2 {
 		t.Fatalf("tie-break kept %d hops via gw %d, want 1 via 2", d.Hops, d.Gateway)
 	}
@@ -132,7 +133,7 @@ func TestSameTickHopCountTieBreak(t *testing.T) {
 	s = New()
 	s.Ingest(at, 1, []lorawan.Message{{ID: 8, Hops: 0}})
 	s.Ingest(at, 2, []lorawan.Message{{ID: 8, Hops: 2}})
-	d = s.Deliveries()[0]
+	d = slices.Collect(s.Deliveries())[0]
 	if d.Hops != 1 || d.Gateway != 1 {
 		t.Fatalf("worse copy displaced winner: %+v", d)
 	}
@@ -141,7 +142,7 @@ func TestSameTickHopCountTieBreak(t *testing.T) {
 	s = New()
 	s.Ingest(at, 3, []lorawan.Message{{ID: 8, Hops: 1}})
 	s.Ingest(at, 4, []lorawan.Message{{ID: 8, Hops: 1}})
-	if d = s.Deliveries()[0]; d.Gateway != 3 {
+	if d = slices.Collect(s.Deliveries())[0]; d.Gateway != 3 {
 		t.Fatalf("equal-hop tie broke to gw %d, want first ingest 3", d.Gateway)
 	}
 }
@@ -152,11 +153,11 @@ func TestSameTickHopCountTieBreak(t *testing.T) {
 func TestLateDuplicateAfterAck(t *testing.T) {
 	s := New()
 	s.Ingest(5*time.Minute, 0, []lorawan.Message{{ID: 3, Created: time.Minute, Hops: 4}})
-	before := s.Deliveries()[0]
+	before := slices.Collect(s.Deliveries())[0]
 	if fresh := s.Ingest(9*time.Minute, 1, []lorawan.Message{{ID: 3, Created: time.Minute, Hops: 0}}); fresh != 0 {
 		t.Fatalf("late duplicate counted as fresh: %d", fresh)
 	}
-	after := s.Deliveries()[0]
+	after := slices.Collect(s.Deliveries())[0]
 	if after != before {
 		t.Fatalf("late duplicate rewrote ledger: %+v -> %+v", before, after)
 	}
