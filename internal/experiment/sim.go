@@ -642,7 +642,9 @@ func (s *sim) listening(d *device) bool {
 
 // overhear lets every in-range listening neighbour receive the broadcast and
 // run the forwarding policy against the advertised RCA-ETX and queue length
-// (Sec. IV-A).
+// (Sec. IV-A). A neighbour pays for its link (a position read, the RSSI and
+// RCA-ETX(x, y)) only when the policy wants to forward without it; one the
+// policy declines still advances the shadowing stream by its draw.
 //
 //mlorass:hotpath
 func (s *sim) overhear(sender *device, tx *radio.Transmission, frame lorawan.Frame, dest int, now time.Duration) {
@@ -654,7 +656,8 @@ func (s *sim) overhear(sender *device, tx *radio.Transmission, frame lorawan.Fra
 		s.ix.refresh(now, s.activeList, s.motionFn)
 	}
 	// Candidates all hold data: the index drops empty queues.
-	for _, zi := range s.ix.candidates(now, tx.Pos, maxR) {
+	for _, h := range s.ix.candidates(now, tx.Pos, maxR) {
+		zi := int(h.id)
 		if zi == sender.id || zi == dest {
 			continue
 		}
@@ -662,19 +665,12 @@ func (s *sim) overhear(sender *device, tx *radio.Transmission, frame lorawan.Fra
 		if z.busy || z.failed {
 			continue
 		}
-		zpos, ok := z.pos(now)
-		if !ok {
-			continue
-		}
-		// Bounding-box pre-filter before the exact (hypot) distance.
-		if dx := tx.Pos.X - zpos.X; dx > maxR || dx < -maxR {
-			continue
-		}
-		if dy := tx.Pos.Y - zpos.Y; dy > maxR || dy < -maxR {
-			continue
-		}
-		dist := tx.Pos.Dist(zpos)
-		if dist > maxR {
+		dist := -1.0 // a certified hit reads its distance only for a link
+		if h.inRange {
+			if inRangeHook != nil {
+				inRangeHook(z, tx.Pos, now, maxR)
+			}
+		} else if dist = z.distWithin(tx.Pos, now, maxR); dist < 0 {
 			continue
 		}
 		if !s.listening(z) {
@@ -683,15 +679,23 @@ func (s *sim) overhear(sender *device, tx *radio.Transmission, frame lorawan.Fra
 		if z.bannedSendBack(sender.id) {
 			continue
 		}
-		// One RSSI measurement per overheard broadcast feeds Eq. (5),
-		// at the sender's (possibly ADR-lowered) transmit power.
-		rssi := s.loss.RSSI(sender.txPowDBm, radio.Meters(dist), s.d2dShadow)
-		linkETX := s.link.RCAETX(rssi)
 		local := routing.LocalState{
 			RCAETX:   z.est.RCAETX(),
 			Phi:      z.est.Phi(),
 			QueueLen: z.queue.Len(),
 		}
+		if !s.policy.Wants(local, frame, s.gwCfg.PhiMin, s.gwCfg.PhiMax) {
+			s.loss.SkipShadow(s.d2dShadow)
+			continue
+		}
+		if dist < 0 {
+			zpos, _ := z.pos(now)
+			dist = tx.Pos.Dist(zpos)
+		}
+		// One RSSI measurement per overheard broadcast feeds Eq. (5),
+		// at the sender's (possibly ADR-lowered) transmit power.
+		rssi := s.loss.RSSI(sender.txPowDBm, radio.Meters(dist), s.d2dShadow)
+		linkETX := s.link.RCAETX(rssi)
 		dec := s.policy.OnOverhear(local, frame, linkETX, s.gwCfg.PhiMin, s.gwCfg.PhiMax)
 		if !dec.Forward {
 			continue

@@ -734,7 +734,8 @@ func (s *shard) listeningAt(z *device, from int, seq uint32) bool {
 }
 
 // overhearBcast mirrors sim.overhear over this tile's own spatial index,
-// with keyed listening and shadowing draws per (frame, neighbour).
+// with keyed listening and shadowing draws per (frame, neighbour): a
+// neighbour the policy declines makes no shadowing draw at all.
 //
 //mlorass:hotpath
 func (s *shard) overhearBcast(b *bcastRec) {
@@ -754,7 +755,8 @@ func (s *shard) overhearBcast(b *bcastRec) {
 	}
 	// Candidates all hold data: the index drops empty queues, and only
 	// this tile writes its devices' queues.
-	for _, zi := range s.ix.candidates(now, b.pos, maxR) {
+	for _, h := range s.ix.candidates(now, b.pos, maxR) {
+		zi := int(h.id)
 		if zi == b.from || zi == b.skip {
 			continue
 		}
@@ -762,18 +764,12 @@ func (s *shard) overhearBcast(b *bcastRec) {
 		if z.busyAt(now) || !e.aliveAt(zi, now) {
 			continue
 		}
-		zpos, ok := z.pos(now)
-		if !ok {
-			continue
-		}
-		if dx := b.pos.X - zpos.X; dx > maxR || dx < -maxR {
-			continue
-		}
-		if dy := b.pos.Y - zpos.Y; dy > maxR || dy < -maxR {
-			continue
-		}
-		dist := b.pos.Dist(zpos)
-		if dist > maxR {
+		dist := -1.0 // a certified hit reads its distance only for a link
+		if h.inRange {
+			if inRangeHook != nil {
+				inRangeHook(z, b.pos, now, maxR)
+			}
+		} else if dist = z.distWithin(b.pos, now, maxR); dist < 0 {
 			continue
 		}
 		if !s.listeningAt(z, b.from, b.seq) {
@@ -782,14 +778,21 @@ func (s *shard) overhearBcast(b *bcastRec) {
 		if z.bannedSendBack(b.from) {
 			continue
 		}
-		src := rng.Seeded(rng.Key2(e.d2dSeed, fk, uint64(zi+1)))
-		rssi := e.loss.RSSI(b.pow, radio.Meters(dist), &src)
-		linkETX := e.link.RCAETX(rssi)
 		local := routing.LocalState{
 			RCAETX:   z.est.RCAETX(),
 			Phi:      z.est.Phi(),
 			QueueLen: z.queue.Len(),
 		}
+		if !e.policy.Wants(local, frame, e.gwCfg.PhiMin, e.gwCfg.PhiMax) {
+			continue
+		}
+		if dist < 0 {
+			zpos, _ := z.pos(now)
+			dist = b.pos.Dist(zpos)
+		}
+		src := rng.Seeded(rng.Key2(e.d2dSeed, fk, uint64(zi+1)))
+		rssi := e.loss.RSSI(b.pow, radio.Meters(dist), &src)
+		linkETX := e.link.RCAETX(rssi)
 		dec := e.policy.OnOverhear(local, frame, linkETX, e.gwCfg.PhiMin, e.gwCfg.PhiMax)
 		if !dec.Forward {
 			continue

@@ -24,12 +24,18 @@ import (
 //   - keeps a device whose line at t lies within radius + ε, widened by
 //     2·vmax per second that t lies outside the span over which the line
 //     is the device's path: off the span both still move at ≤ vmax from
-//     the point where they split.
+//     the point where they split;
+//   - certifies a kept device whose line at t lies within radius − ε with
+//     t inside that span: over the span the device is in service and the
+//     line is its path (mobility.Motion), so its exact position at t is
+//     within the radius.
 //
-// A bus's span is its current route segment, so for most devices most of
-// the time the bound is the radius itself. Queries return a superset of the
+// A bus's span is its current route segment, cut to its shift, so for most
+// devices most of the time the bound is the radius itself, and a query
+// certifies most of what it returns. Queries return a superset of the
 // devices within the radius that hold data, ascending by id; callers check
-// exact distances against live positions. A device holds data when its
+// exact distances against live positions for the hits left uncertified,
+// and may skip the check for certified ones. A device holds data when its
 // queue in the world's slab is non-empty; only a holder can act on an
 // overheard broadcast. The filter runs before the line test and costs one
 // load from the slab. Callers must not change a queue while they walk a
@@ -77,7 +83,14 @@ type devIndex struct {
 	// overhears from its first instant in service on.
 	pending []ixEntry
 
-	scratch []int
+	scratch []ixHit
+}
+
+// ixHit is one query result: a device that may be within the radius, and
+// whether the query certified that it is.
+type ixHit struct {
+	id      int32
+	inRange bool
 }
 
 // ixEntry is one indexed device: its line as the position at the index's
@@ -115,8 +128,9 @@ const (
 	// lookups.
 	ixRowFrac       = 1
 	ixBinsPerDevice = 4
-	// posEpsilonM widens the line filter past the floating-point rounding
-	// of extrapolated positions, which stays far below a millimetre.
+	// posEpsilonM widens the line filter, and narrows the certificate,
+	// past the floating-point rounding of extrapolated positions, which
+	// stays far below a millimetre.
 	posEpsilonM = 0.05
 )
 
@@ -287,22 +301,27 @@ func (ix *devIndex) slotOf(id int) int {
 	return k
 }
 
-// candidates returns the ids of devices holding data that are possibly
-// within radius of p at query time, in ascending id order for deterministic
-// iteration. The result is a superset of the holders within the radius
-// (callers filter by exact distance) and holds no device whose queue is
-// empty. The result slice is reused across calls; callers must not
-// retain it.
+// candidates returns the devices holding data that are possibly within
+// radius of p at query time, in ascending id order for deterministic
+// iteration. The result is a superset of the holders within the radius and
+// holds no device whose queue is empty. A hit flagged inRange is certified:
+// the device is in service at now and its exact position is within the
+// radius, so callers need not read it to filter; callers filter the other
+// hits by exact distance. The result slice is reused across calls; callers
+// must not retain it.
 //
 //mlorass:hotpath
-func (ix *devIndex) candidates(now time.Duration, p geo.Point, radius float64) []int {
+func (ix *devIndex) candidates(now time.Duration, p geo.Point, radius float64) []ixHit {
 	out := ix.scratch[:0]
 	if !ix.valid {
 		ix.scratch = out
 		return out
 	}
-	q := ixQuery{now: now, dt: (now - ix.mid).Seconds(), p: p, tight: radius + posEpsilonM}
+	q := ixQuery{now: now, dt: (now - ix.mid).Seconds(), p: p, tight: radius + posEpsilonM, sure2: -1}
 	q.tight2 = q.tight * q.tight
+	if sure := radius - posEpsilonM; sure >= 0 {
+		q.sure2 = sure * sure
+	}
 	if len(ix.row) > 0 {
 		out = ix.scan(out, &q)
 	}
@@ -310,11 +329,11 @@ func (ix *devIndex) candidates(now time.Duration, p geo.Point, radius float64) [
 	// A dozen survivors in row order: insertion sort is the cheapest
 	// sort.
 	for i := 1; i < len(out); i++ {
-		id, j := out[i], i
-		for ; j > 0 && out[j-1] > id; j-- {
+		h, j := out[i], i
+		for ; j > 0 && out[j-1].id > h.id; j-- {
 			out[j] = out[j-1]
 		}
-		out[j] = id
+		out[j] = h
 	}
 	ix.scratch = out
 	return out
@@ -326,13 +345,14 @@ type ixQuery struct {
 	dt            float64 // now − mid, seconds
 	p             geo.Point
 	tight, tight2 float64 // radius + ε, squared
+	sure2         float64 // (radius − ε)², or −1 when the radius is under ε
 }
 
 // scan appends to out, row by row, the indexed devices whose lines pass
 // the filter among those placed within reach.
 //
 //mlorass:hotpath
-func (ix *devIndex) scan(out []int, q *ixQuery) []int {
+func (ix *devIndex) scan(out []ixHit, q *ixQuery) []ixHit {
 	p := q.p
 	reach := q.tight + ix.maxSpeedMPS*math.Abs(q.dt)
 	reach2 := reach * reach
@@ -360,10 +380,11 @@ func (ix *devIndex) scan(out []int, q *ixQuery) []int {
 
 // keep appends the entries of devices holding data whose line at the query
 // instant lies within the tight radius of the query point, or within the
-// slack their span allows when the instant lies off it.
+// slack their span allows when the instant lies off it. It certifies those
+// whose line lies within the sure radius at an instant on their span.
 //
 //mlorass:hotpath
-func (ix *devIndex) keep(out []int, ents []ixEntry, q *ixQuery) []int {
+func (ix *devIndex) keep(out []ixHit, ents []ixEntry, q *ixQuery) []ixHit {
 	for i := range ents {
 		e := &ents[i]
 		if ix.queues[e.id].Len() == 0 {
@@ -372,7 +393,8 @@ func (ix *devIndex) keep(out []int, ents []ixEntry, q *ixQuery) []int {
 		ex := e.x + e.vx*q.dt - q.p.X
 		ey := e.y + e.vy*q.dt - q.p.Y
 		if d2 := ex*ex + ey*ey; d2 <= q.tight2 || ix.offSpan(e, q.now, d2, q.tight) {
-			out = append(out, int(e.id))
+			sure := d2 <= q.sure2 && e.from <= q.now && q.now <= e.until
+			out = append(out, ixHit{id: e.id, inRange: sure})
 		}
 	}
 	return out

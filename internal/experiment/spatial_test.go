@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,12 +19,13 @@ import (
 	"mlorass/internal/tfl"
 )
 
-// gridWorld gives every device a fixed position for index tests.
+// gridWorld gives every device a fixed position, in service for all time,
+// for index tests.
 type gridWorld map[int]geo.Point
 
 func (w gridWorld) motion(id int, now, mid time.Duration) (mobility.Motion, bool) {
 	p, ok := w[id]
-	return mobility.Stationary(mid, p), ok
+	return mobility.Motion{At: mid, Pos: p, From: math.MinInt64, Until: math.MaxInt64}, ok
 }
 
 func TestDevIndexFindsNeighbours(t *testing.T) {
@@ -34,9 +37,15 @@ func TestDevIndexFindsNeighbours(t *testing.T) {
 		4: {X: 900, Y: 0}, // in a scanned row, but parked out of range
 	}
 	ix.refresh(time.Minute, []int{1, 2, 3, 4}, world.motion)
-	got := ix.candidates(time.Minute, geo.Point{X: 0, Y: 0}, 800)
+	hits := ix.candidates(time.Minute, geo.Point{X: 0, Y: 0}, 800)
+	got := hitIDs(hits)
 	if !containsInt(got, 1) || !containsInt(got, 2) {
 		t.Fatalf("candidates %v missing nearby devices", got)
+	}
+	for _, h := range hits {
+		if !h.inRange {
+			t.Fatalf("parked device %d well inside the radius left uncertified: %+v", h.id, hits)
+		}
 	}
 	if containsInt(got, 3) || containsInt(got, 4) {
 		t.Fatalf("candidates %v include a far device", got)
@@ -61,7 +70,7 @@ func TestDevIndexCandidatesSorted(t *testing.T) {
 		if q > 0 {
 			holdRandomly(queues, rnd)
 		}
-		got := ix.candidates(0, geo.Point{X: 450, Y: 450}, 2000)
+		got := hitIDs(ix.candidates(0, geo.Point{X: 450, Y: 450}, 2000))
 		for i := 1; i < len(got); i++ {
 			if got[i] <= got[i-1] {
 				t.Fatalf("query %d: candidates not sorted: %v", q, got)
@@ -126,7 +135,7 @@ func TestDevIndexSkipsInactive(t *testing.T) {
 		return world.motion(id, now, mid)
 	}
 	ix.refresh(0, []int{1, 2}, src)
-	got := ix.candidates(0, geo.Point{X: 0, Y: 0}, 100)
+	got := hitIDs(ix.candidates(0, geo.Point{X: 0, Y: 0}, 100))
 	if containsInt(got, 2) {
 		t.Fatalf("inactive device indexed: %v", got)
 	}
@@ -140,12 +149,12 @@ func TestDevIndexStaleness(t *testing.T) {
 	// world changes...
 	world[2] = geo.Point{X: 200, Y: 200}
 	ix.refresh(10*time.Second, []int{1, 2}, world.motion)
-	if got := ix.candidates(10*time.Second, geo.Point{X: 150, Y: 150}, 500); containsInt(got, 2) {
+	if got := hitIDs(ix.candidates(10*time.Second, geo.Point{X: 150, Y: 150}, 500)); containsInt(got, 2) {
 		t.Fatalf("index rebuilt too early: %v", got)
 	}
 	// ...after the window it is.
 	ix.refresh(40*time.Second, []int{1, 2}, world.motion)
-	if got := ix.candidates(40*time.Second, geo.Point{X: 150, Y: 150}, 500); !containsInt(got, 2) {
+	if got := hitIDs(ix.candidates(40*time.Second, geo.Point{X: 150, Y: 150}, 500)); !containsInt(got, 2) {
 		t.Fatalf("index not rebuilt after staleness window: %v", got)
 	}
 }
@@ -164,7 +173,7 @@ func TestDevIndexSlackCoversMovement(t *testing.T) {
 	}
 	ix.refresh(0, []int{1}, src)
 	for _, at := range []time.Duration{0, 10 * time.Second, 29 * time.Second} {
-		if got := ix.candidates(at, pos(at), 100); !containsInt(got, 1) {
+		if got := hitIDs(ix.candidates(at, pos(at), 100)); !containsInt(got, 1) {
 			t.Fatalf("moving device escaped the index slack at %v: %v", at, got)
 		}
 	}
@@ -192,7 +201,7 @@ func TestQuickDevIndexComplete(t *testing.T) {
 		ix.refresh(0, ids, world.motion)
 		q := geo.Point{X: float64(qx % 10000), Y: float64(qy % 10000)}
 		radius := float64(radRaw)*10 + 1
-		got := ix.candidates(0, q, radius)
+		got := hitIDs(ix.candidates(0, q, radius))
 		for id, p := range world {
 			if p.Dist(q) <= radius && !containsInt(got, id) {
 				return false
@@ -202,6 +211,32 @@ func TestQuickDevIndexComplete(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hitIDs returns a query result's device ids, in its order.
+func hitIDs(hits []ixHit) []int {
+	ids := make([]int, len(hits))
+	for i, h := range hits {
+		ids[i] = int(h.id)
+	}
+	return ids
+}
+
+// checkCertified fails unless every hit the query certified in range is
+// within the radius by exact, reporting whether the device is in service
+// and where it is.
+func checkCertified(t *testing.T, hits []ixHit, p geo.Point, radius float64, exact func(id int) (geo.Point, bool)) {
+	t.Helper()
+	for _, h := range hits {
+		if !h.inRange {
+			continue
+		}
+		q, ok := exact(int(h.id))
+		if !ok || q.Dist(p) > radius {
+			t.Fatalf("device %d certified in range but at %v (in service: %v), %.6f m from %v, radius %v",
+				h.id, q, ok, q.Dist(p), p, radius)
+		}
 	}
 }
 
@@ -276,13 +311,15 @@ func TestDevIndexMatchesBruteForce(t *testing.T) {
 			p := geo.Point{X: rnd(q+3, 9000), Y: rnd(q+11, 9000)}
 			radius := 400 + float64(q*37%1200)
 			holdRandomly(queues, held)
-			got := ix.candidates(time.Duration(q)*time.Second, p, radius)
+			hits := ix.candidates(time.Duration(q)*time.Second, p, radius)
+			got := hitIDs(hits)
 			for i := 1; i < len(got); i++ {
 				if got[i] <= got[i-1] {
 					t.Fatalf("descending=%v query %d: candidates not ascending: %v", descending, q, got)
 				}
 			}
 			checkHolders(t, got, ids, queues, func(id int) bool { return world[id].Dist(p) <= radius })
+			checkCertified(t, hits, p, radius, func(id int) (geo.Point, bool) { return world[id], true })
 		}
 	}
 }
@@ -348,8 +385,10 @@ func kinematicTestDevices(t *testing.T) []*device {
 // TestDevIndexSupersetOfTrueNeighbours is the kinematic index's property
 // test: at random instants across each rebuild window, every device truly
 // in service within the radius — by brute force over real cursors — is a
-// candidate, and candidates come back strictly ascending. Devices enter
-// service between rebuilds, as they do in the engines.
+// candidate, candidates come back strictly ascending, and every candidate
+// certified in range is in service within the radius by its model's
+// stateless position. Devices enter service between rebuilds, as they do
+// in the engines.
 func TestDevIndexSupersetOfTrueNeighbours(t *testing.T) {
 	devs := kinematicTestDevices(t)
 	maxSpeed := 11.0
@@ -367,7 +406,7 @@ func TestDevIndexSupersetOfTrueNeighbours(t *testing.T) {
 		now := 7 * time.Hour
 		var active []int
 		activated := make([]bool, len(devs))
-		queries := 0
+		queries, certified := 0, 0
 		for step := 0; step < 3000; step++ {
 			now += time.Duration(rnd.Int63n(int64(4 * time.Second)))
 			for id, d := range devs {
@@ -385,10 +424,17 @@ func TestDevIndexSupersetOfTrueNeighbours(t *testing.T) {
 			if q, ok := devs[active[rnd.Intn(len(active))]].cursor.PositionAt(now); ok && rnd.Intn(2) == 0 {
 				p = q
 			}
-			got := ix.candidates(now, p, radius)
+			hits := ix.candidates(now, p, radius)
+			got := hitIDs(hits)
 			for i := 1; i < len(got); i++ {
 				if got[i] <= got[i-1] {
 					t.Fatalf("period %v at %v: candidates not ascending: %v", period, now, got)
+				}
+			}
+			checkCertified(t, hits, p, radius, func(id int) (geo.Point, bool) { return devs[id].node.PositionAt(now) })
+			for _, h := range hits {
+				if h.inRange {
+					certified++
 				}
 			}
 			for _, id := range active {
@@ -400,10 +446,57 @@ func TestDevIndexSupersetOfTrueNeighbours(t *testing.T) {
 			}
 			queries++
 		}
-		if queries == 0 {
-			t.Fatal("no queries ran")
+		if queries == 0 || certified == 0 {
+			t.Fatalf("%d queries certified %d candidates; the property needs both", queries, certified)
 		}
 	}
+}
+
+// TestOverhearCertificatesHold runs the quick urban fig-8 grid's forwarding
+// cells on both engines, and the waypoint and sensor-grid scenarios, with a
+// hook on every index hit that an overhear loop trusts as certified in
+// range: each must be in service within the radius by its model's
+// stateless position. The tile engine calls the hook from every tile.
+func TestOverhearCertificatesHold(t *testing.T) {
+	var mu sync.Mutex
+	checked, bad := 0, []string(nil)
+	inRangeHook = func(z *device, p geo.Point, at time.Duration, radius float64) {
+		q, ok := z.node.PositionAt(at)
+		mu.Lock()
+		defer mu.Unlock()
+		checked++
+		if !ok || q.Dist(p) > radius {
+			bad = append(bad, fmt.Sprintf("device %d at %v: at %v (in service: %v), %.6f m from %v",
+				z.id, at, q, ok, q.Dist(p), p))
+		}
+	}
+	defer func() { inRangeHook = nil }()
+	var cfgs []Config
+	for _, gw := range GatewaySweep() {
+		for _, sc := range []routing.Scheme{routing.SchemeRCAETX, routing.SchemeROBC} {
+			cfg := QuickConfig()
+			cfg.Seed, cfg.NumGateways, cfg.Scheme = 1, gw, sc
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	cfgs = append(cfgs, tinyScenario(MobilityRandomWaypoint), tinyScenario(MobilitySensorGrid))
+	for _, shards := range []int{0, 2} {
+		for _, cfg := range cfgs {
+			cfg.Shards = shards
+			before := checked
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if len(bad) > 0 {
+				t.Fatalf("shards=%d %v %d gateways, mobility %v: %d certificates wrong, first %s",
+					shards, cfg.Scheme, cfg.NumGateways, cfg.Mobility.Model, len(bad), bad[0])
+			}
+			if cfg.Mobility.Model == MobilityBuses && checked == before {
+				t.Fatalf("shards=%d %v %d gateways: no certified hit was trusted", shards, cfg.Scheme, cfg.NumGateways)
+			}
+		}
+	}
+	t.Logf("%d certified hits checked", checked)
 }
 
 // TestRunIndependentOfIndexPeriod: queries return a superset of the true
@@ -473,7 +566,7 @@ func TestDevIndexRebuildIndependentOfArea(t *testing.T) {
 			t.Errorf("strip along %s: steady-state rebuild allocates %v, want 0", axis, allocs)
 		}
 		for id, p := range world {
-			if got := ix.candidates(now, p, 100); !containsInt(got, id) {
+			if got := hitIDs(ix.candidates(now, p, 100)); !containsInt(got, id) {
 				t.Fatalf("strip along %s: device %d missing from a query at its own position: %v", axis, id, got)
 			}
 		}
@@ -484,7 +577,9 @@ func TestDevIndexRebuildIndependentOfArea(t *testing.T) {
 // stacked on one x in one row — and query instants, with queue emptiness
 // drawn afresh for every query, the index never panics and every query
 // returns, strictly ascending, a superset of the devices holding data that
-// a brute force finds in range, and no device whose queue is empty.
+// a brute force finds in range, and no device whose queue is empty; and
+// every device it certifies in range is within the radius at its exact
+// position.
 func FuzzDevIndexSuperset(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 10, 0, 0, 0}, int64(0), int64(0), int64(0), uint16(500))
 	f.Add([]byte{1, 2, 3, 4, 1, 2, 9, 9, 1, 2, 200, 7, 1, 2, 0, 0}, int64(12), int64(3), int64(90), uint16(40))
@@ -545,13 +640,15 @@ func FuzzDevIndexSuperset(f *testing.F) {
 					p = pos(ids[q%len(ids)], qAt)
 				}
 				holdRandomly(queues, held)
-				got := ix.candidates(qAt, p, radius)
+				hits := ix.candidates(qAt, p, radius)
+				got := hitIDs(hits)
 				for i := 1; i < len(got); i++ {
 					if got[i] <= got[i-1] {
 						t.Fatalf("candidates not ascending: %v", got)
 					}
 				}
 				checkHolders(t, got, ids, queues, func(id int) bool { return pos(id, qAt).Dist(p) <= radius })
+				checkCertified(t, hits, p, radius, func(id int) (geo.Point, bool) { return pos(id, qAt), true })
 			}
 		}
 	})

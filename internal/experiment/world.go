@@ -557,6 +557,35 @@ func (d *device) pos(at time.Duration) (geo.Point, bool) {
 	return p, ok
 }
 
+// distWithin returns the device's exact distance from p at the given
+// instant when it is in service there and within r of p, and −1 otherwise:
+// the check an overhear loop makes of an index hit left uncertified.
+//
+//mlorass:hotpath
+func (d *device) distWithin(p geo.Point, at time.Duration, r float64) float64 {
+	q, ok := d.pos(at)
+	if !ok {
+		return -1
+	}
+	// Bounding-box pre-filter before the exact (hypot) distance.
+	if dx := p.X - q.X; dx > r || dx < -r {
+		return -1
+	}
+	if dy := p.Y - q.Y; dy > r || dy < -r {
+		return -1
+	}
+	dist := p.Dist(q)
+	if dist > r {
+		return -1
+	}
+	return dist
+}
+
+// inRangeHook, when set, sees every index hit certified in range that an
+// overhear loop trusts instead of checking the device's exact position;
+// tests set it to check the certificate.
+var inRangeHook func(z *device, p geo.Point, at time.Duration, radius float64)
+
 // banSendBack records that this device received data from the given
 // neighbour (no-send-back rule); duplicates are skipped.
 func (d *device) banSendBack(id int) {
@@ -596,9 +625,10 @@ func indexMotion(d *device, now, mid time.Duration) (mobility.Motion, bool) {
 		return m, true
 	}
 	// A node asleep at that instant but with a known fixed position stays
-	// indexed: it may wake before the next rebuild.
+	// indexed: it may wake before the next rebuild. Its span is empty, as
+	// its service is known at no instant, so queries never certify it.
 	if sm, ok := d.node.(mobility.StaticModel); ok {
-		return mobility.Stationary(at, sm.FixedPosition()), true
+		return mobility.Motion{At: at, Pos: sm.FixedPosition(), From: at + 1, Until: at}, true
 	}
 	return mobility.Motion{}, false
 }

@@ -32,20 +32,20 @@ type Cursor interface {
 }
 
 // Motion is a node's straight-line motion around one instant: at At it is
-// at Pos, and for every t in [From, Until] its position is Pos + Vel·(t−At)
-// up to floating-point rounding. Outside that span the node keeps moving no
+// at Pos, and for every t in [From, Until] the node is in service
+// (PositionAt's ok holds) and its position is Pos + Vel·(t−At) up to
+// floating-point rounding. Outside that span the node keeps moving no
 // faster than its Model's SpeedMPS, so the straight line is still a bound
-// there: the node is within 2·SpeedMPS·(distance of t from the span) of it.
+// there: the node is within 2·SpeedMPS·(distance of t from the span) of it
+// whenever it is in service. So a cursor clamps the span to the node's
+// service window, and a node whose service may lapse inside its window
+// (a duty-cycled sensor) gets the queried instant alone. An empty span
+// (From > Until) promises nothing but the bound.
 type Motion struct {
 	At          time.Duration
 	Pos         geo.Point
 	Vel         geo.Point // metres per second
 	From, Until time.Duration
-}
-
-// Stationary returns the motion of a node parked at p for all time.
-func Stationary(at time.Duration, p geo.Point) Motion {
-	return Motion{At: at, Pos: p, From: math.MinInt64, Until: math.MaxInt64}
 }
 
 // PosAt extrapolates the straight line to instant t.
@@ -73,7 +73,9 @@ func NewCursor(m Model) Cursor {
 	return statelessCursor{m: m}
 }
 
-// staticCursor reads a StaticModel: zero velocity, valid forever.
+// staticCursor reads a StaticModel: zero velocity. Its position holds
+// forever, but its service may lapse at any instant (a duty-cycled sensor
+// sleeps inside its window), so its motion spans the queried instant alone.
 type staticCursor struct {
 	m StaticModel
 }
@@ -86,7 +88,7 @@ func (c staticCursor) PositionAt(at time.Duration) (geo.Point, bool) {
 
 func (c staticCursor) MotionAt(at time.Duration) (Motion, bool) {
 	p, ok := c.m.PositionAt(at)
-	return Stationary(at, p), ok
+	return Motion{At: at, Pos: p, From: at, Until: at}, ok
 }
 
 // statelessCursor adapts a Model with no resumable state and no known
@@ -130,7 +132,8 @@ func (c *busCursor) PositionAt(at time.Duration) (geo.Point, bool) {
 }
 
 // MotionAt follows the current route segment in the current direction of
-// travel, from the vertex or turnaround the bus last passed to the next.
+// travel, from the vertex or turnaround the bus last passed to the next,
+// within the bus's shift.
 //
 //mlorass:hotpath
 func (c *busCursor) MotionAt(at time.Duration) (Motion, bool) {
@@ -149,8 +152,8 @@ func (c *busCursor) MotionAt(at time.Duration) (Motion, bool) {
 		behind, ahead, speed = ahead, behind, -speed
 	}
 	mo.Vel = dir.Scale(speed)
-	mo.From -= time.Duration(behind / b.speedMPS * float64(time.Second))
-	mo.Until += time.Duration(ahead / b.speedMPS * float64(time.Second))
+	mo.From = max(mo.From-time.Duration(behind/b.speedMPS*float64(time.Second)), b.trip.Start)
+	mo.Until = min(mo.Until+time.Duration(ahead/b.speedMPS*float64(time.Second)), b.tripEnd-1)
 	return mo, true
 }
 
@@ -173,7 +176,8 @@ func (c *waypointCursor) PositionAt(at time.Duration) (geo.Point, bool) {
 	return c.n.posInLeg(c.leg(at), at), true
 }
 
-// MotionAt follows the current leg (a pause is a leg standing still).
+// MotionAt follows the current leg (a pause is a leg standing still),
+// within the horizon.
 //
 //mlorass:hotpath
 func (c *waypointCursor) MotionAt(at time.Duration) (Motion, bool) {
@@ -183,7 +187,7 @@ func (c *waypointCursor) MotionAt(at time.Duration) (Motion, bool) {
 	}
 	i := c.leg(at)
 	l := n.legs[i]
-	mo := Motion{At: at, Pos: n.posInLeg(i, at), From: l.start, Until: l.end}
+	mo := Motion{At: at, Pos: n.posInLeg(i, at), From: l.start, Until: min(l.end, n.horizon-1)}
 	if span := (l.end - l.start).Seconds(); span > 0 {
 		mo.Vel = l.to.Sub(l.from).Scale(1 / span)
 	}

@@ -109,8 +109,9 @@ func TestCursorZeroAllocMonotonic(t *testing.T) {
 }
 
 // TestCursorMotionAt pins the motion read: its position is PositionAt's,
-// bit for bit; its span contains the instant; its speed keeps within the
-// model's bound; and over the whole span the line is the trajectory.
+// bit for bit; its span contains the instant and lies inside the service
+// window; its speed keeps within the model's bound; and over the whole span
+// the node is in service and the line is its trajectory.
 func TestCursorMotionAt(t *testing.T) {
 	for name, fleet := range cursorTestFleets(t) {
 		t.Run(name, func(t *testing.T) {
@@ -135,11 +136,19 @@ func TestCursorMotionAt(t *testing.T) {
 					if mo.From > at || mo.Until < at {
 						t.Fatalf("node %d at %v: span [%v, %v] misses the instant", i, at, mo.From, mo.Until)
 					}
-					lo, hi := max(mo.From, start), min(mo.Until, end-1)
+					if mo.From < start || mo.Until >= end {
+						t.Fatalf("node %d at %v: span [%v, %v] leaves the window [%v, %v)", i, at, mo.From, mo.Until, start, end)
+					}
 					for k := 0; k < 4; k++ {
-						tt := lo + time.Duration(rnd.Int63n(int64(hi-lo)+1))
+						tt := mo.From + time.Duration(rnd.Int63n(int64(mo.Until-mo.From)+1))
+						if k == 3 {
+							tt = mo.Until
+						}
 						p, ok := m.PositionAt(tt)
-						if ok && p.Dist(mo.PosAt(tt)) > 1e-6 {
+						if !ok {
+							t.Fatalf("node %d: out of service at %v inside its span [%v, %v]", i, tt, mo.From, mo.Until)
+						}
+						if p.Dist(mo.PosAt(tt)) > 1e-6 {
 							t.Fatalf("node %d: line from %v strays %v m from the trajectory at %v (span [%v, %v])",
 								i, at, p.Dist(mo.PosAt(tt)), tt, mo.From, mo.Until)
 						}

@@ -172,38 +172,92 @@ func TestLedgerRejectsSparseIDs(t *testing.T) {
 // duplicates, out-of-order arrivals and same-instant copies through several
 // gateways, the ledger matches the map reference exactly: fresh counts, the
 // records read back through slices.Collect(Deliveries()), duplicates and
-// Delivered.
-//
-// Each 4-byte group is one message: b0's top bit starts a new bundle whose
-// instant advances by b0&0x0f seconds (0 keeps the instant) and whose
-// gateway is b1&3; b2's low bit picks the scheme (row 0, or device
-// (b2>>1)&7's row) and b3 the column (b3&31) and hop count (b3>>5).
+// Delivered. ledgerOps decodes the bytes; its runs let a short input cross
+// a record page and a row's ID pages.
 func FuzzLedger(f *testing.F) {
 	f.Add([]byte{0x81, 0, 0, 1, 0x00, 0, 0, 2, 0x80, 1, 0, 1, 0x80, 2, 3, 0x21})
 	f.Add([]byte{0x80, 0, 1, 9, 0x80, 1, 1, 0x49, 0x80, 2, 1, 0x29, 0x83, 0, 5, 0})
 	f.Add([]byte{0x8f, 3, 14, 31, 0x01, 0, 14, 30, 0x80, 0, 0, 0, 0x00, 0, 0, 0})
+	f.Add(ledgerPagesSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ops []ingestOp
-		var probe []uint64
-		at := time.Duration(0)
-		for i := 0; i+4 <= len(data); i += 4 {
-			b0, b1, b2, b3 := data[i], data[i+1], data[i+2], data[i+3]
-			if b0&0x80 != 0 || len(ops) == 0 {
-				at += time.Duration(b0&0x0f) * time.Second
-				ops = append(ops, ingestOp{at: at, gw: int(b1 & 3)})
-			}
-			id := serialID(uint32(b3 & 31))
+		ops, probe := ledgerOps(data)
+		checkLedger(t, ops, probe)
+	})
+}
+
+// ledgerPagesSeed crosses FuzzLedger's widest boundaries: a run of 1,024
+// fresh serial IDs fills the first record page and row 0's first sixteen ID
+// pages, and one tile message opens the second record page. A later serial
+// copy is a duplicate; a run in device 2's row spans its fourth to sixth ID
+// pages, and a shorter run re-delivers some of them at the same instant with
+// fewer hops, amending their records.
+var ledgerPagesSeed = []byte{
+	0xc0, 0xfc, 0, 0, // new bundle at 0 s via gateway 0: serial IDs 0..1023
+	0x00, 0, 1, 0x20, // device 0's ID 0, one hop
+	0xb5, 1, 0, 7, // new bundle 5 s on via gateway 1: serial ID 199 again
+	0xf0, 0x1e, 5, 0x61, // new bundle via gateway 2: device 2's IDs 193..320, three hops
+	0x70, 0, 5, 0x03, // same bundle: device 2's IDs 195..210 again, no hops
+}
+
+// ledgerOps decodes FuzzLedger's bytes into ingest calls, plus the IDs to
+// probe with Delivered. Each 4-byte group adds one message, or a run of
+// them, to the current bundle:
+//
+//   - b0's top bit starts a new bundle whose instant advances by b0&0x0f
+//     seconds (0 keeps the instant) and whose gateway is b1&3;
+//   - b0&0x40 makes the group a run of 16·(b1>>2 + 1) consecutive IDs, up
+//     to 1,024: enough for a few groups to cross a record page;
+//   - b2's low bit picks the scheme: row 0, or device (b2>>1)&7's row;
+//   - the column is b3&31 plus 64·((b0>>4)&3), up to 223 (with a run, up
+//     to 1,246, so a row's fifth and later ID pages are reachable), and the
+//     hop count is b3>>5.
+func ledgerOps(data []byte) ([]ingestOp, []uint64) {
+	var ops []ingestOp
+	var probe []uint64
+	at := time.Duration(0)
+	for i := 0; i+4 <= len(data); i += 4 {
+		b0, b1, b2, b3 := data[i], data[i+1], data[i+2], data[i+3]
+		if b0&0x80 != 0 || len(ops) == 0 {
+			at += time.Duration(b0&0x0f) * time.Second
+			ops = append(ops, ingestOp{at: at, gw: int(b1 & 3)})
+		}
+		n := 1
+		if b0&0x40 != 0 {
+			n = 16 * (int(b1>>2) + 1)
+		}
+		col := uint32(b3&31) + 64*uint32(b0>>4&3)
+		op := &ops[len(ops)-1]
+		for k := uint32(0); k < uint32(n); k++ {
+			id := serialID(col + k)
 			if b2&1 == 1 {
-				id = tileID(int(b2>>1)&7, uint32(b3&31))
+				id = tileID(int(b2>>1)&7, col+k)
 			}
-			op := &ops[len(ops)-1]
 			op.msgs = append(op.msgs, lorawan.Message{
 				ID: id, Origin: int(b2 >> 1), Created: at - time.Minute, Hops: int(b3 >> 5),
 			})
 			probe = append(probe, id, id+1, id^1<<32)
 		}
-		checkLedger(t, ops, probe)
-	})
+	}
+	return ops, probe
+}
+
+// TestLedgerPagesSeedCrossesPages: FuzzLedger's page seed delivers more
+// than a record page of distinct messages and reaches past a row's fourth
+// ID page, so the fuzzer starts from both boundaries.
+func TestLedgerPagesSeedCrossesPages(t *testing.T) {
+	ops, _ := ledgerOps(ledgerPagesSeed)
+	distinct := map[uint64]bool{}
+	maxCol := uint64(0)
+	for _, op := range ops {
+		for _, m := range op.msgs {
+			distinct[m.ID] = true
+			maxCol = max(maxCol, m.ID&0xffffffff)
+		}
+	}
+	if len(distinct) <= recordPage || maxCol < 4*idPage {
+		t.Fatalf("seed delivers %d distinct IDs up to column %d; want over %d, and at least %d",
+			len(distinct), maxCol, recordPage, 4*idPage)
+	}
 }
 
 // TestIngestAllocatesPerPage: ingesting a fresh message allocates only when

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mlorass/internal/geo"
+	"mlorass/internal/rng"
 )
 
 func TestSpreadingFactorValid(t *testing.T) {
@@ -200,6 +201,29 @@ func TestRSSIShadowingZeroSigmaDeterministic(t *testing.T) {
 	if pl.RSSI(14, 500, nil) != pl.MeanRSSI(14, 500) {
 		t.Fatal("zero-sigma RSSI differs from mean")
 	}
+}
+
+// TestSkipShadow: SkipShadow leaves a stream where LossDB's shadowing draw
+// does, and draws nothing when shadowing is off or there is no stream.
+func TestSkipShadow(t *testing.T) {
+	pl := DefaultPathLoss()
+	for seed := uint64(0); seed < 100; seed++ {
+		took, skipped := rng.New(seed), rng.New(seed)
+		pl.LossDB(Meters(40+seed), took)
+		pl.SkipShadow(skipped)
+		if *took != *skipped {
+			t.Fatalf("seed %d: SkipShadow left the stream elsewhere than LossDB", seed)
+		}
+	}
+	pl.ShadowSigmaDB = 0
+	r := rng.New(1)
+	before := *r
+	pl.SkipShadow(r)
+	if *r != before {
+		t.Fatal("SkipShadow drew with shadowing off")
+	}
+	pl.ShadowSigmaDB = 7.8
+	pl.SkipShadow(nil) // must not panic
 }
 
 func newTestMedium(t *testing.T, maxRange Meters) *Medium {

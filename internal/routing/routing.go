@@ -1,15 +1,21 @@
 // Package routing defines the forwarding schemes the paper evaluates as
 // pluggable policies over the core metrics:
 //
-//   - NoRouting: the modified-LoRaWAN baseline — hold everything until the
-//     next gateway contact (Sec. VII-A7).
+//   - NoRouting: the modified-LoRaWAN baseline (Sec. VII-A7). It never
+//     hands data to a neighbour. Its devices do not wait for a gateway
+//     contact either: the engines uplink a bundle at every slot, and retry
+//     a failed one at the next duty-cycle opportunity, whether or not a
+//     gateway is in range. Whether the paper's baseline does the same or
+//     holds its data until a contact is open (ROADMAP item 1(c)).
 //   - RCA-ETX: greedy forwarding by the Eq. (1) comparison.
 //   - ROBC: backpressure forwarding by φ-corrected queue differentials
 //     (Eq. 10) transferring δ messages (Sec. V-B2).
 //
 // A policy sees one overheard broadcast at a time — the only neighbour
 // discovery LoRaWAN's duty-cycle regime permits — and answers whether the
-// listener should hand data to the broadcaster, and how much.
+// listener should hand data to the broadcaster, and how much. It first
+// answers without the link (Wants), so the engines measure a link only for
+// listeners whose decision reads it.
 package routing
 
 import (
@@ -75,6 +81,12 @@ type Policy interface {
 	// and the listener→broadcaster link metric RCA-ETX(x, y) from
 	// Eq. (6). phiBounds carry the ROBC stability clamps.
 	OnOverhear(local LocalState, frame lorawan.Frame, linkETX float64, phiMin, phiMax float64) Decision
+	// Wants is OnOverhear's link-free necessary condition: for every
+	// linkETX a LinkModel can return (zero, positive, +Inf or NaN),
+	// OnOverhear(local, frame, linkETX, phiMin, phiMax).Forward implies
+	// Wants(local, frame, phiMin, phiMax). A false answer lets the caller
+	// skip measuring the link.
+	Wants(local LocalState, frame lorawan.Frame, phiMin, phiMax float64) bool
 }
 
 // New returns the policy implementing the given scheme.
@@ -97,11 +109,14 @@ var _ Policy = noRouting{}
 
 func (noRouting) Scheme() Scheme { return SchemeNoRouting }
 
-// OnOverhear never forwards: NoRouting devices hold their queue until a
-// gateway contact.
+// OnOverhear never forwards: NoRouting devices send their queue only as
+// uplinks.
 func (noRouting) OnOverhear(LocalState, lorawan.Frame, float64, float64, float64) Decision {
 	return Decision{}
 }
+
+// Wants is false: NoRouting never forwards.
+func (noRouting) Wants(LocalState, lorawan.Frame, float64, float64) bool { return false }
 
 type rcaETX struct{}
 
@@ -121,6 +136,12 @@ func (rcaETX) OnOverhear(local LocalState, frame lorawan.Frame, linkETX float64,
 	return Decision{Forward: true, Count: local.QueueLen}
 }
 
+// Wants is Eq. (1) with the link term at its least, zero: a link cost is
+// never negative, and adding one never lowers the broadcaster's total.
+func (rcaETX) Wants(local LocalState, frame lorawan.Frame, _, _ float64) bool {
+	return local.QueueLen != 0 && local.RCAETX > frame.AdvertisedRCAETX
+}
+
 type robc struct{}
 
 var _ Policy = robc{}
@@ -132,20 +153,31 @@ func (robc) Scheme() Scheme { return SchemeROBC }
 // recovered from its advertised RCA-ETX with the same clamps the listener
 // uses, so both sides of the weight are commensurate.
 func (robc) OnOverhear(local LocalState, frame lorawan.Frame, linkETX float64, phiMin, phiMax float64) Decision {
-	if local.QueueLen == 0 {
-		return Decision{}
-	}
 	// A dead link cannot carry data regardless of queue pressure.
 	if linkETX <= 0 || linkETX != linkETX || linkETX > 1e18 {
 		return Decision{}
 	}
-	phiY := core.ClampPhi(1/frame.AdvertisedRCAETX, phiMin, phiMax)
-	if !core.ShouldForwardROBC(local.QueueLen, frame.AdvertisedQueueLen, local.Phi, phiY) {
-		return Decision{}
-	}
-	n := core.ROBCTransfer(local.QueueLen, frame.AdvertisedQueueLen, local.Phi, phiY)
+	n := robcTransfer(local, frame, phiMin, phiMax)
 	if n == 0 {
 		return Decision{}
 	}
 	return Decision{Forward: true, Count: n}
+}
+
+// Wants is Eq. (10) and δ without the dead-link veto, the only part of
+// ROBC's decision that reads the link.
+func (robc) Wants(local LocalState, frame lorawan.Frame, phiMin, phiMax float64) bool {
+	return robcTransfer(local, frame, phiMin, phiMax) != 0
+}
+
+// robcTransfer returns δ when Eq. (10) forwards, or 0.
+func robcTransfer(local LocalState, frame lorawan.Frame, phiMin, phiMax float64) int {
+	if local.QueueLen == 0 {
+		return 0
+	}
+	phiY := core.ClampPhi(1/frame.AdvertisedRCAETX, phiMin, phiMax)
+	if !core.ShouldForwardROBC(local.QueueLen, frame.AdvertisedQueueLen, local.Phi, phiY) {
+		return 0
+	}
+	return core.ROBCTransfer(local.QueueLen, frame.AdvertisedQueueLen, local.Phi, phiY)
 }

@@ -200,3 +200,64 @@ func TestQuickPolicyBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestForwardImpliesWants pins Wants as OnOverhear's link-free necessary
+// condition for every scheme: over a grid of edge inputs (zero and
+// negative queues, NaN and ±Inf advertised RCA-ETX and φ, φ at and past
+// the clamps) crossed with every kind of link a LinkModel returns (zero,
+// finite, past ROBC's dead-link bound, +Inf, NaN), a forward never comes
+// without Wants; then the same over random inputs.
+func TestForwardImpliesWants(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	etxs := []float64{0, 1e-300, 0.5, 1, 2, 30, 1e4, 1e19, inf, -inf, nan, -1}
+	phis := []float64{testPhiMin, testPhiMax, 0.5, 0, -1, 2, inf, -inf, nan}
+	queues := []int{0, 1, 5, 12, 500, -3}
+	links := []float64{0, 1e-300, 0.5, 20, 1e18, 2e18, inf, nan}
+	policies := []Policy{mustPolicy(t, SchemeNoRouting), mustPolicy(t, SchemeRCAETX), mustPolicy(t, SchemeROBC)}
+	forwards := map[Scheme]int{}
+	for _, p := range policies {
+		for _, own := range etxs {
+			for _, phi := range phis {
+				for _, qx := range queues {
+					for _, adv := range etxs {
+						for _, qy := range queues {
+							for _, link := range links {
+								local := LocalState{RCAETX: own, Phi: phi, QueueLen: qx}
+								frame := lorawan.Frame{AdvertisedRCAETX: adv, AdvertisedQueueLen: qy}
+								d := p.OnOverhear(local, frame, link, testPhiMin, testPhiMax)
+								if !d.Forward {
+									continue
+								}
+								forwards[p.Scheme()]++
+								if !p.Wants(local, frame, testPhiMin, testPhiMax) {
+									t.Fatalf("%v forwards %d over link %v without wanting to: local %+v, advertised RCA-ETX %v, queue %d",
+										p.Scheme(), d.Count, link, local, adv, qy)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// The grid must reach forwarding decisions, or the implication is
+	// vacuous.
+	if forwards[SchemeRCAETX] == 0 || forwards[SchemeROBC] == 0 {
+		t.Fatalf("the edge grid forwarded %v times per scheme", forwards)
+	}
+	f := func(qx, qy int16, own, adv, phi, link float64) bool {
+		local := LocalState{RCAETX: own, Phi: phi, QueueLen: int(qx)}
+		frame := lorawan.Frame{AdvertisedRCAETX: adv, AdvertisedQueueLen: int(qy)}
+		for _, p := range policies {
+			for _, l := range []float64{math.Abs(link), 0, inf, nan} {
+				if p.OnOverhear(local, frame, l, testPhiMin, testPhiMax).Forward && !p.Wants(local, frame, testPhiMin, testPhiMax) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
