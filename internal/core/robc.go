@@ -30,11 +30,11 @@ func ROBCTransfer(qx, qy int, phiX, phiY float64) int {
 	if math.IsNaN(d) || d <= 0 {
 		return 0
 	}
-	n := int(math.Ceil(d))
-	if n > qx {
-		n = qx
+	// Clamp while d is a float: an infinite d would not convert to an int.
+	if d >= float64(qx) {
+		return qx
 	}
-	return n
+	return int(math.Ceil(d))
 }
 
 // ShouldForwardROBC reports whether ROBC forwards from x to y: the weight

@@ -40,6 +40,7 @@ func TestROBCTransferDelta(t *testing.T) {
 		{"phi ratio favours y", 20, 10, 0.25, 0.5, 15}, // δ = 20 − 10·0.5 = 15
 		{"clamped to queue", 5, 0, 10, 0.001, 5},
 		{"y empty sends all", 12, 0, 0.5, 0.5, 12},
+		{"infinite delta clamped", 4, -3, math.Inf(1), 0.5, 4}, // δ = 4 + 3·∞
 	}
 	for _, tt := range tests {
 		if got := ROBCTransfer(tt.qx, tt.qy, tt.phiX, tt.phiY); got != tt.want {

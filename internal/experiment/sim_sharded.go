@@ -12,7 +12,6 @@ import (
 	"mlorass/internal/mobility"
 	"mlorass/internal/netserver"
 	"mlorass/internal/radio"
-	"mlorass/internal/routing"
 	"mlorass/internal/telemetry"
 )
 
@@ -64,10 +63,11 @@ import (
 // so results are BIT-IDENTICAL for every shard count N ≥ 1, every tile
 // layout, and every GOMAXPROCS. They are intentionally distinct from the
 // serial engine (Shards = 0), whose sequential draw order cannot be
-// reproduced concurrently; the goldens are the serial engine's bytes, and
-// both engines share one world build (world.go). Divergences are the window-quantised visibility of cross-event
-// state and the keyed (rather than sequential) draw streams — documented in
-// README "Sharded runs".
+// reproduced concurrently; the goldens are the serial engine's bytes. Both
+// engines build one world (world.go) and run one device protocol (kernel.go);
+// the divergences are the window-quantised visibility of cross-event state
+// and the keyed (rather than sequential) draw streams, which sit behind the
+// engine seam — documented in README "Sharded runs".
 //
 // Lookahead: L = 2 s, clamped to RX1Delay when the MAC is on, so a downlink
 // scheduled from window j (start ≥ uplinkEnd + RX1Delay ≥ W_j + L) is always
@@ -82,18 +82,6 @@ const (
 	shardPhaseKernel = iota
 	shardPhaseResolve
 	shardPhaseDeliver
-)
-
-// resolve kinds, ordered: uplinks resolve before downlinks at equal instants.
-const (
-	rkUplink uint8 = iota
-	rkDownlink
-)
-
-// MAC coordinator-op kinds, ordered to match phase B execution order.
-const (
-	macOpUplink uint8 = iota
-	macOpReset
 )
 
 // txRec is one transmission begun this window, merged into every tile's
@@ -116,7 +104,7 @@ type bcastRec struct {
 	// dest is the target of a handover the sender's tile judged received
 	// (-1 when sink-addressed, missed, or preempted by a gateway decode);
 	// skip is the originally addressed device, excluded from overhearing
-	// either way (as in the serial engine's overhear loop).
+	// either way, like every addressed device.
 	dest         int
 	skip         int
 	pow          radio.DBm
@@ -134,30 +122,6 @@ type ingestRec struct {
 	gw           int
 	shard        int32
 	mStart, mEnd int32
-}
-
-// macOp is one MAC-plane operation replayed by the coordinator against the
-// global controller/scheduler in intrinsic (at, dev, kind) order.
-type macOp struct {
-	at     time.Duration
-	dev    int
-	kind   uint8
-	gw     int
-	snr    radio.DB
-	dr     lorawan.DataRate
-	powIdx int
-	timing netserver.RxTiming
-}
-
-// planRec is one committed downlink plan routed to the device's tile.
-type planRec struct {
-	dev    int
-	gw     int
-	start  time.Duration
-	air    time.Duration
-	ack    bool
-	cmd    lorawan.LinkADRReq
-	hasCmd bool
 }
 
 // settleRec reconciles a failed handover back onto the sender: the bundle
@@ -213,8 +177,7 @@ type sharded struct {
 	shards []*shard
 	pool   *eventsim.Pool
 
-	overhearOn bool
-	plan       *disruption.Plan
+	plan *disruption.Plan
 
 	// Intrinsic draw seeds (keyed draws only — no sequential streams).
 	gwShadowSeed uint64
@@ -246,15 +209,6 @@ type sharded struct {
 	coordTrace []telemetry.Event
 
 	windows, skipped int
-}
-
-// frameKey packs a transmission's intrinsic identity (sender, sequence)
-// into one key word. Gateway downlink senders are negative (-1-gw), which
-// maps to a distinct high word.
-//
-//mlorass:hotpath
-func frameKey(from int, seq uint32) uint64 {
-	return uint64(uint32(int32(from+1)))<<32 | uint64(seq)
 }
 
 // intrinsicMsgID numbers a device's messages independently of any global
@@ -323,7 +277,6 @@ func newSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 	e := &sharded{
 		world:        w,
 		lookahead:    shardLookahead(&cfg),
-		overhearOn:   cfg.Scheme != routing.SchemeNoRouting,
 		gwShadowSeed: cfg.Seed ^ 0x51ab,
 		d2dSeed:      cfg.Seed ^ 0x0d2d,
 		listenSeed:   cfg.Seed ^ 0x115e,
@@ -336,25 +289,13 @@ func newSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 
 	e.shards = make([]*shard, k)
 	for i := range e.shards {
-		medium, err := radio.NewMedium(e.mediumConfig())
-		if err != nil {
-			return nil, err
-		}
-		s := &shard{
-			eng:    e,
-			idx:    i,
-			es:     eventsim.New(),
-			medium: medium,
-			ix:     e.newIndex(),
-		}
+		s := &shard{coord: e, idx: i}
+		var rec *telemetry.Recorder
 		if !cfg.Telemetry.Disabled {
-			s.rec = telemetry.NewRecorder()
+			rec = telemetry.NewRecorder()
 		}
-		if e.tracer != nil && s.rec != nil {
-			s.es.SetProbe(s.rec)
-		}
-		s.motionFn = func(id int, now, mid time.Duration) (mobility.Motion, bool) {
-			return indexMotion(e.devices[id], now, mid)
+		if err := s.build(&e.world, s, rec); err != nil {
+			return nil, err
 		}
 		e.shards[i] = s
 	}
@@ -367,35 +308,8 @@ func newSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 		ti := min(max(assign(d.id, e.homePos(d)), 0), k-1)
 		e.owner[d.id] = int32(ti)
 		sh := e.shards[ti]
-		if e.macOn {
-			d.dlFn = func(end time.Duration) { sh.resolveDown(d, end) }
-			d.ackTimeoutFn = func(at time.Duration) { sh.ackTimeout(d, at) }
-		}
-		d.slotFn = func(now time.Duration) {
-			if d.failed {
-				return
-			}
-			sh.tick(d, now)
-			sh.scheduleTick(d, now+cfg.MsgInterval)
-		}
-		d.retryFn = func(later time.Duration) {
-			d.retryScheduled = false
-			sh.tryUplink(d, later)
-		}
-		if !serves {
-			return nil
-		}
-		start, end := d.node.Window()
-		if _, err := sh.es.At(start, func(time.Duration) { sh.activate(d) }); err != nil {
-			return err
-		}
-		if end < cfg.Duration {
-			if _, err := sh.es.At(end, func(time.Duration) { sh.deactivate(d) }); err != nil {
-				return err
-			}
-		}
-		sh.scheduleTick(d, first)
-		return nil
+		d.resolveFn = func(end time.Duration) { sh.resolveUp(d, end) }
+		return sh.place(d, first, serves)
 	})
 	if err != nil {
 		return nil, err
@@ -443,10 +357,9 @@ func (e *sharded) homePos(d *device) geo.Point {
 	return e.area.Center()
 }
 
-// scheduleDisruption compiles the plan. Gateway availability is looked up
-// intrinsically per instant (Plan.GatewayUp) instead of via mutable flags,
-// so tiles never share outage state; device churn schedules owner-tile
-// kernel events exactly like the serial engine.
+// scheduleDisruption compiles the plan and schedules device churn on the
+// owner tiles' kernels. Gateway availability is looked up per instant
+// (shard.gatewayUp), so no outage event is scheduled.
 func (e *sharded) scheduleDisruption() error {
 	if !e.cfg.Disruption.Enabled() {
 		return nil
@@ -457,31 +370,7 @@ func (e *sharded) scheduleDisruption() error {
 	}
 	e.plan = plan
 	e.gatewayOutageWindows = plan.OutageWindows()
-	for di, failAt := range plan.DeviceFailAt {
-		if failAt < 0 || failAt >= e.cfg.Duration {
-			continue
-		}
-		e.deviceFailures++
-		d := e.devices[di]
-		if d == nil {
-			continue // dormant: fails before it could ever serve
-		}
-		sh := e.shards[e.owner[di]]
-		if _, err := sh.es.At(failAt, func(time.Duration) {
-			d.failed = true
-			sh.deactivate(d)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// gwUpAt reports gateway availability at an instant.
-//
-//mlorass:hotpath
-func (e *sharded) gwUpAt(gw int, at time.Duration) bool {
-	return e.plan == nil || e.plan.GatewayUp(gw, at)
+	return e.scheduleChurn(plan, func(id int) *kernel { return &e.shards[e.owner[id]].kernel })
 }
 
 // aliveAt reports whether the device has not yet churned out at an instant.
@@ -667,29 +556,11 @@ func (e *sharded) coordinate() int {
 		return len(fresh)
 	}
 	ops := e.mac.merge(e.shards, func(s *shard) []macOp { return s.outMac }, cmpMacOp)
-	m := e.server.MAC()
 	for i := range ops {
-		op := &ops[i]
-		if op.kind == macOpReset {
-			if m.ADR != nil {
-				m.ADR.Reset(op.dev)
-			}
-			continue
+		if plan, ok := e.applyMAC(&ops[i]); ok {
+			sh := e.shards[e.owner[plan.Device]]
+			sh.inPlan = append(sh.inPlan, plan)
 		}
-		plan, ok := m.OnUplink(op.dev, op.gw, op.snr, op.dr, op.powIdx, e.confirmed, op.at, op.timing)
-		if !ok {
-			continue
-		}
-		sh := e.shards[e.owner[plan.Device]]
-		sh.inPlan = append(sh.inPlan, planRec{
-			dev:    plan.Device,
-			gw:     plan.Gateway,
-			start:  plan.Start,
-			air:    plan.AirTime,
-			ack:    plan.Ack,
-			cmd:    plan.Cmd,
-			hasCmd: plan.HasCmd,
-		})
 	}
 	return len(fresh)
 }

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -366,10 +369,10 @@ func TestShardEquivalenceADRTable(t *testing.T) {
 	}
 }
 
-// TestShardGoldenReport locks the shards=1 reference output the same way the
-// serial engine's goldens are locked. The serial goldens themselves are
-// untouched by the sharded engine (Shards=0 never enters it); this file is
-// the sharded contract's anchor. Regenerate with -update.
+// TestShardGoldenReport locks the shards=1 reference output the same way
+// TestGoldenQuickReports locks the serial engine's (Shards = 0, the
+// default); this file is the sharded contract's anchor. Regenerate with
+// -update.
 func TestShardGoldenReport(t *testing.T) {
 	var rep string
 	for _, scheme := range Schemes() {
@@ -384,25 +387,6 @@ func TestShardGoldenReport(t *testing.T) {
 		rep += res.Report()
 	}
 	goldenCompare(t, "report_quick_shards1.golden", rep)
-}
-
-// TestShardSerialUntouched: a Shards=0 config takes the serial engine and
-// renders the committed pre-shard golden bytes — the "don't break working
-// code" half of the contract, asserted directly.
-func TestShardSerialUntouched(t *testing.T) {
-	var rep string
-	for _, scheme := range Schemes() {
-		cfg := QuickConfig()
-		cfg.Seed = 1
-		cfg.Scheme = scheme
-		cfg.Shards = 0
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep += res.Report()
-	}
-	goldenCompare(t, "report_quick_seed1.golden", rep)
 }
 
 // TestShardSerialSameWorkload: the two engines draw different channel
@@ -562,4 +546,39 @@ func TestMergeRuns(t *testing.T) {
 			t.Fatalf("trial %d (k=%d): merge %v, sort %v", trial, k, buf, all)
 		}
 	}
+}
+
+// TestShardEngineFingerprints locks both engines' output for every variant
+// of the device protocol: the SHA-256 of Report() and of a full-sampling
+// JSONL trace, at Shards = 0 (serial) and Shards = 1, against
+// testdata/engine_fingerprints.golden. A refactor of the shared device code
+// must leave every line as it is. Regenerate with -update.
+func TestShardEngineFingerprints(t *testing.T) {
+	variants := shardTestVariants()
+	names := make([]string, 0, len(variants))
+	for name := range variants {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var b strings.Builder
+	for _, name := range names {
+		for _, shards := range []int{0, 1} {
+			cfg := shardTestBase()
+			variants[name](&cfg)
+			cfg.Shards = shards
+			trace := sha256.New()
+			sink := telemetry.NewJSONLSink(trace)
+			cfg.Telemetry.Trace = telemetry.NewTracer(sink, 1)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", name, shards, err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s shards=%d report %x\n", name, shards, sha256.Sum256([]byte(res.Report())))
+			fmt.Fprintf(&b, "%s shards=%d trace  %x\n", name, shards, trace.Sum(nil))
+		}
+	}
+	goldenCompare(t, "engine_fingerprints.golden", b.String())
 }

@@ -22,21 +22,25 @@ import (
 
 // This file is the world both execution engines run: the fleet, gateways,
 // link model, network server and MAC plane, the device table, and the Result
-// they collect into. The serial sim and the tile engine embed one world each
-// and differ only in how they schedule and resolve device events.
+// they collect into. Each engine builds one world, and every kernel it runs
+// (kernel.go) reads it: the engines share the world and the device protocol,
+// and differ only behind the engine seam and in how they order a run.
 
 // world is one run's assembled scenario, built once by newWorld.
 type world struct {
-	cfg     Config
-	fleet   *mobility.Fleet
-	area    geo.Rect
-	gws     []geo.Point
-	policy  routing.Policy
-	phy     radio.PHYParams
-	link    core.LinkModel
-	gwCfg   core.GatewayConfig
-	retry   lorawan.RetryPolicy
-	devices []*device // by fleet id; nil when the window opens at or after the horizon
+	cfg    Config
+	fleet  *mobility.Fleet
+	area   geo.Rect
+	gws    []geo.Point
+	policy routing.Policy
+	// overhearOn is false under NoRouting, whose devices never act on an
+	// overheard frame.
+	overhearOn bool
+	phy        radio.PHYParams
+	link       core.LinkModel
+	gwCfg      core.GatewayConfig
+	retry      lorawan.RetryPolicy
+	devices    []*device // by fleet id; nil when the window opens at or after the horizon
 	// queues is the device queue slab, by fleet id: every device's queue
 	// lives here, so the neighbour index tests a queue for data with one
 	// load from a dense table.
@@ -105,6 +109,7 @@ func newWorld(cfg Config, cities *citySet) (world, error) {
 	if w.policy, err = routing.New(cfg.Scheme); err != nil {
 		return world{}, err
 	}
+	w.overhearOn = cfg.Scheme != routing.SchemeNoRouting
 
 	w.phy = radio.DefaultPHY(cfg.SF)
 	fullFrame := lorawan.Frame{Messages: make([]lorawan.Message, lorawan.MaxBundle)}
@@ -303,7 +308,7 @@ func (w *world) rxTiming(d *device) netserver.RxTiming {
 }
 
 // counters are the event tallies a kernel keeps while it runs: the serial
-// sim keeps one set, every tile its own.
+// engine's one kernel keeps one set, every tile its own.
 type counters struct {
 	generated         uint64
 	handoverAttempts  uint64
@@ -439,10 +444,9 @@ type device struct {
 	retryScheduled bool
 
 	// Prebuilt event callbacks: the slot tick, the duty-cycle retry, and
-	// the transmission resolution are scheduled millions of times per
-	// run, so each device allocates its closures once instead of one per
-	// scheduling. resolveFn is the serial engine's: tiles resolve from
-	// their phase B list instead.
+	// the uplink's resolution at its end are scheduled millions of times
+	// per run, so each device allocates its closures once instead of one
+	// per scheduling.
 	slotFn    eventsim.Event
 	retryFn   eventsim.Event
 	resolveFn eventsim.Event
@@ -513,16 +517,17 @@ type device struct {
 	framesSent uint64
 	msgSends   uint64
 
-	// Sharded-engine state (unread under the serial engine).
+	// Intrinsic identities and on-air record, read where message IDs and
+	// draws are keyed and liveness is a function of the instant.
 	//
-	// msgSeq numbers this device's generated messages so sharded message
-	// IDs are intrinsic — (id+1)<<32|msgSeq — instead of a global counter
-	// whose value would depend on cross-device event interleaving. dlSeq
-	// numbers received downlink plans for keyed shadowing draws. The
-	// flight intervals record the device's current and previous uplink
-	// on-air spans so receiver-side phases can answer "was this device
-	// transmitting at instant T" for any T inside the window without
-	// ordering against the transmitter's own phase — see busyAt.
+	// msgSeq numbers this device's generated messages so message IDs can
+	// be intrinsic — (id+1)<<32|msgSeq, see intrinsicMsgID — instead of a
+	// global counter whose value depends on cross-device event
+	// interleaving. dlSeq numbers the downlinks sent to it, keying their
+	// reception draws. The flight intervals record the device's current
+	// and previous uplink on-air spans so a receiver can answer "was this
+	// device transmitting at instant T" for any T inside a window without
+	// ordering against the transmitter's own events — see busyAt.
 	msgSeq        uint32
 	dlSeq         uint32
 	flightStart   time.Duration
