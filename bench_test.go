@@ -278,17 +278,15 @@ func BenchmarkParallelSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead proves the tentpole's overhead budget: the same
-// scenario with metric recorders off (the pre-telemetry hot path), on (the
-// shipped default: counters + delay/airtime histograms, tracing disabled),
-// and fully traced to an in-memory sink. The acceptance bar is recorders-on
-// within 5% of recorders-off; compare the sub-benchmarks' ns/op.
+// BenchmarkTelemetryOverhead times the same scenario as every run records
+// it (counters and delay/airtime histograms, tracing off) and fully traced
+// to an in-memory sink; compare the sub-benchmarks' ns/op for the cost of
+// tracing.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	variants := []struct {
 		name      string
 		configure func(*experiment.Config)
 	}{
-		{"off", func(cfg *experiment.Config) { cfg.Telemetry.Disabled = true }},
 		{"recorders", func(cfg *experiment.Config) {}},
 		{"traced", func(cfg *experiment.Config) {
 			cfg.Telemetry.Trace = telemetry.NewTracer(&telemetry.MemSink{}, 1)

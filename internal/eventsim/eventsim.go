@@ -375,38 +375,3 @@ func (s *Simulator) peek() (time.Duration, bool) {
 	}
 	return 0, false
 }
-
-// Ticker invokes fn every interval starting at start until the simulation
-// ends or the returned cancel function is called. The callback may reschedule
-// freely; ticks are anchored to the original phase (start + k*interval), so
-// long-running callbacks do not drift the schedule.
-func (s *Simulator) Ticker(start, interval time.Duration, fn Event) (cancel func(), err error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("eventsim: ticker interval %v must be positive", interval)
-	}
-	if start < s.now {
-		return nil, fmt.Errorf("eventsim: ticker start %v before now %v", start, s.now)
-	}
-	stopped := false
-	var schedule func(at time.Duration)
-	var handle Handle
-	schedule = func(at time.Duration) {
-		h, err := s.At(at, func(now time.Duration) {
-			if stopped {
-				return
-			}
-			fn(now)
-			if !stopped {
-				schedule(at + interval)
-			}
-		})
-		if err == nil {
-			handle = h
-		}
-	}
-	schedule(start)
-	return func() {
-		stopped = true
-		s.Cancel(handle)
-	}, nil
-}

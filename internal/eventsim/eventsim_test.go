@@ -198,66 +198,6 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	s := New()
-	var ticks []time.Duration
-	cancel, err := s.Ticker(time.Minute, time.Minute, func(now time.Duration) {
-		ticks = append(ticks, now)
-		if len(ticks) == 4 {
-			s.Stop()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	if err := s.Run(); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Run err = %v", err)
-	}
-	want := []time.Duration{time.Minute, 2 * time.Minute, 3 * time.Minute, 4 * time.Minute}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v", ticks)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("tick %d at %v, want %v", i, ticks[i], want[i])
-		}
-	}
-}
-
-func TestTickerCancel(t *testing.T) {
-	s := New()
-	count := 0
-	cancel, err := s.Ticker(0, time.Second, func(time.Duration) { count++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAt(t, s, 2500*time.Millisecond, func(time.Duration) { cancel() })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 { // ticks at 0s, 1s, 2s; cancelled at 2.5s
-		t.Fatalf("ticker fired %d times, want 3", count)
-	}
-}
-
-func TestTickerValidation(t *testing.T) {
-	s := New()
-	if _, err := s.Ticker(0, 0, func(time.Duration) {}); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-	if _, err := s.Ticker(0, -time.Second, func(time.Duration) {}); err == nil {
-		t.Fatal("negative interval accepted")
-	}
-	mustAt(t, s, time.Second, func(time.Duration) {})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Ticker(0, time.Second, func(time.Duration) {}); err == nil {
-		t.Fatal("ticker start in the past accepted")
-	}
-}
-
 func TestExecutedCounter(t *testing.T) {
 	s := New()
 	for i := 0; i < 7; i++ {

@@ -263,12 +263,10 @@ func (m MACConfig) validate() error {
 	return nil
 }
 
-// TelemetryOptions selects the run's telemetry behaviour.
+// TelemetryOptions selects where a run's telemetry goes besides its
+// Result. Every run records its metrics into Result.Telemetry; these fields
+// only add sinks and change no measurement.
 type TelemetryOptions struct {
-	// Disabled turns off the metric recorders entirely (the run's
-	// Result.Telemetry stays zero). Used by overhead benchmarks; normal
-	// runs leave recording on — it is allocation-free on the hot path.
-	Disabled bool
 	// Trace, when non-nil, receives sampled per-packet events (generate,
 	// relay hops, gateway uplink, server deliver/dedup, queue drops).
 	// The tracer may be shared across the runs of a sweep: sinks are

@@ -3,7 +3,6 @@ package experiment
 import (
 	"time"
 
-	"mlorass/internal/disruption"
 	"mlorass/internal/eventsim"
 	"mlorass/internal/geo"
 	"mlorass/internal/lorawan"
@@ -28,11 +27,13 @@ const (
 
 // engine is what an engine decides for the device protocol. It is set once,
 // when the kernel is built. The serial engine numbers messages from a global
-// counter, emits trace events at once, tests a device's live flags, resolves
-// a transmission on its own kernel event and draws from sequential streams.
-// A tile numbers messages per device, buffers its trace, reads liveness from
-// the disruption plan and flight intervals, resolves in phase B and keys
-// every draw on intrinsic identities.
+// counter, emits trace events at once, tests a device's busy and failed
+// flags, resolves a transmission on its own kernel event and draws from
+// sequential streams. A tile numbers messages per device, buffers its trace,
+// reads receptiveness from flight intervals and the disruption plan, resolves
+// in phase B and keys every draw on intrinsic identities. Gateway
+// availability and device liveness are the world's (world.gatewayUp,
+// world.alive), the same for both.
 type engine interface {
 	// msgID numbers d's next generated message.
 	msgID(d *device) uint64
@@ -40,17 +41,13 @@ type engine interface {
 	trace(e telemetry.Event)
 	// schedule arms a retry fn at instant at, reporting success.
 	schedule(at time.Duration, fn eventsim.Event) bool
-	// alive reports whether d has not churned out by instant at; receptive
-	// whether it is also off the air there.
-	alive(d *device, at time.Duration) bool
+	// receptive reports whether d is alive and off the air at instant at.
 	receptive(d *device, at time.Duration) bool
 	// peerPos reads the position of a device this kernel may not own.
 	peerPos(d *device, at time.Duration) (geo.Point, bool)
 	// liveFrom is the earliest instant whose liveness the kernel may still
 	// ask about.
 	liveFrom() time.Duration
-	// gatewayUp reports whether gateway gw is outside its outages at at.
-	gatewayUp(gw int, at time.Duration) bool
 	// began takes a transmission just put on the medium, d's uplink
 	// (rkUplink) or a downlink to d (rkDownlink), and arranges its
 	// resolution at tx.End.
@@ -108,11 +105,9 @@ func (k *kernel) build(w *world, eng engine, rec *telemetry.Recorder) error {
 			return indexMotion(w.devices[id], now, mid)
 		},
 	}
-	// The kernel probe is wired only while tracing (its per-event interface
-	// call is measurable, the plain recorders are not), and only with a live
-	// recorder: a typed-nil probe would make the kernel pay the call for a
-	// guaranteed no-op.
-	if w.tracer != nil && rec != nil {
+	// The kernel probe is wired only while tracing: its per-event interface
+	// call is measurable, the plain recorders are not.
+	if w.tracer != nil {
 		k.es.SetProbe(rec)
 	}
 	return nil
@@ -154,31 +149,8 @@ func (k *kernel) place(d *device, first time.Duration, serves bool) error {
 	return nil
 }
 
-// scheduleChurn counts the plan's device failures before the horizon and
-// schedules each built device's on the kernel owning it.
-func (w *world) scheduleChurn(plan *disruption.Plan, owner func(id int) *kernel) error {
-	for di, failAt := range plan.DeviceFailAt {
-		if failAt < 0 || failAt >= w.cfg.Duration {
-			continue
-		}
-		w.deviceFailures++
-		d := w.devices[di]
-		if d == nil {
-			continue // dormant: fails before it could ever serve
-		}
-		k := owner(di)
-		if _, err := k.es.At(failAt, func(time.Duration) {
-			d.failed = true
-			k.deactivate(d)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (k *kernel) activate(d *device) {
-	if !k.eng.alive(d, k.es.Now()) {
+	if !k.alive(d, k.es.Now()) {
 		return // churned out before its service window opened
 	}
 	d.everActive = true
@@ -199,7 +171,7 @@ func (k *kernel) deactivate(d *device) {
 		for _, id := range k.activeList {
 			z := k.devices[id]
 			_, end := z.node.Window()
-			if k.eng.alive(z, t) && t < end {
+			if k.alive(z, t) && t < end {
 				kept = append(kept, id)
 			}
 		}
@@ -317,7 +289,7 @@ func (k *kernel) tryUplink(d *device, now time.Duration) {
 // device-to-device range.
 func (k *kernel) stillInRange(d *device, dest int, now time.Duration) bool {
 	target := k.devices[dest]
-	if !k.eng.alive(target, now) {
+	if !k.alive(target, now) {
 		return false
 	}
 	dpos, ok1 := d.pos(now)
@@ -411,7 +383,7 @@ func (k *kernel) receiveAtGateways(tx *radio.Transmission, seq uint32, now time.
 		}
 		// Availability is asked of in-range gateways only: a handful per
 		// frame instead of the whole deployment.
-		if d := tx.Pos.Dist(gp); d <= maxR && k.eng.gatewayUp(i, now) {
+		if d := tx.Pos.Dist(gp); d <= maxR && k.gatewayUp(i, now) {
 			c := gwCand{idx: i, dist: d}
 			j := len(cands)
 			cands = append(cands, c)

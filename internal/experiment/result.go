@@ -95,7 +95,7 @@ type Result struct {
 
 	// Telemetry is the run's streaming-metrics snapshot: hot-path
 	// counters plus the delay and airtime histograms, which merge
-	// exactly across replications (zero when Config.Telemetry.Disabled).
+	// exactly across replications.
 	Telemetry telemetry.Snapshot
 
 	// rawDelays holds every delivered message's delay in seconds, for
@@ -140,6 +140,26 @@ func (r *Result) DeliveryRatio() float64 {
 		return 0
 	}
 	return float64(r.Delivered) / float64(r.Generated)
+}
+
+// checkAccounting reports the first accounting identity r breaks. Every run
+// keeps them all: no more deliveries than generated messages, one delay and
+// one hop sample and one arrival per delivery, and telemetry server counters
+// equal to the ledger's totals.
+func (r *Result) checkAccounting() error {
+	c := r.Telemetry.Counters
+	switch {
+	case uint64(r.Delivered) > r.Generated:
+		return fmt.Errorf("delivered %d exceeds generated %d", r.Delivered, r.Generated)
+	case r.Delay.N() != uint64(r.Delivered) || r.Hops.N() != uint64(r.Delivered):
+		return fmt.Errorf("summaries (n=%d/%d) inconsistent with delivered %d", r.Delay.N(), r.Hops.N(), r.Delivered)
+	case r.Throughput.Total() != r.Delivered:
+		return fmt.Errorf("throughput series sums to %d, delivered %d", r.Throughput.Total(), r.Delivered)
+	case c.ServerFresh != uint64(r.Delivered) || c.ServerDuplicates != r.Duplicates:
+		return fmt.Errorf("telemetry server counters %d fresh/%d duplicates, result %d/%d",
+			c.ServerFresh, c.ServerDuplicates, r.Delivered, r.Duplicates)
+	}
+	return nil
 }
 
 // MeanDelay returns the mean end-to-end delay.

@@ -17,10 +17,6 @@ import (
 type sim struct {
 	kernel
 
-	// gwUp tracks per-gateway availability; nil when the disruption layer
-	// is off (every gateway permanently up, the paper's setting).
-	gwUp []bool
-
 	msgCounter uint64
 
 	// d2dShadow draws the shadowing for overheard-RSSI measurements
@@ -69,11 +65,9 @@ func newSim(cfg Config, cities *citySet) (*sim, error) {
 	if err := s.build(&w, s, w.rec); err != nil {
 		return nil, err
 	}
-	if s.rec != nil || s.tracer != nil {
-		// The server ledger streams delays into the recorder and
-		// deliver/dedup records into the trace as they happen.
-		s.server.SetObserver(s)
-	}
+	// The server ledger streams delays into the recorder and deliver/dedup
+	// records into the trace as they happen.
+	s.server.SetObserver(s)
 	err = s.buildDevices(func(d *device, first time.Duration, serves bool) error {
 		d.resolveFn = func(end time.Duration) { s.resolve(d, end) }
 		return s.place(d, first, serves)
@@ -81,7 +75,7 @@ func newSim(cfg Config, cities *citySet) (*sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.scheduleDisruption(); err != nil {
+	if err := s.scheduleDisruption(func(int) *kernel { return &s.kernel }); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -89,7 +83,7 @@ func newSim(cfg Config, cities *citySet) (*sim, error) {
 
 // run executes the built world to the horizon and collects its result.
 func (s *sim) run() (*Result, error) {
-	if live := s.cfg.Telemetry.Live; live != nil && s.rec != nil {
+	if live := s.cfg.Telemetry.Live; live != nil {
 		// Publish the recorder for live scraping until Run returns; by
 		// then the kernel has quiesced, so the snapshot the detach folds
 		// into the scraper's cumulative base equals Result.Telemetry.
@@ -98,39 +92,7 @@ func (s *sim) run() (*Result, error) {
 	if err := s.es.RunUntil(s.cfg.Duration); err != nil {
 		return nil, err
 	}
-	return s.world.collect(&s.counters, s.medium.Stats(), s.rec.Snapshot()), nil
-}
-
-// scheduleDisruption compiles the disruption plan and places its outage,
-// recovery, and churn events on the simulation timeline. A disabled config
-// schedules nothing, leaving the run untouched.
-func (s *sim) scheduleDisruption() error {
-	if !s.cfg.Disruption.Enabled() {
-		return nil
-	}
-	plan, err := compileDisruption(&s.cfg, len(s.gws), len(s.devices))
-	if err != nil {
-		return err
-	}
-	s.gwUp = make([]bool, len(s.gws))
-	for i := range s.gwUp {
-		s.gwUp[i] = true
-	}
-	for gi, windows := range plan.GatewayOutages {
-		gi := gi
-		for _, w := range windows {
-			s.gatewayOutageWindows++
-			if _, err := s.es.At(w.Start, func(time.Duration) { s.gwUp[gi] = false }); err != nil {
-				return err
-			}
-			if w.End < s.cfg.Duration {
-				if _, err := s.es.At(w.End, func(time.Duration) { s.gwUp[gi] = true }); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return s.scheduleChurn(plan, func(int) *kernel { return &s.kernel })
+	return s.world.collect(&s.counters, s.medium.Stats(), s.rec.Snapshot())
 }
 
 // resolve completes a transmission: gateway reception and ACK, then
@@ -195,8 +157,8 @@ func (s *sim) Duplicate(now time.Duration, gw int, m lorawan.Message) {
 }
 
 // The serial engine's side of the engine seam: a global message counter,
-// immediate trace emission, live flags, kernel-event resolutions and
-// sequential draw streams.
+// immediate trace emission, busy and failed flags, kernel-event resolutions
+// and sequential draw streams.
 
 func (s *sim) msgID(*device) uint64 {
 	s.msgCounter++
@@ -215,17 +177,12 @@ func (s *sim) schedule(at time.Duration, fn eventsim.Event) bool {
 	return err == nil
 }
 
-func (s *sim) alive(d *device, _ time.Duration) bool { return !d.failed }
-
 //mlorass:hotpath
 func (s *sim) receptive(d *device, _ time.Duration) bool { return !d.busy && !d.failed }
 
 func (s *sim) peerPos(d *device, at time.Duration) (geo.Point, bool) { return d.pos(at) }
 
 func (s *sim) liveFrom() time.Duration { return s.es.Now() }
-
-//mlorass:hotpath
-func (s *sim) gatewayUp(gw int, _ time.Duration) bool { return s.gwUp == nil || s.gwUp[gw] }
 
 // began schedules the transmission's resolution event at its end.
 func (s *sim) began(d *device, tx *radio.Transmission, kind uint8) {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"mlorass/internal/disruption"
 	"mlorass/internal/eventsim"
 	"mlorass/internal/geo"
 	"mlorass/internal/lorawan"
@@ -177,8 +176,6 @@ type sharded struct {
 	shards []*shard
 	pool   *eventsim.Pool
 
-	plan *disruption.Plan
-
 	// Intrinsic draw seeds (keyed draws only — no sequential streams).
 	gwShadowSeed uint64
 	d2dSeed      uint64
@@ -283,18 +280,12 @@ func newSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 	}
 	// Coordinator-side telemetry: the delay stream, ledger counters and
 	// the trace sink all accumulate on one goroutine in sorted order.
-	if e.rec != nil || e.tracer != nil {
-		e.server.SetObserver(e)
-	}
+	e.server.SetObserver(e)
 
 	e.shards = make([]*shard, k)
 	for i := range e.shards {
 		s := &shard{coord: e, idx: i}
-		var rec *telemetry.Recorder
-		if !cfg.Telemetry.Disabled {
-			rec = telemetry.NewRecorder()
-		}
-		if err := s.build(&e.world, s, rec); err != nil {
+		if err := s.build(&e.world, s, telemetry.NewRecorder()); err != nil {
 			return nil, err
 		}
 		e.shards[i] = s
@@ -314,7 +305,8 @@ func newSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 	if err != nil {
 		return nil, err
 	}
-	if err := e.scheduleDisruption(); err != nil {
+	owner := func(id int) *kernel { return &e.shards[e.owner[id]].kernel }
+	if err := e.scheduleDisruption(owner); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -326,13 +318,9 @@ func (e *sharded) execute() (*Result, *shardDiag, error) {
 		// Publish every recorder — coordinator (delay/airtime stream) and
 		// per-shard (tile-local counters) — for the run's duration; a
 		// scrape merges them exactly like collect() does at the end.
-		if e.rec != nil {
-			defer live.Attach(e.rec)()
-		}
+		defer live.Attach(e.rec)()
 		for _, s := range e.shards {
-			if s.rec != nil {
-				defer live.Attach(s.rec)()
-			}
+			defer live.Attach(s.rec)()
 		}
 	}
 
@@ -340,8 +328,7 @@ func (e *sharded) execute() (*Result, *shardDiag, error) {
 	if err := e.run(); err != nil {
 		return nil, nil, err
 	}
-	res, diag := e.collect()
-	return res, diag, nil
+	return e.collect()
 }
 
 // homePos is the device's tile-assignment anchor: its fixed position for
@@ -355,29 +342,6 @@ func (e *sharded) homePos(d *device) geo.Point {
 		return p
 	}
 	return e.area.Center()
-}
-
-// scheduleDisruption compiles the plan and schedules device churn on the
-// owner tiles' kernels. Gateway availability is looked up per instant
-// (shard.gatewayUp), so no outage event is scheduled.
-func (e *sharded) scheduleDisruption() error {
-	if !e.cfg.Disruption.Enabled() {
-		return nil
-	}
-	plan, err := compileDisruption(&e.cfg, len(e.gws), len(e.devices))
-	if err != nil {
-		return err
-	}
-	e.plan = plan
-	e.gatewayOutageWindows = plan.OutageWindows()
-	return e.scheduleChurn(plan, func(id int) *kernel { return &e.shards[e.owner[id]].kernel })
-}
-
-// aliveAt reports whether the device has not yet churned out at an instant.
-//
-//mlorass:hotpath
-func (e *sharded) aliveAt(dev int, at time.Duration) bool {
-	return e.plan == nil || e.plan.DeviceAlive(dev, at)
 }
 
 // phase dispatches one pool phase on one shard. With a span sink
@@ -682,7 +646,7 @@ func (e *sharded) Duplicate(now time.Duration, gw int, m lorawan.Message) {
 
 // collect sums the tiles' counters, channel statistics and telemetry into
 // the world's Result.
-func (e *sharded) collect() (*Result, *shardDiag) {
+func (e *sharded) collect() (*Result, *shardDiag, error) {
 	diag := &shardDiag{Windows: e.windows, Skipped: e.skipped, Lookahead: e.lookahead, Devices: e.devices}
 	var c counters
 	var ms radio.MediumStats
@@ -699,7 +663,11 @@ func (e *sharded) collect() (*Result, *shardDiag) {
 		diag.LateRetries += s.lateRetries
 		snap.Merge(s.rec.Snapshot())
 	}
-	return e.world.collect(&c, ms, snap), diag
+	res, err := e.world.collect(&c, ms, snap)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, diag, nil
 }
 
 // Intrinsic total orders for the cross-tile merges. All comparators are

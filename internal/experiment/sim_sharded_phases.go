@@ -226,8 +226,8 @@ func (s *shard) runDeliver() {
 }
 
 // The tile engine's side of the engine seam: intrinsic message identity, a
-// buffered trace, liveness from the disruption plan and flight intervals,
-// resolutions in phase B, and draws keyed on (frame, receiver).
+// buffered trace, receptiveness from flight intervals and the disruption
+// plan, resolutions in phase B, and draws keyed on (frame, receiver).
 
 //mlorass:hotpath
 func (s *shard) msgID(d *device) uint64 {
@@ -257,11 +257,9 @@ func (s *shard) schedule(at time.Duration, fn eventsim.Event) bool {
 	return err == nil
 }
 
-func (s *shard) alive(d *device, at time.Duration) bool { return s.coord.aliveAt(d.id, at) }
-
 //mlorass:hotpath
 func (s *shard) receptive(d *device, at time.Duration) bool {
-	return !d.busyAt(at) && s.coord.aliveAt(d.id, at)
+	return !d.busyAt(at) && s.alive(d, at)
 }
 
 // peerPos reads the stateless trajectory: the device may live on any tile.
@@ -270,14 +268,6 @@ func (s *shard) peerPos(d *device, at time.Duration) (geo.Point, bool) { return 
 // liveFrom is the window start: phase C of this window still overhears at
 // instants from there on.
 func (s *shard) liveFrom() time.Duration { return s.coord.windowStart }
-
-// gatewayUp looks availability up in the plan instead of mutable flags, so
-// tiles never share outage state.
-//
-//mlorass:hotpath
-func (s *shard) gatewayUp(gw int, at time.Duration) bool {
-	return s.coord.plan == nil || s.coord.plan.GatewayUp(gw, at)
-}
 
 // began records the transmission for the window's import and this tile's
 // phase B, and an uplink's flight interval and airtime.

@@ -42,38 +42,36 @@ const storeSchemaVersion = 5
 // storeKey is the canonical, deterministic description of everything that
 // determines a Run's Result. Field order is fixed by the struct; every
 // semantic Config field appears, and only non-semantic ones (trace sink,
-// progress plumbing) are omitted. TelemetryDisabled is semantic: it decides
-// whether the artefact carries a telemetry snapshot. Shards keys the engine,
+// progress plumbing) are omitted. Shards keys the engine,
 // not the tile count: 0 is the serial engine, and every N ≥ 1 keys as 1
 // because the tile engine's results are bit-identical for every N.
 type storeKey struct {
-	Schema            int                   `json:"schema"`
-	Seed              uint64                `json:"seed"`
-	Scheme            routing.Scheme        `json:"scheme"`
-	Class             lorawan.DeviceClass   `json:"class"`
-	Environment       Environment           `json:"environment"`
-	D2DRangeM         float64               `json:"d2d_range_m"`
-	GatewayRangeM     float64               `json:"gateway_range_m"`
-	NumGateways       int                   `json:"num_gateways"`
-	GatewayStrategy   gwplan.Strategy       `json:"gateway_strategy"`
-	Mobility          MobilityConfig        `json:"mobility"`
-	Disruption        disruption.Config     `json:"disruption"`
-	NumRoutes         int                   `json:"num_routes"`
-	PeakHeadway       time.Duration         `json:"peak_headway"`
-	AreaSideM         float64               `json:"area_side_m"`
-	Duration          time.Duration         `json:"duration"`
-	MsgInterval       time.Duration         `json:"msg_interval"`
-	QueueMax          int                   `json:"queue_max"`
-	Alpha             float64               `json:"alpha"`
-	SF                radio.SpreadingFactor `json:"sf"`
-	TxPowerDBm        float64               `json:"tx_power_dbm"`
-	DutyCycle         float64               `json:"duty_cycle"`
-	ShadowSigmaDB     float64               `json:"shadow_sigma_db"`
-	CaptureDB         float64               `json:"capture_db"`
-	ThroughputBin     time.Duration         `json:"throughput_bin"`
-	TelemetryDisabled bool                  `json:"telemetry_disabled"`
-	MAC               MACConfig             `json:"mac"`
-	Shards            int                   `json:"shards"`
+	Schema          int                   `json:"schema"`
+	Seed            uint64                `json:"seed"`
+	Scheme          routing.Scheme        `json:"scheme"`
+	Class           lorawan.DeviceClass   `json:"class"`
+	Environment     Environment           `json:"environment"`
+	D2DRangeM       float64               `json:"d2d_range_m"`
+	GatewayRangeM   float64               `json:"gateway_range_m"`
+	NumGateways     int                   `json:"num_gateways"`
+	GatewayStrategy gwplan.Strategy       `json:"gateway_strategy"`
+	Mobility        MobilityConfig        `json:"mobility"`
+	Disruption      disruption.Config     `json:"disruption"`
+	NumRoutes       int                   `json:"num_routes"`
+	PeakHeadway     time.Duration         `json:"peak_headway"`
+	AreaSideM       float64               `json:"area_side_m"`
+	Duration        time.Duration         `json:"duration"`
+	MsgInterval     time.Duration         `json:"msg_interval"`
+	QueueMax        int                   `json:"queue_max"`
+	Alpha           float64               `json:"alpha"`
+	SF              radio.SpreadingFactor `json:"sf"`
+	TxPowerDBm      float64               `json:"tx_power_dbm"`
+	DutyCycle       float64               `json:"duty_cycle"`
+	ShadowSigmaDB   float64               `json:"shadow_sigma_db"`
+	CaptureDB       float64               `json:"capture_db"`
+	ThroughputBin   time.Duration         `json:"throughput_bin"`
+	MAC             MACConfig             `json:"mac"`
+	Shards          int                   `json:"shards"`
 }
 
 // cacheKey returns the run store key for cfg. ok is false when the config
@@ -85,33 +83,32 @@ func cacheKey(cfg Config) (key string, ok bool) {
 	}
 	cfg.Normalize()
 	k := storeKey{
-		Schema:            storeSchemaVersion,
-		Seed:              cfg.Seed,
-		Scheme:            cfg.Scheme,
-		Class:             cfg.Class,
-		Environment:       cfg.Environment,
-		D2DRangeM:         cfg.D2DRangeM,
-		GatewayRangeM:     cfg.GatewayRangeM,
-		NumGateways:       cfg.NumGateways,
-		GatewayStrategy:   cfg.GatewayStrategy,
-		Mobility:          cfg.Mobility,
-		Disruption:        cfg.Disruption,
-		NumRoutes:         cfg.NumRoutes,
-		PeakHeadway:       cfg.PeakHeadway,
-		AreaSideM:         cfg.AreaSideM,
-		Duration:          cfg.Duration,
-		MsgInterval:       cfg.MsgInterval,
-		QueueMax:          cfg.QueueMax,
-		Alpha:             cfg.Alpha,
-		SF:                cfg.SF,
-		TxPowerDBm:        cfg.TxPowerDBm,
-		DutyCycle:         cfg.DutyCycle,
-		ShadowSigmaDB:     cfg.ShadowSigmaDB,
-		CaptureDB:         cfg.CaptureDB,
-		ThroughputBin:     cfg.ThroughputBin,
-		TelemetryDisabled: cfg.Telemetry.Disabled,
-		MAC:               cfg.MAC,
-		Shards:            min(cfg.Shards, 1),
+		Schema:          storeSchemaVersion,
+		Seed:            cfg.Seed,
+		Scheme:          cfg.Scheme,
+		Class:           cfg.Class,
+		Environment:     cfg.Environment,
+		D2DRangeM:       cfg.D2DRangeM,
+		GatewayRangeM:   cfg.GatewayRangeM,
+		NumGateways:     cfg.NumGateways,
+		GatewayStrategy: cfg.GatewayStrategy,
+		Mobility:        cfg.Mobility,
+		Disruption:      cfg.Disruption,
+		NumRoutes:       cfg.NumRoutes,
+		PeakHeadway:     cfg.PeakHeadway,
+		AreaSideM:       cfg.AreaSideM,
+		Duration:        cfg.Duration,
+		MsgInterval:     cfg.MsgInterval,
+		QueueMax:        cfg.QueueMax,
+		Alpha:           cfg.Alpha,
+		SF:              cfg.SF,
+		TxPowerDBm:      cfg.TxPowerDBm,
+		DutyCycle:       cfg.DutyCycle,
+		ShadowSigmaDB:   cfg.ShadowSigmaDB,
+		CaptureDB:       cfg.CaptureDB,
+		ThroughputBin:   cfg.ThroughputBin,
+		MAC:             cfg.MAC,
+		Shards:          min(cfg.Shards, 1),
 	}
 	b, err := json.Marshal(k)
 	if err != nil {
@@ -214,10 +211,8 @@ func encodeResult(r *Result) ([]byte, error) {
 // decodeResult restores a stored artefact as the Result that Run(cfg) would
 // have produced, rejecting artefacts from another schema version and
 // artefacts that parse but fail the invariants every real run satisfies:
-// per-delivery columns and summaries sized to the delivery count, no more
-// deliveries than messages generated, an arrival series that sums to the
-// deliveries, and (with telemetry on) server counters that agree with the
-// Result's. The integrity check matters for crash recovery: a truncated or
+// per-delivery columns sized to the delivery count, and the accounting
+// identities of checkAccounting. The integrity check matters for crash recovery: a truncated or
 // hand-damaged file that still happens to be valid JSON (`{"schema":2}`,
 // say) must read as corruption — to be recomputed and overwritten — not as
 // a cached cell of zeros that silently poisons a sweep.
@@ -253,22 +248,7 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("experiment: stored artefact delay column of %d bytes inconsistent with delivered %d (truncated?)",
 			len(a.RawDelays), a.Delivered)
 	}
-	if a.Delay.N() != uint64(a.Delivered) || a.Hops.N() != uint64(a.Delivered) {
-		return nil, fmt.Errorf("experiment: stored artefact summaries (n=%d/%d) inconsistent with delivered %d (truncated?)",
-			a.Delay.N(), a.Hops.N(), a.Delivered)
-	}
-	if uint64(a.Delivered) > a.Generated {
-		return nil, fmt.Errorf("experiment: stored artefact delivered %d exceeds generated %d", a.Delivered, a.Generated)
-	}
-	if total := a.Throughput.Total(); total != a.Delivered {
-		return nil, fmt.Errorf("experiment: stored artefact throughput series sums to %d, delivered %d", total, a.Delivered)
-	}
 	cfg.Normalize()
-	if c := a.Telemetry.Counters; !cfg.Telemetry.Disabled &&
-		(c.ServerFresh != uint64(a.Delivered) || c.ServerDuplicates != a.Duplicates) {
-		return nil, fmt.Errorf("experiment: stored artefact telemetry server counters %d fresh/%d duplicates, result %d/%d",
-			c.ServerFresh, c.ServerDuplicates, a.Delivered, a.Duplicates)
-	}
 	delays := make([]float64, a.Delivered)
 	for i := range delays {
 		delays[i] = math.Float64frombits(binary.LittleEndian.Uint64(a.RawDelays[8*i:]))
@@ -287,7 +267,7 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("experiment: stored artefact origin column holds %d entries, delivered %d (truncated?)",
 			len(origins), a.Delivered)
 	}
-	return &Result{
+	r := &Result{
 		Config:               cfg,
 		Generated:            a.Generated,
 		Delivered:            a.Delivered,
@@ -319,7 +299,11 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 		Telemetry:            a.Telemetry,
 		rawDelays:            delays,
 		originDelivered:      origins,
-	}, nil
+	}
+	if err := r.checkAccounting(); err != nil {
+		return nil, fmt.Errorf("experiment: stored artefact: %w", err)
+	}
+	return r, nil
 }
 
 // decodeResultColumn decodes one packed column from its JSON form: null, or

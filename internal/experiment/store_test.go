@@ -33,16 +33,15 @@ func TestCacheKeyDeterministicAndSensitive(t *testing.T) {
 	}
 	// Every semantic change must change the key.
 	variants := map[string]func(*Config){
-		"seed":      func(c *Config) { c.Seed = 99 },
-		"scheme":    func(c *Config) { c.Scheme = routing.SchemeROBC },
-		"gateways":  func(c *Config) { c.NumGateways = 7 },
-		"duration":  func(c *Config) { c.Duration = 3 * time.Hour },
-		"alpha":     func(c *Config) { c.Alpha = 0.9 },
-		"outage":    func(c *Config) { c.Disruption.GatewayOutageFraction = 0.5 },
-		"mobility":  func(c *Config) { c.Mobility.Model = MobilityRandomWaypoint },
-		"telemetry": func(c *Config) { c.Telemetry.Disabled = true },
-		"mac-adr":   func(c *Config) { c.MAC.ADR = true },
-		"mac-conf":  func(c *Config) { c.MAC.Confirmed = true },
+		"seed":     func(c *Config) { c.Seed = 99 },
+		"scheme":   func(c *Config) { c.Scheme = routing.SchemeROBC },
+		"gateways": func(c *Config) { c.NumGateways = 7 },
+		"duration": func(c *Config) { c.Duration = 3 * time.Hour },
+		"alpha":    func(c *Config) { c.Alpha = 0.9 },
+		"outage":   func(c *Config) { c.Disruption.GatewayOutageFraction = 0.5 },
+		"mobility": func(c *Config) { c.Mobility.Model = MobilityRandomWaypoint },
+		"mac-adr":  func(c *Config) { c.MAC.ADR = true },
+		"mac-conf": func(c *Config) { c.MAC.Confirmed = true },
 	}
 	for name, mutate := range variants {
 		c := cfg
@@ -75,8 +74,7 @@ func TestCacheKeyDeterministicAndSensitive(t *testing.T) {
 
 // roundTripConfigs are the configurations the artefact round trip and its
 // integrity invariants are checked on: every subsystem that adds fields to
-// a Result, both engines, telemetry on and off, and a run that delivers
-// nothing. A real artefact failing decodeResult's invariants would be
+// a Result, both engines, and a run that delivers nothing. A real artefact failing decodeResult's invariants would be
 // recomputed on every load, so each must decode.
 func roundTripConfigs() map[string]Config {
 	adr, confirmed := macTestConfig(), macTestConfig()
@@ -90,8 +88,6 @@ func roundTripConfigs() map[string]Config {
 	disruptedRWP.Disruption.DeviceChurnFraction = 0.2
 	sharded := telemetryTestConfig()
 	sharded.Shards = 2
-	noTelemetry := sweepTestConfig()
-	noTelemetry.Telemetry.Disabled = true
 	nothingDelivered := tinyConfig()
 	nothingDelivered.Disruption.GatewayOutageFraction = 1
 	nothingDelivered.Disruption.OutageDuration = nothingDelivered.Duration
@@ -105,7 +101,6 @@ func roundTripConfigs() map[string]Config {
 		"disruption":        disrupted,
 		"disrupted rwp":     disruptedRWP,
 		"shards 2":          sharded,
-		"telemetry off":     noTelemetry,
 		"nothing delivered": nothingDelivered,
 	}
 }

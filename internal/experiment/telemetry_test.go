@@ -62,31 +62,6 @@ func TestTelemetrySnapshotConsistent(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabled checks the benchmark escape hatch: disabling
-// telemetry zeroes the snapshot and changes no measurement.
-func TestTelemetryDisabled(t *testing.T) {
-	cfg := telemetryTestConfig()
-	on, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Telemetry.Disabled = true
-	off, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Telemetry.Delay.N() != 0 || off.Telemetry.Counters != (telemetry.Counters{}) {
-		t.Fatal("disabled telemetry still recorded")
-	}
-	if off.Delivered != on.Delivered || off.Generated != on.Generated ||
-		off.Delay != on.Delay || off.Hops != on.Hops {
-		t.Fatal("telemetry switch changed simulation measurements")
-	}
-	if off.Report() != on.Report() {
-		t.Fatal("telemetry switch changed Report output")
-	}
-}
-
 // TestTraceEndToEnd runs a traced simulation and checks the per-packet
 // record: every sampled delivered message has a coherent generate →
 // (relays) → uplink → deliver chain with consistent timestamps and hops, and

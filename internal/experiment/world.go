@@ -60,13 +60,17 @@ type world struct {
 	server     *netserver.Server
 	throughput *stats.TimeSeries
 
+	// plan is the compiled disruption schedule (nil when the disruption
+	// layer is off): both engines look gateway availability and device
+	// liveness up in it by instant.
+	plan *disruption.Plan
 	// Disruption diagnostics.
 	gatewayOutageWindows int
 	deviceFailures       int
 
-	// rec is the run's streaming metric recorder (nil when telemetry is
-	// disabled; every method is nil-safe). tracer samples per-packet
-	// events (nil when tracing is off); traceRun labels its records.
+	// rec is the run's streaming metric recorder. tracer samples
+	// per-packet events (nil when tracing is off); traceRun labels its
+	// records.
 	rec      *telemetry.Recorder
 	tracer   *telemetry.Tracer
 	traceRun string
@@ -144,9 +148,7 @@ func newWorld(cfg Config, cities *citySet) (world, error) {
 	w.idxSpeed = max(fleet.MaxSpeedMPS(), 11)
 	w.server = netserver.New()
 
-	if !cfg.Telemetry.Disabled {
-		w.rec = telemetry.NewRecorder()
-	}
+	w.rec = telemetry.NewRecorder()
 	w.tracer = cfg.Telemetry.Trace
 	if w.tracer != nil {
 		w.traceRun = fmt.Sprintf("%s/%s/gw=%d/seed=%d",
@@ -339,8 +341,8 @@ func (c *counters) add(o *counters) {
 
 // collect gathers the Result once the engine's kernels have quiesced, from
 // the engine's summed counters, its channel statistics and its merged
-// telemetry snapshot (ignored when telemetry is disabled).
-func (w *world) collect(c *counters, ms radio.MediumStats, snap telemetry.Snapshot) *Result {
+// telemetry snapshot, and checks its accounting invariants.
+func (w *world) collect(c *counters, ms radio.MediumStats, snap telemetry.Snapshot) (*Result, error) {
 	r := &Result{
 		Config:               w.cfg,
 		Generated:            c.generated,
@@ -392,23 +394,72 @@ func (w *world) collect(c *counters, ms radio.MediumStats, snap telemetry.Snapsh
 		r.FramesPerNode.Add(float64(d.framesSent))
 		r.RadioOnPerNode.AddDuration(d.energy.RadioOnTime())
 	}
-	if w.rec != nil {
-		r.Telemetry = snap
-		// The queues also drop on requeue overflow (PushFront), which
-		// the streamed counter cannot see; reconcile with the
-		// authoritative per-queue total. Downlink drops and ADR command
-		// issues are counted by the network server's scheduler and MAC,
-		// which cannot reach the recorder.
-		r.Telemetry.Counters.QueueDrops = r.QueueDrops
-		r.Telemetry.Counters.DownlinkDrops = r.DownlinkDrops
-		r.Telemetry.Counters.ADRCommands = r.ADRCommands
+	r.Telemetry = snap
+	// The queues also drop on requeue overflow (PushFront), which the
+	// streamed counter cannot see; reconcile with the authoritative
+	// per-queue total. Downlink drops and ADR command issues are counted by
+	// the network server's scheduler and MAC, which cannot reach the
+	// recorder.
+	r.Telemetry.Counters.QueueDrops = r.QueueDrops
+	r.Telemetry.Counters.DownlinkDrops = r.DownlinkDrops
+	r.Telemetry.Counters.ADRCommands = r.ADRCommands
+	if err := r.checkAccounting(); err != nil {
+		return nil, fmt.Errorf("experiment: run result: %w", err)
 	}
-	return r
+	return r, nil
 }
 
 // compileDisruption is both engines' disruption plan for a run.
 func compileDisruption(cfg *Config, gateways, devices int) (*disruption.Plan, error) {
 	return disruption.Compile(cfg.Disruption, cfg.Seed^0xd15c, gateways, devices, cfg.Duration)
+}
+
+// scheduleDisruption compiles the run's disruption plan, which gatewayUp and
+// alive then read, counts its outage windows and device failures, and
+// schedules each built device's failure on the kernel owning it. A disabled
+// config schedules nothing, leaving the run untouched.
+func (w *world) scheduleDisruption(owner func(id int) *kernel) error {
+	if !w.cfg.Disruption.Enabled() {
+		return nil
+	}
+	plan, err := compileDisruption(&w.cfg, len(w.gws), len(w.devices))
+	if err != nil {
+		return err
+	}
+	w.plan = plan
+	w.gatewayOutageWindows = plan.OutageWindows()
+	for di, failAt := range plan.DeviceFailAt {
+		if failAt < 0 || failAt >= w.cfg.Duration {
+			continue
+		}
+		w.deviceFailures++
+		d := w.devices[di]
+		if d == nil {
+			continue // dormant: fails before it could ever serve
+		}
+		k := owner(di)
+		if _, err := k.es.At(failAt, func(time.Duration) {
+			d.failed = true
+			k.deactivate(d)
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gatewayUp reports whether gateway gw is outside its outages at instant at.
+//
+//mlorass:hotpath
+func (w *world) gatewayUp(gw int, at time.Duration) bool {
+	return w.plan == nil || w.plan.GatewayUp(gw, at)
+}
+
+// alive reports whether device d has not churned out by instant at.
+//
+//mlorass:hotpath
+func (w *world) alive(d *device, at time.Duration) bool {
+	return w.plan == nil || w.plan.DeviceAlive(d.id, at)
 }
 
 // device is one LoRaWAN end-device riding one mobility node.

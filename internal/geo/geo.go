@@ -88,14 +88,6 @@ func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
 }
 
-// Clamp returns the point in r nearest to p.
-func (r Rect) Clamp(p Point) Point {
-	return Point{
-		X: math.Max(r.Min.X, math.Min(r.Max.X, p.X)),
-		Y: math.Max(r.Min.Y, math.Min(r.Max.Y, p.Y)),
-	}
-}
-
 // Polyline is an open chain of points with a precomputed arc-length
 // parameterisation, supporting O(log n) position lookup by distance along the
 // line. Construct with NewPolyline.

@@ -68,9 +68,6 @@ func TestRect(t *testing.T) {
 	if got := r.Center(); got != (Point{50, 50}) {
 		t.Fatalf("Center = %v", got)
 	}
-	if got := r.Clamp(Point{-5, 120}); got != (Point{0, 100}) {
-		t.Fatalf("Clamp = %v", got)
-	}
 }
 
 func TestEmptyRectArea(t *testing.T) {

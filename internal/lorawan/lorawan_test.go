@@ -39,11 +39,11 @@ func TestQueueFIFO(t *testing.T) {
 	if q.Len() != 5 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	got := q.PopN(3)
+	got := q.PopNInto(3, nil)
 	if len(got) != 3 || got[0].ID != 1 || got[2].ID != 3 {
-		t.Fatalf("PopN(3) = %v", got)
+		t.Fatalf("PopNInto(3) = %v", got)
 	}
-	got = q.PopN(10)
+	got = q.PopNInto(10, nil)
 	if len(got) != 2 || got[0].ID != 4 || got[1].ID != 5 {
 		t.Fatalf("drain = %v", got)
 	}
@@ -52,29 +52,14 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueuePopPeekEmpty(t *testing.T) {
+func TestQueuePopEmpty(t *testing.T) {
 	q := NewQueue(0)
-	if got := q.PopN(3); got != nil {
-		t.Fatalf("PopN on empty = %v", got)
+	if got := q.PopNInto(3, nil); got != nil {
+		t.Fatalf("PopNInto on empty = %v", got)
 	}
-	if got := q.PeekN(3); got != nil {
-		t.Fatalf("PeekN on empty = %v", got)
-	}
-	if got := q.PopN(0); got != nil {
-		t.Fatalf("PopN(0) = %v", got)
-	}
-}
-
-func TestQueuePeekDoesNotConsume(t *testing.T) {
-	q := NewQueue(0)
 	q.Push(Message{ID: 1})
-	q.Push(Message{ID: 2})
-	p := q.PeekN(2)
-	if len(p) != 2 || p[0].ID != 1 {
-		t.Fatalf("PeekN = %v", p)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Peek consumed: Len = %d", q.Len())
+	if got := q.PopNInto(0, nil); got != nil {
+		t.Fatalf("PopNInto(0) = %v", got)
 	}
 }
 
@@ -96,7 +81,7 @@ func TestQueuePushFrontPreservesOrder(t *testing.T) {
 	q.Push(Message{ID: 10})
 	popped := []Message{{ID: 1}, {ID: 2}}
 	q.PushFront(popped)
-	got := q.PopN(3)
+	got := q.PopNInto(3, nil)
 	if len(got) != 3 || got[0].ID != 1 || got[1].ID != 2 || got[2].ID != 10 {
 		t.Fatalf("order after PushFront = %v", got)
 	}
@@ -112,7 +97,7 @@ func TestQueuePushFrontOverflow(t *testing.T) {
 	if q.Dropped() != 2 {
 		t.Fatalf("Dropped = %d, want 2", q.Dropped())
 	}
-	got := q.PopN(2)
+	got := q.PopNInto(2, nil)
 	if got[0].ID != 1 {
 		t.Fatalf("front after overflow = %v", got)
 	}
@@ -131,7 +116,7 @@ func TestQueueCompaction(t *testing.T) {
 	q := NewQueue(0)
 	for i := 0; i < 1000; i++ {
 		q.Push(Message{ID: uint64(i)})
-		q.PopN(1)
+		q.PopNInto(1, nil)
 	}
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d", q.Len())
@@ -258,7 +243,7 @@ func TestQuickQueueInvariants(t *testing.T) {
 				next++
 				q.Push(Message{ID: next})
 			case 2:
-				for _, m := range q.PopN(int(op%5) + 1) {
+				for _, m := range q.PopNInto(int(op%5)+1, nil) {
 					if m.ID <= lastPopped {
 						return false // FIFO violated
 					}
@@ -292,12 +277,12 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.Push(Message{ID: uint64(i)})
 		if i%12 == 11 {
-			q.PopN(12)
+			q.PopNInto(12, nil)
 		}
 	}
 }
 
-func TestPopEligibleFiltersAndPreservesOrder(t *testing.T) {
+func TestPopNotViaFiltersAndPreservesOrder(t *testing.T) {
 	q := NewQueue(0)
 	for i := 1; i <= 6; i++ {
 		via := -1
@@ -307,48 +292,52 @@ func TestPopEligibleFiltersAndPreservesOrder(t *testing.T) {
 		q.Push(Message{ID: uint64(i), Via: via})
 	}
 	// Pop up to 10 messages not received from device 7.
-	got := q.PopEligible(10, func(m Message) bool { return m.Via != 7 })
+	got := q.PopNotViaInto(10, 7, nil)
 	if len(got) != 3 || got[0].ID != 1 || got[1].ID != 3 || got[2].ID != 5 {
-		t.Fatalf("PopEligible = %v", got)
+		t.Fatalf("PopNotViaInto = %v", got)
 	}
-	// The ineligible messages remain in order.
-	rest := q.PopN(10)
+	// The messages from device 7 remain in order.
+	rest := q.PopNInto(10, nil)
 	if len(rest) != 3 || rest[0].ID != 2 || rest[1].ID != 4 || rest[2].ID != 6 {
 		t.Fatalf("remainder = %v", rest)
 	}
 }
 
-func TestPopEligibleRespectsLimit(t *testing.T) {
+func TestPopNotViaRespectsLimit(t *testing.T) {
 	q := NewQueue(0)
 	for i := 1; i <= 5; i++ {
-		q.Push(Message{ID: uint64(i)})
+		q.Push(Message{ID: uint64(i), Via: -1})
 	}
-	got := q.PopEligible(2, func(Message) bool { return true })
+	scratch := make([]Message, 0, MaxBundle)
+	got := q.PopNotViaInto(2, 9, scratch)
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
-		t.Fatalf("PopEligible = %v", got)
+		t.Fatalf("PopNotViaInto = %v", got)
+	}
+	if &got[0] != &scratch[:1][0] {
+		t.Fatal("PopNotViaInto did not fill the scratch slice in place")
 	}
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d", q.Len())
 	}
 }
 
-func TestPopEligibleEmptyAndZero(t *testing.T) {
+func TestPopNotViaEmptyAndZero(t *testing.T) {
 	q := NewQueue(0)
-	if got := q.PopEligible(3, func(Message) bool { return true }); got != nil {
-		t.Fatalf("PopEligible on empty = %v", got)
+	if got := q.PopNotViaInto(3, 9, nil); got != nil {
+		t.Fatalf("PopNotViaInto on empty = %v", got)
 	}
-	q.Push(Message{ID: 1})
-	if got := q.PopEligible(0, func(Message) bool { return true }); got != nil {
-		t.Fatalf("PopEligible(0) = %v", got)
+	q.Push(Message{ID: 1, Via: -1})
+	if got := q.PopNotViaInto(0, 9, nil); got != nil {
+		t.Fatalf("PopNotViaInto(0) = %v", got)
 	}
 }
 
-func TestPopEligibleNoneMatch(t *testing.T) {
+func TestPopNotViaNoneMatch(t *testing.T) {
 	q := NewQueue(0)
 	q.Push(Message{ID: 1, Via: 3})
 	q.Push(Message{ID: 2, Via: 3})
-	if got := q.PopEligible(5, func(m Message) bool { return m.Via != 3 }); len(got) != 0 {
-		t.Fatalf("PopEligible = %v", got)
+	if got := q.PopNotViaInto(5, 3, nil); len(got) != 0 {
+		t.Fatalf("PopNotViaInto = %v", got)
 	}
 	if q.Len() != 2 {
 		t.Fatalf("queue lost messages: Len = %d", q.Len())

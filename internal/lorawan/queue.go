@@ -85,18 +85,6 @@ func (q *Queue) PushFront(ms []Message) {
 	q.head = 0
 }
 
-// PopN removes and returns up to n messages from the front. The returned
-// slice is freshly allocated; hot paths use PopNInto.
-func (q *Queue) PopN(n int) []Message {
-	if n <= 0 || q.Len() == 0 {
-		return nil
-	}
-	if n > q.Len() {
-		n = q.Len()
-	}
-	return q.PopNInto(n, make([]Message, 0, n))
-}
-
 // PopNInto removes up to n messages from the front, appending them to dst
 // (normally a caller-owned scratch slice sliced to length zero) and
 // returning it. It allocates only if dst lacks capacity.
@@ -113,38 +101,11 @@ func (q *Queue) PopNInto(n int, dst []Message) []Message {
 	return dst
 }
 
-// PopEligible removes and returns up to n messages from the front for which
-// eligible reports true, preserving the relative order of the messages left
-// behind. It is used by the forwarding schemes to skip messages that must
-// not travel to a particular neighbour (the no-send-back rule) while still
-// draining the rest of the FIFO.
-func (q *Queue) PopEligible(n int, eligible func(Message) bool) []Message {
-	if n <= 0 || q.Len() == 0 {
-		return nil
-	}
-	var out []Message
-	kept := q.items[q.head:q.head] // reuse storage, preserving order
-	for i := q.head; i < len(q.items); i++ {
-		m := q.items[i]
-		if len(out) < n && eligible(m) {
-			out = append(out, m)
-			continue
-		}
-		kept = append(kept, m)
-	}
-	newLen := q.head + len(kept)
-	for i := newLen; i < len(q.items); i++ {
-		q.items[i] = Message{}
-	}
-	q.items = q.items[:newLen]
-	q.compact()
-	return out
-}
-
-// PopNotViaInto is PopEligible specialised to the no-send-back rule —
-// eligible(m) = m.Via != via — appending the popped messages to dst and
-// returning it. The allocation-free form the transmit hot path uses: no
-// predicate closure, and dst is a caller-owned scratch slice.
+// PopNotViaInto removes up to n messages from the front that were not
+// received from device via (the no-send-back rule), appending them to dst and
+// returning it. The messages left behind keep their relative order. The
+// transmit hot path calls it with a caller-owned scratch dst, so it allocates
+// only if dst lacks capacity.
 func (q *Queue) PopNotViaInto(n, via int, dst []Message) []Message {
 	if n <= 0 || q.Len() == 0 {
 		return dst
@@ -167,18 +128,6 @@ func (q *Queue) PopNotViaInto(n, via int, dst []Message) []Message {
 	q.items = q.items[:newLen]
 	q.compact()
 	return dst
-}
-
-// PeekN returns up to n messages from the front without removing them. The
-// returned slice must not be modified.
-func (q *Queue) PeekN(n int) []Message {
-	if n <= 0 || q.Len() == 0 {
-		return nil
-	}
-	if n > q.Len() {
-		n = q.Len()
-	}
-	return q.items[q.head : q.head+n]
 }
 
 // compact reclaims the consumed prefix once it dominates the backing array.

@@ -193,36 +193,3 @@ func (f *Fleet) MaxSpeedMPS() float64 {
 	}
 	return max
 }
-
-// ActiveAt returns the indices of nodes in service at the given instant, in
-// fleet order (deterministic).
-func (f *Fleet) ActiveAt(at time.Duration) []int {
-	var idx []int
-	for i, n := range f.nodes {
-		if n.Active(at) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// Within returns the indices of active nodes within radius metres of pos at
-// the given instant, excluding the node with index exclude (pass -1 to keep
-// all). Used by the radio layer to find overhearing candidates.
-func (f *Fleet) Within(at time.Duration, pos geo.Point, radius float64, exclude int) []int {
-	r2 := radius * radius
-	var idx []int
-	for i, n := range f.nodes {
-		if i == exclude {
-			continue
-		}
-		p, ok := n.PositionAt(at)
-		if !ok {
-			continue
-		}
-		if p.DistSq(pos) <= r2 {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}

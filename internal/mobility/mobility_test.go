@@ -146,43 +146,6 @@ func TestRouteSpeedValidation(t *testing.T) {
 	}
 }
 
-func TestActiveAt(t *testing.T) {
-	f, err := NewFleet(straightDataset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.ActiveAt(30 * time.Minute); len(got) != 0 {
-		t.Fatalf("active before start: %v", got)
-	}
-	if got := f.ActiveAt(90 * time.Minute); len(got) != 2 {
-		t.Fatalf("active mid-trip = %v, want both buses", got)
-	}
-	if got := f.ActiveAt(3 * time.Hour); len(got) != 0 {
-		t.Fatalf("active after end: %v", got)
-	}
-}
-
-func TestWithin(t *testing.T) {
-	f, err := NewFleet(straightDataset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At mid-trip both buses sit at ~(5000, 0): each sees the other.
-	at := 90 * time.Minute
-	got := f.Within(at, geo.Point{X: 5000, Y: 0}, 100, -1)
-	if len(got) != 2 {
-		t.Fatalf("Within found %v, want both", got)
-	}
-	got = f.Within(at, geo.Point{X: 5000, Y: 0}, 100, 0)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Within with exclusion = %v, want [1]", got)
-	}
-	got = f.Within(at, geo.Point{X: 0, Y: 0}, 100, -1)
-	if len(got) != 0 {
-		t.Fatalf("Within far away = %v, want none", got)
-	}
-}
-
 func TestGeneratedFleetPositionsStayInArea(t *testing.T) {
 	ds, err := tfl.Generate(tfl.DefaultGenConfig(21, 8, 30*time.Minute))
 	if err != nil {
@@ -193,10 +156,13 @@ func TestGeneratedFleetPositionsStayInArea(t *testing.T) {
 		t.Fatal(err)
 	}
 	for at := time.Duration(0); at < tfl.Day; at += 47 * time.Minute {
-		for _, i := range f.ActiveAt(at) {
+		for i := 0; i < f.Len(); i++ {
+			if !f.Node(i).Active(at) {
+				continue
+			}
 			p, ok := f.Bus(i).Position(at)
 			if !ok {
-				t.Fatalf("ActiveAt/Position disagree for bus %d at %v", i, at)
+				t.Fatalf("Active/Position disagree for bus %d at %v", i, at)
 			}
 			if !ds.Area.Contains(p) {
 				t.Fatalf("bus %d at %v outside area: %v", i, at, p)
@@ -229,21 +195,5 @@ func TestQuickNoTeleport(t *testing.T) {
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkWithin(b *testing.B) {
-	ds, err := tfl.Generate(tfl.DefaultGenConfig(1, 25, 15*time.Minute))
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := NewFleet(ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	center := ds.Area.Center()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Within(12*time.Hour, center, 1000, -1)
 	}
 }

@@ -81,13 +81,6 @@ func NoiseFloorDBm(bw Hz) DBm {
 	return DBm(-174 + 10*math.Log10(float64(bw)) + float64(NoiseFigureDB))
 }
 
-// SNRFromRSSI converts a received signal strength to SNR against the
-// bandwidth's noise floor — the quantity the network server's ADR history
-// records per uplink.
-func SNRFromRSSI(rssi DBm, bw Hz) DB {
-	return rssi.Sub(NoiseFloorDBm(bw))
-}
-
 // PHYParams describes one LoRa transmission configuration.
 type PHYParams struct {
 	// SF is the spreading factor.
@@ -141,12 +134,6 @@ func (p PHYParams) Validate() error {
 	return nil
 }
 
-// SymbolTime returns the duration of one LoRa symbol: 2^SF / BW.
-func (p PHYParams) SymbolTime() time.Duration {
-	sec := math.Exp2(float64(p.SF)) / float64(p.BandwidthHz)
-	return time.Duration(sec * float64(time.Second))
-}
-
 // Airtime returns the on-air duration of a packet with payloadBytes of PHY
 // payload, using the Semtech SX1276 formula (AN1200.13). This drives both
 // the collision window and the 1 % duty-cycle budget.
@@ -177,25 +164,4 @@ func (p PHYParams) Airtime(payloadBytes int) time.Duration {
 	}
 	total := preamble + payloadSymb*ts
 	return time.Duration(total * float64(time.Second))
-}
-
-// BitRate returns the nominal PHY bit rate in bits per second:
-// SF * BW / 2^SF * CR. For SF7/125 kHz CR4/5 this is about 5.5 kbit/s; the
-// paper's headline "2.5 bit/s" figure for SF12 arises after the 1 % duty
-// cycle is applied on top (handled by the MAC layer).
-func (p PHYParams) BitRate() float64 {
-	cr := 4.0 / float64(4+p.CodingRate)
-	return float64(p.SF) * float64(p.BandwidthHz) / math.Exp2(float64(p.SF)) * cr
-}
-
-// DutyCycleWait returns how long a transmitter must stay silent after a
-// transmission of duration airtime to respect the duty-cycle fraction (e.g.
-// 0.01 for the 1 % EU868 general data channels): wait = airtime/duty -
-// airtime.
-func DutyCycleWait(airtime time.Duration, duty float64) time.Duration {
-	if duty <= 0 || duty >= 1 {
-		return 0
-	}
-	total := float64(airtime) / duty
-	return time.Duration(total) - airtime
 }

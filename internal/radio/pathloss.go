@@ -88,15 +88,3 @@ func (pl PathLoss) RSSI(tx DBm, d Meters, r *rng.Source) DBm {
 func (pl PathLoss) MeanRSSI(tx DBm, d Meters) DBm {
 	return tx.Minus(pl.MeanLossDB(d))
 }
-
-// RangeFor returns the distance in metres at which the mean RSSI drops to the
-// given sensitivity for the given transmit power: the mean communication
-// range. With the default model and 14 dBm / SF7 this is on the order of the
-// 1 km gateway range the paper assumes.
-func (pl PathLoss) RangeFor(tx, sensitivity DBm) Meters {
-	budget := tx.Sub(sensitivity) - pl.RefLossDB
-	if budget <= 0 {
-		return pl.RefDistM
-	}
-	return Meters(float64(pl.RefDistM) * math.Pow(10, float64(budget)/(10*pl.Exponent)))
-}

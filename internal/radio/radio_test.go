@@ -65,15 +65,6 @@ func TestPHYValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-func TestSymbolTime(t *testing.T) {
-	// SF7 @ 125 kHz: 2^7/125000 s = 1.024 ms.
-	got := DefaultPHY(SF7).SymbolTime()
-	want := 1024 * time.Microsecond
-	if d := got - want; d < -time.Microsecond || d > time.Microsecond {
-		t.Fatalf("SF7 symbol time = %v, want ~%v", got, want)
-	}
-}
-
 func TestAirtimeKnownValues(t *testing.T) {
 	// Reference values from the Semtech AN1200.13 calculator.
 	tests := []struct {
@@ -113,32 +104,6 @@ func TestAirtimeNegativePayloadClamps(t *testing.T) {
 	}
 }
 
-func TestBitRate(t *testing.T) {
-	// SF7/125k CR4/5: 7 * 125000/128 * 0.8 = 5468.75 bit/s.
-	got := DefaultPHY(SF7).BitRate()
-	if math.Abs(got-5468.75) > 0.01 {
-		t.Fatalf("SF7 bitrate = %v", got)
-	}
-	// Duty-cycled SF12 rate lands near the paper's 2.5 bit/s headline:
-	// 12 * 125000/4096 * 0.8 * 1% ≈ 2.9 bit/s.
-	sf12 := DefaultPHY(SF12).BitRate() * 0.01
-	if sf12 < 2 || sf12 > 4 {
-		t.Fatalf("SF12 duty-cycled rate = %v, want 2-4 bit/s", sf12)
-	}
-}
-
-func TestDutyCycleWait(t *testing.T) {
-	at := 100 * time.Millisecond
-	got := DutyCycleWait(at, 0.01)
-	want := 9900 * time.Millisecond
-	if d := got - want; d < -time.Millisecond || d > time.Millisecond {
-		t.Fatalf("DutyCycleWait = %v, want %v", got, want)
-	}
-	if DutyCycleWait(at, 0) != 0 || DutyCycleWait(at, 1) != 0 {
-		t.Fatal("degenerate duty fractions should yield zero wait")
-	}
-}
-
 func TestPathLossValidation(t *testing.T) {
 	if err := DefaultPathLoss().Validate(); err != nil {
 		t.Fatalf("default model invalid: %v", err)
@@ -171,27 +136,6 @@ func TestMeanLossClampsBelowRefDist(t *testing.T) {
 	pl := DefaultPathLoss()
 	if pl.MeanLossDB(1) != pl.MeanLossDB(40) {
 		t.Fatal("loss below reference distance not clamped")
-	}
-}
-
-func TestRangeForRoundTrip(t *testing.T) {
-	pl := DefaultPathLoss()
-	r := pl.RangeFor(14, SF7.Sensitivity())
-	// At the computed range, mean RSSI equals sensitivity.
-	if got := pl.MeanRSSI(14, r); math.Abs(float64(got.Sub(SF7.Sensitivity()))) > 1e-6 {
-		t.Fatalf("RSSI at RangeFor distance = %v, want %v", got, SF7.Sensitivity())
-	}
-	// The sub-urban model yields a mean SF7 range in the high hundreds of
-	// metres (≈833 m at 14 dBm), the same order as the paper's 1 km gate.
-	if r < 500 || r > 2000 {
-		t.Fatalf("SF7/14 dBm mean range = %v m, expected 0.5-2 km", r)
-	}
-}
-
-func TestRangeForNoBudget(t *testing.T) {
-	pl := DefaultPathLoss()
-	if got := pl.RangeFor(-200, -124); got != pl.RefDistM {
-		t.Fatalf("RangeFor with no budget = %v, want RefDistM", got)
 	}
 }
 

@@ -29,14 +29,12 @@ func TestSeededZeroGuard(t *testing.T) {
 // TestKeyMixersSensitivity checks every argument position of the key
 // mixers changes the derived key, and that arities don't collide trivially.
 func TestKeyMixersSensitivity(t *testing.T) {
-	base := Key4(7, 1, 2, 3, 4)
+	base := Key3(7, 1, 2, 3)
 	variants := []uint64{
-		Key4(8, 1, 2, 3, 4),
-		Key4(7, 9, 2, 3, 4),
-		Key4(7, 1, 9, 3, 4),
-		Key4(7, 1, 2, 9, 4),
-		Key4(7, 1, 2, 3, 9),
-		Key3(7, 1, 2, 3),
+		Key3(8, 1, 2, 3),
+		Key3(7, 9, 2, 3),
+		Key3(7, 1, 9, 3),
+		Key3(7, 1, 2, 9),
 		Key2(7, 1, 2),
 	}
 	for i, v := range variants {
@@ -55,8 +53,8 @@ func TestKeyMixersSensitivity(t *testing.T) {
 
 // TestKeyMixersDeterministic pins that key derivation is a pure function.
 func TestKeyMixersDeterministic(t *testing.T) {
-	if Key4(1, 2, 3, 4, 5) != Key4(1, 2, 3, 4, 5) {
-		t.Fatal("Key4 not deterministic")
+	if Key2(1, 2, 3) != Key2(1, 2, 3) {
+		t.Fatal("Key2 not deterministic")
 	}
 	a := Seeded(Key3(1, 2, 3, 4))
 	b := Seeded(Key3(1, 2, 3, 4))

@@ -98,13 +98,6 @@ func Key3(seed, a, b, c uint64) uint64 {
 	return mix(mix(mix(seed, a), b), c)
 }
 
-// Key4 derives a draw key from a seed and four identity words.
-//
-//mlorass:hotpath
-func Key4(seed, a, b, c, d uint64) uint64 {
-	return mix(mix(mix(mix(seed, a), b), c), d)
-}
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Source) Uint64() uint64 {
 	s := &r.s
@@ -185,45 +178,6 @@ func (r *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Norm(mu, sigma))
 }
 
-// Exp returns an exponentially distributed float64 with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (r *Source) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp called with non-positive rate")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
-}
-
-// Poisson returns a Poisson-distributed int with the given mean, using
-// Knuth's method for small means and normal approximation above 64.
-func (r *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(math.Round(r.Norm(mean, math.Sqrt(mean))))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	limit := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -235,12 +189,4 @@ func (r *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

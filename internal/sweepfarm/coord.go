@@ -96,13 +96,12 @@ type CoordConfig struct {
 // from store state alone: NewCoordinator probes every keyed cell and
 // absorbs the artefacts that already verify.
 type Coordinator struct {
-	mu     sync.Mutex
-	cells  []Cell
-	table  *leaseTable
-	store  ArtifactStore
-	clock  Clock
-	cfg    CoordConfig
-	inline map[int][]byte // verified inline artefacts of keyless cells
+	mu    sync.Mutex
+	cells []Cell
+	table *leaseTable
+	store ArtifactStore
+	clock Clock
+	cfg   CoordConfig
 	// absorbedKeys dedupes the merge by store key: a key absorbed once is
 	// never merged again, even if it reappears under another completion.
 	absorbedKeys map[string]bool
@@ -124,7 +123,6 @@ func NewCoordinator(cells []Cell, store ArtifactStore, clock Clock, cfg CoordCon
 		store:        store,
 		clock:        clock,
 		cfg:          cfg,
-		inline:       map[int][]byte{},
 		absorbedKeys: map[string]bool{},
 		doneCh:       make(chan struct{}),
 	}
@@ -166,8 +164,6 @@ func (c *Coordinator) absorb(cell Cell, data []byte, worker string, cached bool)
 			return nil
 		}
 		c.absorbedKeys[cell.Key] = true
-	} else {
-		c.inline[cell.Index] = data
 	}
 	if c.cfg.Absorb != nil {
 		if err := c.cfg.Absorb(cell, data); err != nil {
@@ -354,13 +350,4 @@ func (c *Coordinator) Report() Report {
 		}
 	}
 	return rep
-}
-
-// InlineArtifact returns the verified inline artefact of a keyless cell
-// (keyed cells live in the store).
-func (c *Coordinator) InlineArtifact(idx int) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.inline[idx]
-	return d, ok
 }

@@ -124,9 +124,8 @@ func (s SFCounts) MeanSF() float64 {
 	return float64(sum) / float64(t)
 }
 
-// Recorder accumulates one run's metrics. A nil *Recorder is a valid no-op
-// recorder: every method checks the receiver, so instrumented call sites stay
-// branch-cheap when telemetry is disabled.
+// Recorder accumulates one run's metrics. Every run records: recording
+// costs an atomic add per event and never allocates.
 //
 // Concurrency contract: exactly one goroutine (the simulation that owns the
 // recorder) may record; any number of goroutines may call Snapshot at any
@@ -246,58 +245,42 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // AddGenerated counts one generated application message.
 func (r *Recorder) AddGenerated() {
-	if r != nil {
-		r.c.generated.Add(1)
-	}
+	r.c.generated.Add(1)
 }
 
 // AddFrame counts one transmitted frame.
 func (r *Recorder) AddFrame() {
-	if r != nil {
-		r.c.framesOnAir.Add(1)
-	}
+	r.c.framesOnAir.Add(1)
 }
 
 // AddUplinkDelivery counts one frame decoded by a gateway.
 func (r *Recorder) AddUplinkDelivery() {
-	if r != nil {
-		r.c.uplinkDeliveries.Add(1)
-	}
+	r.c.uplinkDeliveries.Add(1)
 }
 
 // AddServerFresh counts n messages newly accepted by the server.
 func (r *Recorder) AddServerFresh(n int) {
-	if r != nil {
-		r.c.serverFresh.Add(uint64(n))
-	}
+	r.c.serverFresh.Add(uint64(n))
 }
 
 // AddServerDuplicate counts one deduplicated copy.
 func (r *Recorder) AddServerDuplicate() {
-	if r != nil {
-		r.c.serverDuplicates.Add(1)
-	}
+	r.c.serverDuplicates.Add(1)
 }
 
 // AddRelayHops counts n messages moved by a successful handover.
 func (r *Recorder) AddRelayHops(n int) {
-	if r != nil {
-		r.c.relayHops.Add(uint64(n))
-	}
+	r.c.relayHops.Add(uint64(n))
 }
 
 // AddQueueDrop counts one message dropped by a full queue.
 func (r *Recorder) AddQueueDrop() {
-	if r != nil {
-		r.c.queueDrops.Add(1)
-	}
+	r.c.queueDrops.Add(1)
 }
 
 // AddKernelEvent counts one executed kernel event (eventsim probe).
 func (r *Recorder) AddKernelEvent() {
-	if r != nil {
-		r.c.kernelEvents.Add(1)
-	}
+	r.c.kernelEvents.Add(1)
 }
 
 // OnEvent implements the eventsim Probe shape: one clock-stamped callback
@@ -306,77 +289,56 @@ func (r *Recorder) OnEvent(time.Duration) { r.AddKernelEvent() }
 
 // AddTraceEvent counts one emitted trace record.
 func (r *Recorder) AddTraceEvent() {
-	if r != nil {
-		r.c.traceEvents.Add(1)
-	}
+	r.c.traceEvents.Add(1)
 }
 
 // AddDownlink counts one gateway downlink frame transmitted.
 func (r *Recorder) AddDownlink() {
-	if r != nil {
-		r.c.downlinks.Add(1)
-	}
+	r.c.downlinks.Add(1)
 }
 
 // AddDownlinkDelivery counts one downlink decoded by its device.
 func (r *Recorder) AddDownlinkDelivery() {
-	if r != nil {
-		r.c.downlinkDeliveries.Add(1)
-	}
+	r.c.downlinkDeliveries.Add(1)
 }
 
 // AddAckTimeout counts one confirmed uplink whose ack never arrived.
 func (r *Recorder) AddAckTimeout() {
-	if r != nil {
-		r.c.ackTimeouts.Add(1)
-	}
+	r.c.ackTimeouts.Add(1)
 }
 
 // AddRetransmission counts one confirmed-uplink retransmission.
 func (r *Recorder) AddRetransmission() {
-	if r != nil {
-		r.c.retransmissions.Add(1)
-	}
+	r.c.retransmissions.Add(1)
 }
 
 // AddADRApplied counts one LinkADRReq received and applied by a device.
 func (r *Recorder) AddADRApplied() {
-	if r != nil {
-		r.c.adrApplied.Add(1)
-	}
+	r.c.adrApplied.Add(1)
 }
 
 // AddUplinkSF counts one uplink frame transmitted at the given spreading
 // factor (7..12); out-of-range values are ignored.
 func (r *Recorder) AddUplinkSF(sf int) {
-	if r != nil && sf >= 7 && sf <= 12 {
+	if sf >= 7 && sf <= 12 {
 		r.sf[sf-7].Add(1)
 	}
 }
 
 // ObserveDelay records one delivered message's end-to-end delay in seconds.
 func (r *Recorder) ObserveDelay(seconds float64) {
-	if r == nil {
-		return
-	}
 	r.delay.add(seconds)
 }
 
 // ObserveAirtime records one transmitted frame's time-on-air in seconds.
 func (r *Recorder) ObserveAirtime(seconds float64) {
-	if r == nil {
-		return
-	}
 	r.airtime.add(seconds)
 }
 
-// Snapshot returns a copy of the recorder's state (zero Snapshot when nil).
+// Snapshot returns a copy of the recorder's state.
 // Safe to call from any goroutine while the owning simulation is still
 // recording; see the Recorder concurrency contract.
 func (r *Recorder) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
 	s := Snapshot{
 		Counters: r.c.snapshot(),
 		Delay:    r.delay.snapshot(),

@@ -154,24 +154,6 @@ func TestMemSinkCapture(t *testing.T) {
 	}
 }
 
-func TestRecorderNilSafe(t *testing.T) {
-	var r *Recorder
-	r.AddGenerated()
-	r.AddFrame()
-	r.AddUplinkDelivery()
-	r.AddServerFresh(3)
-	r.AddServerDuplicate()
-	r.AddRelayHops(2)
-	r.AddQueueDrop()
-	r.AddKernelEvent()
-	r.AddTraceEvent()
-	r.ObserveDelay(1)
-	r.ObserveAirtime(1)
-	if s := r.Snapshot(); s.Counters != (Counters{}) || s.Delay.N() != 0 {
-		t.Fatalf("nil recorder produced non-zero snapshot: %+v", s)
-	}
-}
-
 func TestSnapshotMerge(t *testing.T) {
 	a := NewRecorder()
 	a.AddGenerated()

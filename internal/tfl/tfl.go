@@ -82,16 +82,6 @@ type Dataset struct {
 	Trips  []Trip
 }
 
-// RouteByID returns the route with the given ID, or false.
-func (d *Dataset) RouteByID(id string) (Route, bool) {
-	for _, r := range d.Routes {
-		if r.ID == id {
-			return r, true
-		}
-	}
-	return Route{}, false
-}
-
 // ActiveBuses returns the number of trips active at each bin of width bin
 // across the 24-hour day: the data behind Fig. 7a.
 func (d *Dataset) ActiveBuses(bin time.Duration) []int {

@@ -88,6 +88,10 @@ func TestRoutesInsideAreaWithValidSpeeds(t *testing.T) {
 
 func TestTripsWithinDayAndReferencingRoutes(t *testing.T) {
 	ds := genSmall(t, 9)
+	routes := map[string]bool{}
+	for _, r := range ds.Routes {
+		routes[r.ID] = true
+	}
 	ids := map[int]bool{}
 	for _, tr := range ds.Trips {
 		if ids[tr.ID] {
@@ -100,7 +104,7 @@ func TestTripsWithinDayAndReferencingRoutes(t *testing.T) {
 		if tr.Duration <= 0 {
 			t.Fatalf("trip %d has non-positive duration", tr.ID)
 		}
-		if _, ok := ds.RouteByID(tr.RouteID); !ok {
+		if !routes[tr.RouteID] {
 			t.Fatalf("trip %d references unknown route %s", tr.ID, tr.RouteID)
 		}
 	}
