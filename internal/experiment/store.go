@@ -42,9 +42,9 @@ const storeSchemaVersion = 5
 // storeKey is the canonical, deterministic description of everything that
 // determines a Run's Result. Field order is fixed by the struct; every
 // semantic Config field appears, and only non-semantic ones (trace sink,
-// progress plumbing) are omitted. Shards keys the engine,
-// not the tile count: 0 is the serial engine, and every N ≥ 1 keys as 1
-// because the tile engine's results are bit-identical for every N.
+// progress plumbing) are omitted. Shards keys the engine, not the tile
+// count: 0 is the serial engine, and every N ≥ 1 keys as 1 because the tile
+// engine's results are bit-identical for every N.
 type storeKey struct {
 	Schema          int                   `json:"schema"`
 	Seed            uint64                `json:"seed"`
@@ -212,10 +212,10 @@ func encodeResult(r *Result) ([]byte, error) {
 // have produced, rejecting artefacts from another schema version and
 // artefacts that parse but fail the invariants every real run satisfies:
 // per-delivery columns sized to the delivery count, and the accounting
-// identities of checkAccounting. The integrity check matters for crash recovery: a truncated or
-// hand-damaged file that still happens to be valid JSON (`{"schema":2}`,
-// say) must read as corruption — to be recomputed and overwritten — not as
-// a cached cell of zeros that silently poisons a sweep.
+// identities of checkAccounting. The integrity check matters for crash
+// recovery: a truncated or hand-damaged file that still happens to be valid
+// JSON (`{"schema":2}`, say) must read as corruption — to be recomputed and
+// overwritten — not as a cached cell of zeros that silently poisons a sweep.
 func decodeResult(data []byte, cfg Config) (*Result, error) {
 	// The packed columns are taken as raw JSON strings and base64-decoded by
 	// decodeResultColumn: encoding/json would first unquote each one, a pass

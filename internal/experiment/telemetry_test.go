@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mlorass/internal/routing"
+	"mlorass/internal/stats"
 	"mlorass/internal/telemetry"
 )
 
@@ -59,6 +60,43 @@ func TestTelemetrySnapshotConsistent(t *testing.T) {
 	p50, p95, p99 := res.Telemetry.Delay.Percentile(50), res.Telemetry.Delay.Percentile(95), res.Telemetry.Delay.Percentile(99)
 	if !(p50 <= p95 && p95 <= p99) || p99 > res.Delay.Max() {
 		t.Errorf("percentiles disordered: p50=%v p95=%v p99=%v max=%v", p50, p95, p99, res.Delay.Max())
+	}
+}
+
+// TestCheckAccounting doctors a real run's Result one identity at a time:
+// the check every run and every stored-artefact load makes must name the
+// identity each one breaks.
+func TestCheckAccounting(t *testing.T) {
+	res := mustRun(t, telemetryTestConfig())
+	if err := res.checkAccounting(); err != nil {
+		t.Fatalf("genuine run fails its accounting: %v", err)
+	}
+	if res.Delivered == 0 {
+		t.Fatal("test run delivered nothing: the identities are vacuous")
+	}
+	extraArrival, err := stats.NewTimeSeries(res.Throughput.Bin(), res.Config.Duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extraArrival.Record(0, res.Delivered+1)
+	doctor := map[string]struct {
+		mutate func(r *Result)
+		want   string
+	}{
+		"delivered over generated": {func(r *Result) { r.Generated = uint64(r.Delivered) - 1 }, "exceeds generated"},
+		"extra delay sample":       {func(r *Result) { r.Delay.Add(1) }, "summaries"},
+		"missing hop sample":       {func(r *Result) { r.Hops = stats.Summary{} }, "summaries"},
+		"extra arrival":            {func(r *Result) { r.Throughput = extraArrival }, "throughput series"},
+		"fresh counter off":        {func(r *Result) { r.Telemetry.Counters.ServerFresh++ }, "server counters"},
+		"duplicate counter off":    {func(r *Result) { r.Telemetry.Counters.ServerDuplicates++ }, "server counters"},
+	}
+	for name, d := range doctor {
+		r := *res
+		d.mutate(&r)
+		err := r.checkAccounting()
+		if err == nil || !strings.Contains(err.Error(), d.want) {
+			t.Errorf("%s: checkAccounting = %v, want an error mentioning %q", name, err, d.want)
+		}
 	}
 }
 
