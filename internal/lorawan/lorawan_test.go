@@ -282,7 +282,7 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	}
 }
 
-func TestPopNotViaFiltersAndPreservesOrder(t *testing.T) {
+func TestPopEligibleFiltersAndPreservesOrder(t *testing.T) {
 	q := NewQueue(0)
 	for i := 1; i <= 6; i++ {
 		via := -1
@@ -303,10 +303,10 @@ func TestPopNotViaFiltersAndPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestPopNotViaRespectsLimit(t *testing.T) {
+func TestPopEligibleRespectsLimit(t *testing.T) {
 	q := NewQueue(0)
 	for i := 1; i <= 5; i++ {
-		q.Push(Message{ID: uint64(i), Via: -1})
+		q.Push(Message{ID: uint64(i)})
 	}
 	scratch := make([]Message, 0, MaxBundle)
 	got := q.PopNotViaInto(2, 9, scratch)
@@ -321,18 +321,18 @@ func TestPopNotViaRespectsLimit(t *testing.T) {
 	}
 }
 
-func TestPopNotViaEmptyAndZero(t *testing.T) {
+func TestPopEligibleEmptyAndZero(t *testing.T) {
 	q := NewQueue(0)
 	if got := q.PopNotViaInto(3, 9, nil); got != nil {
 		t.Fatalf("PopNotViaInto on empty = %v", got)
 	}
-	q.Push(Message{ID: 1, Via: -1})
+	q.Push(Message{ID: 1})
 	if got := q.PopNotViaInto(0, 9, nil); got != nil {
 		t.Fatalf("PopNotViaInto(0) = %v", got)
 	}
 }
 
-func TestPopNotViaNoneMatch(t *testing.T) {
+func TestPopEligibleNoneMatch(t *testing.T) {
 	q := NewQueue(0)
 	q.Push(Message{ID: 1, Via: 3})
 	q.Push(Message{ID: 2, Via: 3})

@@ -101,7 +101,7 @@ func (q *Queue) PopNInto(n int, dst []Message) []Message {
 	return dst
 }
 
-// PopNotViaInto removes up to n messages from the front that were not
+// PopNotViaInto removes up to n eligible messages from the front, those not
 // received from device via (the no-send-back rule), appending them to dst and
 // returning it. The messages left behind keep their relative order. The
 // transmit hot path calls it with a caller-owned scratch dst, so it allocates
