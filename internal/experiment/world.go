@@ -64,6 +64,7 @@ type world struct {
 	// layer is off): both engines look gateway availability and device
 	// liveness up in it by instant.
 	plan *disruption.Plan
+
 	// Disruption diagnostics.
 	gatewayOutageWindows int
 	deviceFailures       int
