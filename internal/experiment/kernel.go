@@ -67,11 +67,10 @@ type engine interface {
 }
 
 // kernel is one event kernel's share of a run, the serial engine's only one
-// or one tile's: its medium view, spatial index, counters and recorder, and
-// the device protocol over the devices it owns.
+// or one tile's: its medium view, spatial index and recorder, and the device
+// protocol over the devices it owns.
 type kernel struct {
 	*world
-	counters
 	eng    engine
 	es     *eventsim.Simulator
 	medium *radio.Medium
@@ -224,7 +223,6 @@ func (k *kernel) tick(d *device, now time.Duration) {
 
 	// Generate this slot's message; a full queue drops it (counted).
 	id := k.eng.msgID(d)
-	k.generated++
 	k.rec.AddGenerated()
 	traced := k.tracer.Sampled(id)
 	if traced {
@@ -239,7 +237,7 @@ func (k *kernel) tick(d *device, now time.Duration) {
 		Created: now,
 		Via:     -1,
 	}) {
-		k.rec.AddQueueDrop()
+		k.rec.AddQueueDrops(1)
 		if traced {
 			k.eng.trace(telemetry.Event{
 				T: now, Kind: telemetry.KindDrop, Msg: id,
@@ -436,7 +434,7 @@ func (k *kernel) decoded(d *device, frame *lorawan.Frame, gw int, rssi radio.DBm
 // requeue returns a failed uplink's bundle to the queue head, in FIFO order,
 // and retransmits after the duty-cycle timer, up to the retry budget.
 func (k *kernel) requeue(d *device, msgs []lorawan.Message) {
-	d.queue.PushFront(msgs)
+	k.rec.AddQueueDrops(d.queue.PushFront(msgs))
 	d.attempts++
 	if !k.retry.Exhausted(d.attempts) {
 		k.scheduleNextAttempt(d)
@@ -453,14 +451,14 @@ func (k *kernel) requeue(d *device, msgs []lorawan.Message) {
 // matching the paper's application-layer transfer model.
 func (k *kernel) handoverSent(d *device, pos geo.Point, frame *lorawan.Frame, dest int, at time.Duration) bool {
 	d.fwdTarget = -1
-	k.handoverAttempts++
+	k.rec.AddHandoverAttempt()
 	target := k.devices[dest]
 	tpos, ok := k.eng.peerPos(target, at)
 	if ok && k.eng.receptive(target, at) && k.listening(target, frameKey(frame.From, frame.Seq)) &&
 		pos.Dist(tpos) <= k.cfg.D2DRangeM {
 		return true
 	}
-	k.handoverLostMsgs += uint64(len(frame.Messages))
+	k.rec.AddHandoverMissedMsgs(len(frame.Messages))
 	return false
 }
 
@@ -468,8 +466,7 @@ func (k *kernel) handoverSent(d *device, pos geo.Point, frame *lorawan.Frame, de
 // absorbs the messages (hop count incremented, provenance recorded) and bans
 // sending them back.
 func (k *kernel) handover(target *device, from int, msgs []lorawan.Message, at time.Duration) {
-	k.handoverSuccesses++
-	k.handoverMsgs += uint64(len(msgs))
+	k.rec.AddHandoverSuccess()
 	k.rec.AddRelayHops(len(msgs))
 	for _, m := range msgs {
 		m.Hops++
@@ -482,7 +479,7 @@ func (k *kernel) handover(target *device, from int, msgs []lorawan.Message, at t
 			})
 		}
 		if !target.queue.Push(m) { // full queue counts a drop
-			k.rec.AddQueueDrop()
+			k.rec.AddQueueDrops(1)
 			if traced {
 				k.eng.trace(telemetry.Event{
 					T: at, Kind: telemetry.KindDrop, Msg: m.ID,

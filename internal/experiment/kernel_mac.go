@@ -44,11 +44,11 @@ type macOp struct {
 // applyMAC applies op to the network server's one ADR controller and
 // downlink scheduler, returning the downlink planned for an uplink, if any.
 // ok is false both when no downlink is due (unconfirmed, no pending command)
-// and when the gateway's duty budget had no open window; the scheduler's own
-// stats count the true drops, reconciled into the telemetry snapshot by
-// collect. A dropped ack means the device times out and retransmits an
-// already-delivered bundle — a duplicate the server deduplicates, the cost of
-// a congested downlink budget.
+// and when the gateway's duty budget had no open window. Both engines call it
+// on the goroutine that owns the world's recorder, which counts the issued
+// ADR commands and the dropped downlinks as they happen. A dropped ack means
+// the device times out and retransmits an already-delivered bundle — a
+// duplicate the server deduplicates, the cost of a congested downlink budget.
 func (w *world) applyMAC(op *macOp) (plan netserver.DownlinkPlan, ok bool) {
 	m := w.server.MAC()
 	if op.kind == macOpReset {
@@ -57,7 +57,15 @@ func (w *world) applyMAC(op *macOp) (plan netserver.DownlinkPlan, ok bool) {
 		}
 		return plan, false
 	}
-	return m.OnUplink(op.dev, op.gw, op.snr, op.dr, op.powIdx, w.confirmed, op.at, op.timing)
+	drops := m.Sched.Stats().Dropped
+	plan, ok = m.OnUplink(op.dev, op.gw, op.snr, op.dr, op.powIdx, w.confirmed, op.at, op.timing)
+	if ok && plan.HasCmd {
+		w.rec.AddADRCommand()
+	}
+	if m.Sched.Stats().Dropped != drops {
+		w.rec.AddDownlinkDrop()
+	}
+	return plan, ok
 }
 
 // macUplink runs the MAC reaction to one of d's uplinks decoded by gateway
@@ -121,7 +129,6 @@ func (k *kernel) sendDownlink(d *device, p *netserver.DownlinkPlan) {
 	d.dlCmd = p.Cmd
 	d.dlHasCmd = p.HasCmd
 	d.dlSeq++
-	k.downlinks++
 	k.rec.AddDownlink()
 	k.eng.began(d, tx, rkDownlink)
 }
@@ -149,7 +156,6 @@ func (k *kernel) resolveDownlink(d *device, end time.Duration) {
 		!k.eng.receive(tx, pos, frameKey(tx.From, d.dlSeq), d.id).OK() {
 		return
 	}
-	k.downlinkDeliveries++
 	k.rec.AddDownlinkDelivery()
 	if d.dlHasCmd {
 		if ans := d.dlCmd.Apply(); ans.Accepted() {
@@ -163,7 +169,6 @@ func (k *kernel) resolveDownlink(d *device, end time.Duration) {
 			// The TXPower ladder is anchored at the configured baseline
 			// power: index 0 reproduces the fixed-power paper setting.
 			d.txPowDBm = lorawan.TxPowerDBm(radio.DBm(k.cfg.TxPowerDBm), d.txPowIdx)
-			k.adrApplied++
 			k.rec.AddADRApplied()
 		}
 	}
@@ -192,9 +197,8 @@ func (k *kernel) ackTimeout(d *device, now time.Duration) {
 		return
 	}
 	d.awaitingAck = false
-	k.ackTimeouts++
 	k.rec.AddAckTimeout()
-	d.queue.PushFront(d.pendFrame.Messages)
+	k.rec.AddQueueDrops(d.queue.PushFront(d.pendFrame.Messages))
 	if d.failed {
 		return
 	}
@@ -202,7 +206,6 @@ func (k *kernel) ackTimeout(d *device, now time.Duration) {
 	if d.attempts >= k.cfg.MAC.AckRetryMax {
 		return
 	}
-	k.retransmissions++
 	k.rec.AddRetransmission()
 	at := d.duty.NextFree()
 	if b := now + mac.AckBackoff(d.attempts, d.rnd); b > at {

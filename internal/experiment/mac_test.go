@@ -201,8 +201,9 @@ func TestADRHighDutyFreshestDownlinkWins(t *testing.T) {
 	}
 }
 
-// TestADRCommandsCounterConsistency: the telemetry snapshot's ADRCommands is
-// reconciled from the network server's MAC (regression: it used to stay 0).
+// TestADRCommandsCounterConsistency: the recorder counts the ADR commands the
+// network server issues (regression: the counter used to stay 0), and the
+// Result reads its MAC tallies from the recorder.
 func TestADRCommandsCounterConsistency(t *testing.T) {
 	cfg := macTestConfig()
 	cfg.MAC.ADR = true

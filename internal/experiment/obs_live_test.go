@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"mlorass/internal/obs"
+	"mlorass/internal/radio"
+	"mlorass/internal/routing"
 	"mlorass/internal/telemetry"
 )
 
@@ -56,13 +59,11 @@ func scrapeDuringRun(t *testing.T, cfg Config) {
 		t.Fatal("no scrape overlapped the run")
 	}
 
-	// Quiesced: the registry's merged base must match the result exactly.
+	// Quiesced: the registry's merged base must match the result exactly,
+	// every counter included.
 	got := reg.Snapshot()
 	want := out.res.Telemetry
-	if got.Counters.Generated != want.Counters.Generated ||
-		got.Counters.FramesOnAir != want.Counters.FramesOnAir ||
-		got.Counters.UplinkDeliveries != want.Counters.UplinkDeliveries ||
-		got.Counters.ServerFresh != want.Counters.ServerFresh {
+	if got.Counters != want.Counters {
 		t.Errorf("registry counters diverged from Result.Telemetry:\n got %+v\nwant %+v",
 			got.Counters, want.Counters)
 	}
@@ -106,6 +107,36 @@ func TestLiveScrapeDuringShardedRun(t *testing.T) {
 	cfg := obsLiveTestConfig()
 	cfg.Shards = 2
 	scrapeDuringRun(t, cfg)
+}
+
+// macOverflowConfig is a forwarding run with ADR, confirmed traffic, SF12
+// uplinks and three-message queues: it issues ADR commands, drops downlinks
+// for want of duty budget, and overflows queues on requeue as well as on
+// push, so every tally has somewhere to diverge.
+func macOverflowConfig() Config {
+	cfg := QuickConfig()
+	cfg.Duration = 2 * time.Hour
+	cfg.Scheme = routing.SchemeROBC
+	cfg.SF = radio.SF12
+	cfg.QueueMax = 3
+	cfg.MAC.ADR, cfg.MAC.Confirmed = true, true
+	return cfg
+}
+
+// TestLiveScrapeMACOverflowShard: the recorder counts queue drops on
+// requeue, ADR commands and downlink drops where they happen, so the
+// registry equals the Result on both engines, with and without handovers.
+func TestLiveScrapeMACOverflowShard(t *testing.T) {
+	for _, scheme := range []routing.Scheme{routing.SchemeNoRouting, routing.SchemeROBC} {
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", scheme, shards), func(t *testing.T) {
+				cfg := macOverflowConfig()
+				cfg.Scheme = scheme
+				cfg.Shards = shards
+				scrapeDuringRun(t, cfg)
+			})
+		}
+	}
 }
 
 // TestLiveScrapeShardedMatchesUninstrumented locks the zero-perturbation

@@ -12,91 +12,95 @@ import (
 )
 
 // Result carries every measurement the paper's figures are built from.
+//
+// Its JSON form is the run store's artefact (resultArtifact embeds it). The
+// tallies the run's recorder keeps are tagged "-": they are stored once, in
+// Telemetry.Counters, and fillTallies copies them out.
 type Result struct {
 	// Config echoes the run configuration (with defaults filled in).
-	Config Config
+	Config Config `json:"-"`
 
 	// Generated counts application messages created by all devices.
-	Generated uint64
+	Generated uint64 `json:"-"`
 	// Delivered counts distinct messages that reached the server: the
 	// total-throughput quantity of Fig. 9.
-	Delivered int
+	Delivered int `json:"delivered"`
 	// Duplicates counts redundant copies the server discarded.
-	Duplicates uint64
+	Duplicates uint64 `json:"duplicates"`
 	// QueueDrops counts messages discarded by full device queues.
-	QueueDrops uint64
+	QueueDrops uint64 `json:"-"`
 
 	// Delay summarises end-to-end delays of delivered messages in
 	// seconds (Fig. 8).
-	Delay stats.Summary
+	Delay stats.Summary `json:"delay"`
 	// Hops summarises wireless hop counts of delivered messages
 	// (Fig. 12; direct uplinks count 1).
-	Hops stats.Summary
+	Hops stats.Summary `json:"hops"`
 	// MsgSendsPerNode summarises, per ever-active device, the number of
 	// message copies transmitted — the paper's Fig. 13 energy-overhead
 	// proxy.
-	MsgSendsPerNode stats.Summary
+	MsgSendsPerNode stats.Summary `json:"msg_sends_per_node"`
 	// FramesPerNode summarises transmitted frames per ever-active device.
-	FramesPerNode stats.Summary
+	FramesPerNode stats.Summary `json:"frames_per_node"`
 	// RadioOnPerNode summarises per-device radio-on time in seconds
 	// (transmit + listen), the Queue-based Class-A ablation quantity.
-	RadioOnPerNode stats.Summary
+	RadioOnPerNode stats.Summary `json:"radio_on_per_node"`
 
 	// Throughput is the arrivals time series in ThroughputBin buckets
 	// (Figs. 10–11).
-	Throughput *stats.TimeSeries
+	Throughput *stats.TimeSeries `json:"throughput"`
 
 	// Medium carries channel-level counters (collisions etc.).
-	Medium radio.MediumStats
+	Medium radio.MediumStats `json:"medium"`
 
 	// ActiveDevices counts devices that operated during the horizon.
-	ActiveDevices int
+	ActiveDevices int `json:"active_devices"`
 
 	// HandoverAttempts and HandoverSuccesses count device-to-device
 	// transfer transmissions; HandoverMsgs counts messages moved.
-	HandoverAttempts  uint64
-	HandoverSuccesses uint64
-	HandoverMsgs      uint64
-	// HandoverLostMsgs counts messages lost in handover frames the
-	// target missed (there is no d2d ACK, so the sender cannot recover
-	// them).
-	HandoverLostMsgs uint64
+	HandoverAttempts  uint64 `json:"-"`
+	HandoverSuccesses uint64 `json:"-"`
+	HandoverMsgs      uint64 `json:"-"`
+	// HandoverLostMsgs counts messages in handover frames the target
+	// missed. They are not lost: the sender returns them to its queue head
+	// and sends them again.
+	HandoverLostMsgs uint64 `json:"-"`
 
 	// MAC-subsystem measurements (all zero when Config.MAC is
 	// zero-valued — the paper's uplink-only model).
 
 	// Downlinks counts gateway downlink frames put on the air;
 	// DownlinkDeliveries counts those decoded by their device.
-	Downlinks          uint64
-	DownlinkDeliveries uint64
+	Downlinks          uint64 `json:"-"`
+	DownlinkDeliveries uint64 `json:"-"`
 	// DownlinkDrops counts downlinks the per-gateway duty budget could
 	// not place in either receive window.
-	DownlinkDrops uint64
+	DownlinkDrops uint64 `json:"-"`
 	// AckTimeouts counts confirmed uplinks whose ack window closed
 	// unanswered; Retransmissions counts the retries they triggered.
-	AckTimeouts     uint64
-	Retransmissions uint64
+	AckTimeouts     uint64 `json:"-"`
+	Retransmissions uint64 `json:"-"`
 	// ADRCommands counts LinkADRReq commands the network server issued;
 	// ADRApplied counts those devices received and applied.
-	ADRCommands uint64
-	ADRApplied  uint64
+	ADRCommands uint64 `json:"-"`
+	ADRApplied  uint64 `json:"-"`
 
 	// GatewayOutageWindows counts the disruption layer's scheduled
 	// gateway downtime windows (0 when disruption is off).
-	GatewayOutageWindows int
+	GatewayOutageWindows int `json:"gateway_outage_windows"`
 	// DeviceFailures counts devices permanently churned out mid-run by
 	// the disruption layer.
-	DeviceFailures int
+	DeviceFailures int `json:"device_failures"`
 
 	// DirectDelay and RelayedDelay split the delivered-message delays by
 	// whether the message ever hopped device-to-device.
-	DirectDelay  stats.Summary
-	RelayedDelay stats.Summary
+	DirectDelay  stats.Summary `json:"direct_delay"`
+	RelayedDelay stats.Summary `json:"relayed_delay"`
 
 	// Telemetry is the run's streaming-metrics snapshot: hot-path
 	// counters plus the delay and airtime histograms, which merge
 	// exactly across replications.
-	Telemetry telemetry.Snapshot
+	Telemetry telemetry.Snapshot `json:"telemetry"`
 
 	// rawDelays holds every delivered message's delay in seconds, for
 	// percentile analysis (internal diagnostics and sweeps).
@@ -142,12 +146,34 @@ func (r *Result) DeliveryRatio() float64 {
 	return float64(r.Delivered) / float64(r.Generated)
 }
 
+// fillTallies copies the tallies the run's recorder keeps out of
+// r.Telemetry.Counters: a finished run and a decoded artefact both take them
+// from there.
+func (r *Result) fillTallies() {
+	c := &r.Telemetry.Counters
+	r.Generated = c.Generated
+	r.QueueDrops = c.QueueDrops
+	r.HandoverAttempts = c.HandoverAttempts
+	r.HandoverSuccesses = c.HandoverSuccesses
+	r.HandoverMsgs = c.RelayHops
+	r.HandoverLostMsgs = c.HandoverMissedMsgs
+	r.Downlinks = c.Downlinks
+	r.DownlinkDeliveries = c.DownlinkDeliveries
+	r.DownlinkDrops = c.DownlinkDrops
+	r.AckTimeouts = c.AckTimeouts
+	r.Retransmissions = c.Retransmissions
+	r.ADRCommands = c.ADRCommands
+	r.ADRApplied = c.ADRApplied
+}
+
 // checkAccounting reports the first accounting identity r breaks. Every run
 // keeps them all: no more deliveries than generated messages, one delay and
 // one hop sample and one arrival per delivery, and telemetry server counters
-// equal to the ledger's totals.
-func (r *Result) checkAccounting() error {
-	c := r.Telemetry.Counters
+// equal to the ledger's totals. own, when not nil, holds the totals the
+// run's queues and MAC plane keep beside the recorder (QueueDrops,
+// ADRCommands, DownlinkDrops), which must equal the recorder's.
+func (r *Result) checkAccounting(own *telemetry.Counters) error {
+	c := &r.Telemetry.Counters
 	switch {
 	case uint64(r.Delivered) > r.Generated:
 		return fmt.Errorf("delivered %d exceeds generated %d", r.Delivered, r.Generated)
@@ -158,6 +184,9 @@ func (r *Result) checkAccounting() error {
 	case c.ServerFresh != uint64(r.Delivered) || c.ServerDuplicates != r.Duplicates:
 		return fmt.Errorf("telemetry server counters %d fresh/%d duplicates, result %d/%d",
 			c.ServerFresh, c.ServerDuplicates, r.Delivered, r.Duplicates)
+	case own != nil && (own.QueueDrops != c.QueueDrops || own.ADRCommands != c.ADRCommands || own.DownlinkDrops != c.DownlinkDrops):
+		return fmt.Errorf("subsystem totals %d queue drops/%d ADR commands/%d downlink drops, telemetry %d/%d/%d",
+			own.QueueDrops, own.ADRCommands, own.DownlinkDrops, c.QueueDrops, c.ADRCommands, c.DownlinkDrops)
 	}
 	return nil
 }
@@ -213,7 +242,7 @@ type Aggregate struct {
 }
 
 // DelayPercentiles returns the pooled p50/p95/p99 end-to-end delays in
-// seconds across all replications (zeros when telemetry was disabled).
+// seconds across all replications.
 func (a *Aggregate) DelayPercentiles() (p50, p95, p99 float64) {
 	h := &a.Telemetry.Delay
 	return h.Percentile(50), h.Percentile(95), h.Percentile(99)

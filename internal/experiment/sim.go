@@ -92,7 +92,7 @@ func (s *sim) run() (*Result, error) {
 	if err := s.es.RunUntil(s.cfg.Duration); err != nil {
 		return nil, err
 	}
-	return s.world.collect(&s.counters, s.medium.Stats(), s.rec.Snapshot())
+	return s.world.collect(s.medium.Stats(), s.rec.Snapshot())
 }
 
 // resolve completes a transmission: gateway reception and ACK, then
@@ -119,7 +119,7 @@ func (s *sim) resolve(d *device, now time.Duration) {
 		if s.handoverSent(d, tx.Pos, &frame, dest, now) {
 			s.handover(s.devices[dest], d.id, frame.Messages, now)
 		} else {
-			d.queue.PushFront(frame.Messages)
+			s.rec.AddQueueDrops(d.queue.PushFront(frame.Messages))
 		}
 		s.scheduleNextAttempt(d)
 	default:
@@ -197,7 +197,7 @@ func (s *sim) began(d *device, tx *radio.Transmission, kind uint8) {
 		// Unreachable for positive airtime; restore queue state.
 		d.busy = false
 		d.pendTx = nil
-		d.queue.PushFront(d.pendFrame.Messages)
+		s.rec.AddQueueDrops(d.queue.PushFront(d.pendFrame.Messages))
 	}
 }
 

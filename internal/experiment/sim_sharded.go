@@ -644,26 +644,19 @@ func (e *sharded) Duplicate(now time.Duration, gw int, m lorawan.Message) {
 	}
 }
 
-// collect sums the tiles' counters, channel statistics and telemetry into
-// the world's Result.
+// collect sums the tiles' channel statistics and telemetry into the world's
+// Result.
 func (e *sharded) collect() (*Result, *shardDiag, error) {
 	diag := &shardDiag{Windows: e.windows, Skipped: e.skipped, Lookahead: e.lookahead, Devices: e.devices}
-	var c counters
 	var ms radio.MediumStats
 	snap := e.rec.Snapshot()
 	for _, s := range e.shards {
-		c.add(&s.counters)
-		st := s.medium.Stats()
-		ms.Transmissions += st.Transmissions
-		ms.Receptions += st.Receptions
-		ms.Collisions += st.Collisions
-		ms.BelowSensitivity += st.BelowSensitivity
-		ms.OutOfRange += st.OutOfRange
+		ms.Merge(s.medium.Stats())
 		diag.Causality += s.causality
 		diag.LateRetries += s.lateRetries
 		snap.Merge(s.rec.Snapshot())
 	}
-	res, err := e.world.collect(&c, ms, snap)
+	res, err := e.world.collect(ms, snap)
 	if err != nil {
 		return nil, nil, err
 	}

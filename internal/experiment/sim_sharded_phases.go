@@ -79,7 +79,7 @@ func (s *shard) runKernel() {
 			s.causality++
 		}
 		d := s.devices[st.sender]
-		d.queue.PushFront(s.msgArena[st.mStart:st.mEnd])
+		s.rec.AddQueueDrops(d.queue.PushFront(s.msgArena[st.mStart:st.mEnd]))
 		s.scheduleNextAttempt(d)
 	}
 	s.inSettle = s.inSettle[:0]

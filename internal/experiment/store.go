@@ -14,8 +14,6 @@ import (
 	"mlorass/internal/radio"
 	"mlorass/internal/routing"
 	"mlorass/internal/runstore"
-	"mlorass/internal/stats"
-	"mlorass/internal/telemetry"
 )
 
 // storeSchemaVersion versions the (simulator semantics, artefact encoding)
@@ -37,7 +35,11 @@ import (
 //
 // Version 5: the per-delivery columns (raw delays, origins) are packed bytes,
 // not JSON number arrays.
-const storeSchemaVersion = 5
+//
+// Version 6: the artefact is the Result's own JSON form, and each recorder
+// tally (generated, queue drops, handovers, the MAC counts) is stored once,
+// in the telemetry counters; the handover counters are new there.
+const storeSchemaVersion = 6
 
 // storeKey is the canonical, deterministic description of everything that
 // determines a Run's Result. Field order is fixed by the struct; every
@@ -117,12 +119,13 @@ func cacheKey(cfg Config) (key string, ok bool) {
 	return runstore.Key(b), true
 }
 
-// resultArtifact is a Result's wire form: every measurement, including the
-// raw per-delivery samples the matched-coverage table needs and the
-// telemetry snapshot, but not the Config (the loader restores it from the
-// request, which by key construction is semantically identical). JSON
-// float64 encoding round-trips bit for bit, so a decoded artefact renders
-// every aggregate table byte-identically to the original run.
+// resultArtifact is a Result's wire form: the Result itself, whose JSON tags
+// leave out the Config (the loader restores it from the request, which by key
+// construction is semantically identical) and store each recorder tally once,
+// in the telemetry snapshot, plus the raw per-delivery samples the
+// matched-coverage table needs. JSON float64 encoding round-trips bit for
+// bit, so a decoded artefact renders every aggregate table byte-identically
+// to the original run.
 //
 // The two per-delivery columns are most of a run's bytes, so they are packed
 // rather than written as JSON number arrays (encoding/json carries []byte as
@@ -130,37 +133,10 @@ func cacheKey(cfg Config) (key string, ok bool) {
 // delay's IEEE-754 bits little-endian, 8 bytes per delivery, and
 // OriginDelivered holds each origin as a zigzag varint.
 type resultArtifact struct {
-	Schema               int                `json:"schema"`
-	Generated            uint64             `json:"generated"`
-	Delivered            int                `json:"delivered"`
-	Duplicates           uint64             `json:"duplicates"`
-	QueueDrops           uint64             `json:"queue_drops"`
-	Delay                stats.Summary      `json:"delay"`
-	Hops                 stats.Summary      `json:"hops"`
-	MsgSendsPerNode      stats.Summary      `json:"msg_sends_per_node"`
-	FramesPerNode        stats.Summary      `json:"frames_per_node"`
-	RadioOnPerNode       stats.Summary      `json:"radio_on_per_node"`
-	Throughput           *stats.TimeSeries  `json:"throughput"`
-	Medium               radio.MediumStats  `json:"medium"`
-	ActiveDevices        int                `json:"active_devices"`
-	HandoverAttempts     uint64             `json:"handover_attempts"`
-	HandoverSuccesses    uint64             `json:"handover_successes"`
-	HandoverMsgs         uint64             `json:"handover_msgs"`
-	HandoverLostMsgs     uint64             `json:"handover_lost_msgs"`
-	GatewayOutageWindows int                `json:"gateway_outage_windows"`
-	DeviceFailures       int                `json:"device_failures"`
-	DirectDelay          stats.Summary      `json:"direct_delay"`
-	RelayedDelay         stats.Summary      `json:"relayed_delay"`
-	Downlinks            uint64             `json:"downlinks"`
-	DownlinkDeliveries   uint64             `json:"downlink_deliveries"`
-	DownlinkDrops        uint64             `json:"downlink_drops"`
-	AckTimeouts          uint64             `json:"ack_timeouts"`
-	Retransmissions      uint64             `json:"retransmissions"`
-	ADRCommands          uint64             `json:"adr_commands"`
-	ADRApplied           uint64             `json:"adr_applied"`
-	Telemetry            telemetry.Snapshot `json:"telemetry"`
-	RawDelays            []byte             `json:"raw_delays"`
-	OriginDelivered      []byte             `json:"origin_delivered"`
+	Schema int `json:"schema"`
+	Result
+	RawDelays       []byte `json:"raw_delays"`
+	OriginDelivered []byte `json:"origin_delivered"`
 }
 
 // encodeResult serialises a Result for the run store.
@@ -174,37 +150,10 @@ func encodeResult(r *Result) ([]byte, error) {
 		origins = binary.AppendVarint(origins, int64(o))
 	}
 	return json.Marshal(resultArtifact{
-		Schema:               storeSchemaVersion,
-		Generated:            r.Generated,
-		Delivered:            r.Delivered,
-		Duplicates:           r.Duplicates,
-		QueueDrops:           r.QueueDrops,
-		Delay:                r.Delay,
-		Hops:                 r.Hops,
-		MsgSendsPerNode:      r.MsgSendsPerNode,
-		FramesPerNode:        r.FramesPerNode,
-		RadioOnPerNode:       r.RadioOnPerNode,
-		Throughput:           r.Throughput,
-		Medium:               r.Medium,
-		ActiveDevices:        r.ActiveDevices,
-		HandoverAttempts:     r.HandoverAttempts,
-		HandoverSuccesses:    r.HandoverSuccesses,
-		HandoverMsgs:         r.HandoverMsgs,
-		HandoverLostMsgs:     r.HandoverLostMsgs,
-		GatewayOutageWindows: r.GatewayOutageWindows,
-		DeviceFailures:       r.DeviceFailures,
-		DirectDelay:          r.DirectDelay,
-		RelayedDelay:         r.RelayedDelay,
-		Downlinks:            r.Downlinks,
-		DownlinkDeliveries:   r.DownlinkDeliveries,
-		DownlinkDrops:        r.DownlinkDrops,
-		AckTimeouts:          r.AckTimeouts,
-		Retransmissions:      r.Retransmissions,
-		ADRCommands:          r.ADRCommands,
-		ADRApplied:           r.ADRApplied,
-		Telemetry:            r.Telemetry,
-		RawDelays:            delays,
-		OriginDelivered:      origins,
+		Schema:          storeSchemaVersion,
+		Result:          *r,
+		RawDelays:       delays,
+		OriginDelivered: origins,
 	})
 }
 
@@ -267,43 +216,15 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("experiment: stored artefact origin column holds %d entries, delivered %d (truncated?)",
 			len(origins), a.Delivered)
 	}
-	r := &Result{
-		Config:               cfg,
-		Generated:            a.Generated,
-		Delivered:            a.Delivered,
-		Duplicates:           a.Duplicates,
-		QueueDrops:           a.QueueDrops,
-		Delay:                a.Delay,
-		Hops:                 a.Hops,
-		MsgSendsPerNode:      a.MsgSendsPerNode,
-		FramesPerNode:        a.FramesPerNode,
-		RadioOnPerNode:       a.RadioOnPerNode,
-		Throughput:           a.Throughput,
-		Medium:               a.Medium,
-		ActiveDevices:        a.ActiveDevices,
-		HandoverAttempts:     a.HandoverAttempts,
-		HandoverSuccesses:    a.HandoverSuccesses,
-		HandoverMsgs:         a.HandoverMsgs,
-		HandoverLostMsgs:     a.HandoverLostMsgs,
-		GatewayOutageWindows: a.GatewayOutageWindows,
-		DeviceFailures:       a.DeviceFailures,
-		DirectDelay:          a.DirectDelay,
-		RelayedDelay:         a.RelayedDelay,
-		Downlinks:            a.Downlinks,
-		DownlinkDeliveries:   a.DownlinkDeliveries,
-		DownlinkDrops:        a.DownlinkDrops,
-		AckTimeouts:          a.AckTimeouts,
-		Retransmissions:      a.Retransmissions,
-		ADRCommands:          a.ADRCommands,
-		ADRApplied:           a.ADRApplied,
-		Telemetry:            a.Telemetry,
-		rawDelays:            delays,
-		originDelivered:      origins,
-	}
-	if err := r.checkAccounting(); err != nil {
+	// A copy, so the Result keeps none of the artefact's column bytes alive.
+	r := a.Result
+	r.Config = cfg
+	r.rawDelays, r.originDelivered = delays, origins
+	r.fillTallies()
+	if err := r.checkAccounting(nil); err != nil {
 		return nil, fmt.Errorf("experiment: stored artefact: %w", err)
 	}
-	return r, nil
+	return &r, nil
 }
 
 // decodeResultColumn decodes one packed column from its JSON form: null, or

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -105,8 +106,14 @@ func roundTripConfigs() map[string]Config {
 	}
 }
 
+// TestResultArtifactRoundTrip decodes every exported Result field but Config
+// deep-equal to the run's, for every round-trip config plus a MAC run whose
+// queues overflow. That run moves every tally the artefact stores only in
+// the telemetry counters, so a tally the decoder fails to refill fails here.
 func TestResultArtifactRoundTrip(t *testing.T) {
-	for name, cfg := range roundTripConfigs() {
+	cfgs := roundTripConfigs()
+	cfgs["mac overflow"] = macOverflowConfig()
+	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			res := mustRun(t, cfg)
 			if name == "nothing delivered" && res.Delivered != 0 {
@@ -121,6 +128,19 @@ func TestResultArtifactRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, back, res)
+			got, want := reflect.ValueOf(back).Elem(), reflect.ValueOf(res).Elem()
+			for i := 0; i < want.NumField(); i++ {
+				f := want.Type().Field(i)
+				if !f.IsExported() || f.Name == "Config" {
+					continue
+				}
+				if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
+					t.Errorf("decoded %s = %+v, want %+v", f.Name, got.Field(i).Interface(), want.Field(i).Interface())
+				}
+				if name == "mac overflow" && f.Tag.Get("json") == "-" && want.Field(i).IsZero() {
+					t.Errorf("%s is zero: its round trip is vacuous", f.Name)
+				}
+			}
 		})
 	}
 }
@@ -342,7 +362,7 @@ func artefactCorruptions(t testing.TB, genuine []byte, res *Result) map[string]c
 		"valid json, current schema, no fields": {data: []byte(fmt.Sprintf(`{"schema":%d}`, storeSchemaVersion))},
 		"schema only, no throughput":            {data: []byte(fmt.Sprintf(`{"schema":%d,"delivered":3}`, storeSchemaVersion))},
 		"inconsistent delivery samples": {
-			data: []byte(fmt.Sprintf(`{"schema":%d,"generated":3,"delivered":3,"throughput":{"bin":600000000000,"horizon":600000000000,"counts":[3]},"raw_delays":%q}`,
+			data: []byte(fmt.Sprintf(`{"schema":%d,"delivered":3,"throughput":{"bin":600000000000,"horizon":600000000000,"counts":[3]},"telemetry":{"counters":{"Generated":3,"ServerFresh":3}},"raw_delays":%q}`,
 				storeSchemaVersion, oneDelay)),
 			want: "delay column",
 		},
@@ -380,7 +400,7 @@ func artefactCorruptions(t testing.TB, genuine []byte, res *Result) map[string]c
 			want: "base64",
 		},
 		"generated below delivered": {
-			data: mutate(func(a *resultArtifact) { a.Generated = uint64(a.Delivered) - 1 }),
+			data: mutate(func(a *resultArtifact) { a.Telemetry.Counters.Generated = uint64(a.Delivered) - 1 }),
 			want: "exceeds generated",
 		},
 		// A leading digit raises the first throughput bucket.

@@ -68,7 +68,7 @@ func TestTelemetrySnapshotConsistent(t *testing.T) {
 // identity each one breaks.
 func TestCheckAccounting(t *testing.T) {
 	res := mustRun(t, telemetryTestConfig())
-	if err := res.checkAccounting(); err != nil {
+	if err := res.checkAccounting(nil); err != nil {
 		t.Fatalf("genuine run fails its accounting: %v", err)
 	}
 	if res.Delivered == 0 {
@@ -93,9 +93,25 @@ func TestCheckAccounting(t *testing.T) {
 	for name, d := range doctor {
 		r := *res
 		d.mutate(&r)
-		err := r.checkAccounting()
+		err := r.checkAccounting(nil)
 		if err == nil || !strings.Contains(err.Error(), d.want) {
 			t.Errorf("%s: checkAccounting = %v, want an error mentioning %q", name, err, d.want)
+		}
+	}
+	// A subsystem total the recorder disagrees with.
+	subsystem := map[string]func(c *telemetry.Counters){
+		"queue drops":    func(c *telemetry.Counters) { c.QueueDrops++ },
+		"ADR commands":   func(c *telemetry.Counters) { c.ADRCommands++ },
+		"downlink drops": func(c *telemetry.Counters) { c.DownlinkDrops++ },
+	}
+	for name, mutate := range subsystem {
+		own := res.Telemetry.Counters
+		if err := res.checkAccounting(&own); err != nil {
+			t.Fatalf("%s: agreeing totals fail: %v", name, err)
+		}
+		mutate(&own)
+		if err := res.checkAccounting(&own); err == nil || !strings.Contains(err.Error(), "subsystem totals") {
+			t.Errorf("%s off: checkAccounting = %v, want a subsystem-totals error", name, err)
 		}
 	}
 }

@@ -310,63 +310,21 @@ func (w *world) rxTiming(d *device) netserver.RxTiming {
 	}
 }
 
-// counters are the event tallies a kernel keeps while it runs: the serial
-// engine's one kernel keeps one set, every tile its own.
-type counters struct {
-	generated         uint64
-	handoverAttempts  uint64
-	handoverSuccesses uint64
-	handoverMsgs      uint64
-	handoverLostMsgs  uint64
-
-	downlinks          uint64
-	downlinkDeliveries uint64
-	ackTimeouts        uint64
-	retransmissions    uint64
-	adrApplied         uint64
-}
-
-// add sums o into c.
-func (c *counters) add(o *counters) {
-	c.generated += o.generated
-	c.handoverAttempts += o.handoverAttempts
-	c.handoverSuccesses += o.handoverSuccesses
-	c.handoverMsgs += o.handoverMsgs
-	c.handoverLostMsgs += o.handoverLostMsgs
-	c.downlinks += o.downlinks
-	c.downlinkDeliveries += o.downlinkDeliveries
-	c.ackTimeouts += o.ackTimeouts
-	c.retransmissions += o.retransmissions
-	c.adrApplied += o.adrApplied
-}
-
 // collect gathers the Result once the engine's kernels have quiesced, from
-// the engine's summed counters, its channel statistics and its merged
-// telemetry snapshot, and checks its accounting invariants.
-func (w *world) collect(c *counters, ms radio.MediumStats, snap telemetry.Snapshot) (*Result, error) {
+// the engine's channel statistics and its merged telemetry snapshot, whose
+// counters are the run's only tallies, and checks its accounting invariants.
+func (w *world) collect(ms radio.MediumStats, snap telemetry.Snapshot) (*Result, error) {
 	r := &Result{
 		Config:               w.cfg,
-		Generated:            c.generated,
 		Delivered:            w.server.Count(),
 		Duplicates:           w.server.Duplicates(),
 		Throughput:           w.throughput,
 		Medium:               ms,
-		HandoverAttempts:     c.handoverAttempts,
-		HandoverSuccesses:    c.handoverSuccesses,
-		HandoverMsgs:         c.handoverMsgs,
-		HandoverLostMsgs:     c.handoverLostMsgs,
-		Downlinks:            c.downlinks,
-		DownlinkDeliveries:   c.downlinkDeliveries,
-		AckTimeouts:          c.ackTimeouts,
-		Retransmissions:      c.retransmissions,
-		ADRApplied:           c.adrApplied,
 		GatewayOutageWindows: w.gatewayOutageWindows,
 		DeviceFailures:       w.deviceFailures,
+		Telemetry:            snap,
 	}
-	if m := w.server.MAC(); m != nil {
-		r.ADRCommands = m.Commands
-		r.DownlinkDrops = m.Sched.Stats().Dropped
-	}
+	r.fillTallies()
 	// Sized once: grown by append, the two columns would leave about four
 	// times their size in outgrown copies at the run's memory peak.
 	r.rawDelays = make([]float64, 0, r.Delivered)
@@ -382,11 +340,16 @@ func (w *world) collect(c *counters, ms radio.MediumStats, snap telemetry.Snapsh
 			r.DirectDelay.AddDuration(del.Delay())
 		}
 	}
+	var own telemetry.Counters
+	if m := w.server.MAC(); m != nil {
+		own.ADRCommands = m.Commands
+		own.DownlinkDrops = m.Sched.Stats().Dropped
+	}
 	for _, d := range w.devices {
 		if d == nil {
 			continue
 		}
-		r.QueueDrops += d.queue.Dropped()
+		own.QueueDrops += d.queue.Dropped()
 		if !d.everActive {
 			continue
 		}
@@ -395,16 +358,7 @@ func (w *world) collect(c *counters, ms radio.MediumStats, snap telemetry.Snapsh
 		r.FramesPerNode.Add(float64(d.framesSent))
 		r.RadioOnPerNode.AddDuration(d.energy.RadioOnTime())
 	}
-	r.Telemetry = snap
-	// The queues also drop on requeue overflow (PushFront), which the
-	// streamed counter cannot see; reconcile with the authoritative
-	// per-queue total. Downlink drops and ADR command issues are counted by
-	// the network server's scheduler and MAC, which cannot reach the
-	// recorder.
-	r.Telemetry.Counters.QueueDrops = r.QueueDrops
-	r.Telemetry.Counters.DownlinkDrops = r.DownlinkDrops
-	r.Telemetry.Counters.ADRCommands = r.ADRCommands
-	if err := r.checkAccounting(); err != nil {
+	if err := r.checkAccounting(&own); err != nil {
 		return nil, fmt.Errorf("experiment: run result: %w", err)
 	}
 	return r, nil

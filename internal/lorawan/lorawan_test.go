@@ -90,7 +90,9 @@ func TestQueuePushFrontPreservesOrder(t *testing.T) {
 func TestQueuePushFrontOverflow(t *testing.T) {
 	q := NewQueue(2)
 	q.Push(Message{ID: 9})
-	q.PushFront([]Message{{ID: 1}, {ID: 2}, {ID: 3}})
+	if n := q.PushFront([]Message{{ID: 1}, {ID: 2}, {ID: 3}}); n != 2 {
+		t.Fatalf("PushFront dropped %d, want 2", n)
+	}
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", q.Len())
 	}

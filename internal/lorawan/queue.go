@@ -42,12 +42,12 @@ func (q *Queue) Push(m Message) bool {
 // PushFront returns messages to the head of the queue, preserving their
 // relative order — used to requeue an unacknowledged bundle so FIFO order
 // survives retransmission. Overflow drops from the back of the restored
-// block (newest first), counting drops. The queue's backing array is reused
-// (growing only when capacity runs out), so steady-state requeues allocate
-// nothing.
-func (q *Queue) PushFront(ms []Message) {
+// block (newest first), counting drops, and it returns how many it dropped.
+// The queue's backing array is reused (growing only when capacity runs out),
+// so steady-state requeues allocate nothing.
+func (q *Queue) PushFront(ms []Message) (dropped int) {
 	if len(ms) == 0 {
-		return
+		return 0
 	}
 	keep := ms
 	if q.max > 0 {
@@ -56,19 +56,20 @@ func (q *Queue) PushFront(ms []Message) {
 			room = 0
 		}
 		if len(keep) > room {
-			q.dropped += uint64(len(keep) - room)
+			dropped = len(keep) - room
+			q.dropped += uint64(dropped)
 			keep = keep[:room]
 		}
 	}
 	k := len(keep)
 	if k == 0 {
-		return
+		return dropped
 	}
 	if q.head >= k {
 		// Consumed front room absorbs the block in place.
 		copy(q.items[q.head-k:q.head], keep)
 		q.head -= k
-		return
+		return dropped
 	}
 	n := q.Len()
 	if cap(q.items) < n+k {
@@ -77,12 +78,13 @@ func (q *Queue) PushFront(ms []Message) {
 		copy(grown[:k], keep)
 		q.items = grown
 		q.head = 0
-		return
+		return dropped
 	}
 	q.items = q.items[:n+k]
 	copy(q.items[k:], q.items[q.head:q.head+n]) // overlapping shift right
 	copy(q.items[:k], keep)
 	q.head = 0
+	return dropped
 }
 
 // PopNInto removes up to n messages from the front, appending them to dst

@@ -112,6 +112,9 @@ func (s *Server) dashData() dashData {
 		{"server fresh", c.ServerFresh},
 		{"server duplicates", c.ServerDuplicates},
 		{"relay hops", c.RelayHops},
+		{"handover attempts", c.HandoverAttempts},
+		{"handover successes", c.HandoverSuccesses},
+		{"handover missed msgs", c.HandoverMissedMsgs},
 		{"queue drops", c.QueueDrops},
 		{"downlinks", c.Downlinks},
 		{"downlink deliveries", c.DownlinkDeliveries},

@@ -76,6 +76,9 @@ func WriteSnapshot(w io.Writer, snap telemetry.Snapshot) error {
 	p.counter("mlorass_server_fresh_total", "Messages accepted by the network server as new.", c.ServerFresh)
 	p.counter("mlorass_server_duplicates_total", "Message copies the server deduplicated.", c.ServerDuplicates)
 	p.counter("mlorass_relay_hops_total", "Successful device-to-device message transfers.", c.RelayHops)
+	p.counter("mlorass_handover_attempts_total", "Handover frames sent to a chosen neighbour.", c.HandoverAttempts)
+	p.counter("mlorass_handover_successes_total", "Handover frames their target decoded.", c.HandoverSuccesses)
+	p.counter("mlorass_handover_missed_msgs_total", "Messages in handover frames the target missed (requeued by the sender).", c.HandoverMissedMsgs)
 	p.counter("mlorass_queue_drops_total", "Messages dropped by full device queues.", c.QueueDrops)
 	p.counter("mlorass_kernel_events_total", "Discrete events executed by the simulation kernel (populated while tracing).", c.KernelEvents)
 	p.counter("mlorass_trace_events_total", "Trace records emitted to the sink.", c.TraceEvents)

@@ -29,13 +29,24 @@ func testSnapshot() telemetry.Snapshot {
 	r.AddServerFresh(3)
 	r.AddServerDuplicate()
 	r.AddRelayHops(4)
-	r.AddQueueDrop()
+	for i := 0; i < 3; i++ {
+		r.AddHandoverAttempt()
+	}
+	r.AddHandoverSuccess()
+	r.AddHandoverSuccess()
+	r.AddHandoverMissedMsgs(5)
+	r.AddQueueDrops(1)
 	r.AddKernelEvent()
 	r.AddTraceEvent()
 	r.AddDownlink()
 	r.AddDownlinkDelivery()
+	r.AddDownlinkDrop()
+	r.AddDownlinkDrop()
 	r.AddAckTimeout()
 	r.AddRetransmission()
+	for i := 0; i < 6; i++ {
+		r.AddADRCommand()
+	}
 	r.AddADRApplied()
 	for sf := 7; sf <= 12; sf++ {
 		r.AddUplinkSF(sf)
@@ -48,11 +59,7 @@ func testSnapshot() telemetry.Snapshot {
 	}
 	r.ObserveAirtime(0.057)
 	r.ObserveAirtime(1.32)
-	s := r.Snapshot()
-	// The two post-hoc counters recorders never set.
-	s.Counters.DownlinkDrops = 2
-	s.Counters.ADRCommands = 6
-	return s
+	return r.Snapshot()
 }
 
 func TestExpositionGolden(t *testing.T) {

@@ -110,6 +110,15 @@ type MediumStats struct {
 	OutOfRange       uint64
 }
 
+// Merge adds o's counters into s.
+func (s *MediumStats) Merge(o MediumStats) {
+	s.Transmissions += o.Transmissions
+	s.Receptions += o.Receptions
+	s.Collisions += o.Collisions
+	s.BelowSensitivity += o.BelowSensitivity
+	s.OutOfRange += o.OutOfRange
+}
+
 // NewMedium builds a medium; it panics only on programmer error (invalid
 // path-loss model), reported as error instead.
 func NewMedium(cfg MediumConfig) (*Medium, error) {

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -347,3 +348,23 @@ func BenchmarkMediumReceive(b *testing.B) {
 }
 
 func pt(x, y float64) geo.Point { return geo.Point{X: x, Y: y} }
+
+// TestMediumStatsMergeSumsEveryField: the tile engine's channel counters are
+// the merge of its tiles' media, so a field Merge forgot would read zero.
+func TestMediumStatsMergeSumsEveryField(t *testing.T) {
+	var tile MediumStats
+	v := reflect.ValueOf(&tile).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	var sum MediumStats
+	sum.Merge(tile)
+	sum.Merge(tile)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if want := uint64(2 * (i + 1)); got.Field(i).Uint() != want {
+			t.Errorf("MediumStats.Merge: field %s = %d after two merges, want %d",
+				got.Type().Field(i).Name, got.Field(i).Uint(), want)
+		}
+	}
+}

@@ -55,13 +55,18 @@ func TestSnapshotConcurrentWithRecording(t *testing.T) {
 		r.AddServerFresh(2)
 		r.AddServerDuplicate()
 		r.AddRelayHops(3)
-		r.AddQueueDrop()
+		r.AddHandoverAttempt()
+		r.AddHandoverSuccess()
+		r.AddHandoverMissedMsgs(2)
+		r.AddQueueDrops(1)
 		r.AddKernelEvent()
 		r.AddTraceEvent()
 		r.AddDownlink()
 		r.AddDownlinkDelivery()
+		r.AddDownlinkDrop()
 		r.AddAckTimeout()
 		r.AddRetransmission()
+		r.AddADRCommand()
 		r.AddADRApplied()
 		r.AddUplinkSF(7 + i%6)
 		r.ObserveDelay(float64(i%1000) * 0.01)
@@ -71,14 +76,17 @@ func TestSnapshotConcurrentWithRecording(t *testing.T) {
 	wg.Wait()
 
 	s := r.Snapshot()
-	if s.Counters.Generated != iters {
-		t.Errorf("Generated = %d, want %d", s.Counters.Generated, iters)
+	// Every Add method reaches its own field, and the snapshot loads each.
+	want := Counters{
+		Generated: iters, FramesOnAir: iters, UplinkDeliveries: iters,
+		ServerFresh: 2 * iters, ServerDuplicates: iters, RelayHops: 3 * iters,
+		HandoverAttempts: iters, HandoverSuccesses: iters, HandoverMissedMsgs: 2 * iters,
+		QueueDrops: iters, KernelEvents: iters, TraceEvents: iters,
+		Downlinks: iters, DownlinkDeliveries: iters, DownlinkDrops: iters,
+		AckTimeouts: iters, Retransmissions: iters, ADRCommands: iters, ADRApplied: iters,
 	}
-	if s.Counters.ServerFresh != 2*iters {
-		t.Errorf("ServerFresh = %d, want %d", s.Counters.ServerFresh, 2*iters)
-	}
-	if s.Counters.RelayHops != 3*iters {
-		t.Errorf("RelayHops = %d, want %d", s.Counters.RelayHops, 3*iters)
+	if s.Counters != want {
+		t.Errorf("counters = %+v\nwant %+v", s.Counters, want)
 	}
 	if s.Delay.N() != iters || s.Airtime.N() != iters {
 		t.Errorf("hist n = %d/%d, want %d", s.Delay.N(), s.Airtime.N(), iters)

@@ -33,7 +33,15 @@ type Counters struct {
 	ServerDuplicates uint64
 	// RelayHops counts successful device-to-device message transfers.
 	RelayHops uint64
-	// QueueDrops counts messages dropped by full device queues.
+	// HandoverAttempts counts handover frames sent to a chosen neighbour;
+	// HandoverSuccesses counts those the target decoded.
+	HandoverAttempts  uint64
+	HandoverSuccesses uint64
+	// HandoverMissedMsgs counts messages in handover frames the target
+	// missed; the sender requeues them.
+	HandoverMissedMsgs uint64
+	// QueueDrops counts messages dropped by full device queues, on push
+	// and on requeue.
 	QueueDrops uint64
 	// KernelEvents counts discrete events executed by the simulation
 	// kernel (populated only while tracing, via the eventsim probe).
@@ -69,6 +77,9 @@ func (c *Counters) Merge(other Counters) {
 	c.ServerFresh += other.ServerFresh
 	c.ServerDuplicates += other.ServerDuplicates
 	c.RelayHops += other.RelayHops
+	c.HandoverAttempts += other.HandoverAttempts
+	c.HandoverSuccesses += other.HandoverSuccesses
+	c.HandoverMissedMsgs += other.HandoverMissedMsgs
 	c.QueueDrops += other.QueueDrops
 	c.KernelEvents += other.KernelEvents
 	c.TraceEvents += other.TraceEvents
@@ -146,9 +157,7 @@ type Recorder struct {
 }
 
 // atomicCounters mirrors Counters field-for-field with atomic words, so one
-// writer can keep counting while scrapers read. DownlinkDrops and ADRCommands
-// have no Add method (they are folded in from subsystem totals after the
-// run), matching the plain Counters behaviour.
+// writer can keep counting while scrapers read.
 type atomicCounters struct {
 	generated          atomic.Uint64
 	framesOnAir        atomic.Uint64
@@ -156,13 +165,18 @@ type atomicCounters struct {
 	serverFresh        atomic.Uint64
 	serverDuplicates   atomic.Uint64
 	relayHops          atomic.Uint64
+	handoverAttempts   atomic.Uint64
+	handoverSuccesses  atomic.Uint64
+	handoverMissedMsgs atomic.Uint64
 	queueDrops         atomic.Uint64
 	kernelEvents       atomic.Uint64
 	traceEvents        atomic.Uint64
 	downlinks          atomic.Uint64
 	downlinkDeliveries atomic.Uint64
+	downlinkDrops      atomic.Uint64
 	ackTimeouts        atomic.Uint64
 	retransmissions    atomic.Uint64
+	adrCommands        atomic.Uint64
 	adrApplied         atomic.Uint64
 }
 
@@ -174,13 +188,18 @@ func (a *atomicCounters) snapshot() Counters {
 		ServerFresh:        a.serverFresh.Load(),
 		ServerDuplicates:   a.serverDuplicates.Load(),
 		RelayHops:          a.relayHops.Load(),
+		HandoverAttempts:   a.handoverAttempts.Load(),
+		HandoverSuccesses:  a.handoverSuccesses.Load(),
+		HandoverMissedMsgs: a.handoverMissedMsgs.Load(),
 		QueueDrops:         a.queueDrops.Load(),
 		KernelEvents:       a.kernelEvents.Load(),
 		TraceEvents:        a.traceEvents.Load(),
 		Downlinks:          a.downlinks.Load(),
 		DownlinkDeliveries: a.downlinkDeliveries.Load(),
+		DownlinkDrops:      a.downlinkDrops.Load(),
 		AckTimeouts:        a.ackTimeouts.Load(),
 		Retransmissions:    a.retransmissions.Load(),
+		ADRCommands:        a.adrCommands.Load(),
 		ADRApplied:         a.adrApplied.Load(),
 	}
 }
@@ -273,9 +292,25 @@ func (r *Recorder) AddRelayHops(n int) {
 	r.c.relayHops.Add(uint64(n))
 }
 
-// AddQueueDrop counts one message dropped by a full queue.
-func (r *Recorder) AddQueueDrop() {
-	r.c.queueDrops.Add(1)
+// AddHandoverAttempt counts one handover frame sent to a neighbour.
+func (r *Recorder) AddHandoverAttempt() {
+	r.c.handoverAttempts.Add(1)
+}
+
+// AddHandoverSuccess counts one handover frame its target decoded.
+func (r *Recorder) AddHandoverSuccess() {
+	r.c.handoverSuccesses.Add(1)
+}
+
+// AddHandoverMissedMsgs counts n messages in a handover frame the target
+// missed.
+func (r *Recorder) AddHandoverMissedMsgs(n int) {
+	r.c.handoverMissedMsgs.Add(uint64(n))
+}
+
+// AddQueueDrops counts n messages dropped by a full queue.
+func (r *Recorder) AddQueueDrops(n int) {
+	r.c.queueDrops.Add(uint64(n))
 }
 
 // AddKernelEvent counts one executed kernel event (eventsim probe).
@@ -302,6 +337,11 @@ func (r *Recorder) AddDownlinkDelivery() {
 	r.c.downlinkDeliveries.Add(1)
 }
 
+// AddDownlinkDrop counts one downlink no receive window had budget for.
+func (r *Recorder) AddDownlinkDrop() {
+	r.c.downlinkDrops.Add(1)
+}
+
 // AddAckTimeout counts one confirmed uplink whose ack never arrived.
 func (r *Recorder) AddAckTimeout() {
 	r.c.ackTimeouts.Add(1)
@@ -310,6 +350,11 @@ func (r *Recorder) AddAckTimeout() {
 // AddRetransmission counts one confirmed-uplink retransmission.
 func (r *Recorder) AddRetransmission() {
 	r.c.retransmissions.Add(1)
+}
+
+// AddADRCommand counts one LinkADRReq the network server issued.
+func (r *Recorder) AddADRCommand() {
+	r.c.adrCommands.Add(1)
 }
 
 // AddADRApplied counts one LinkADRReq received and applied by a device.
