@@ -41,9 +41,9 @@
 //	expsweep -fig 8 -quick -reps 5 -store .runcache -percentiles
 //	expsweep -fig 9 -quick -trace trace.jsonl -trace-sample 100
 //
-// The sharded event kernel adds -shards: every simulation in the sweep runs
-// on N spatial tiles, one kernel goroutine per tile, with bit-identical
-// results for every N ≥ 1 (see README "Sharded runs"):
+// -shards sets how many spatial tiles every simulation in the sweep runs on
+// (default 1), one kernel goroutine per tile, with bit-identical results for
+// every N (see README "Sharded runs"):
 //
 //	expsweep -fig 8 -quick -shards 4   # intra-run parallelism, same bytes
 //
@@ -125,7 +125,7 @@ func run(args []string) (err error) {
 		traceFormat = fs.String("trace-format", "jsonl", "trace encoding: jsonl | csv")
 		traceSample = fs.Int("trace-sample", 1, "trace one in N messages (1 = every message; sampled messages trace completely)")
 		percentiles = fs.Bool("percentiles", false, "also print pooled p50/p95/p99 delay columns for the figure sweeps")
-		shards      = fs.Int("shards", 0, "run each simulation on the sharded event kernel with N spatial tiles (0 = classic serial engine; results are identical for every N >= 1)")
+		shards      = fs.Int("shards", 1, "run each simulation on N spatial tiles, one event kernel goroutine per tile, in [1, 1024] (results are identical for every N)")
 		adr         = fs.Bool("adr", false, "enable the network-server ADR loop (SNR-margin data-rate adaptation) for the run")
 		confirmed   = fs.Bool("confirmed", false, "switch uplinks to confirmed traffic: downlink acks in RX1/RX2, retransmission backoff")
 		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
@@ -238,8 +238,8 @@ func run(args []string) (err error) {
 		base = experiment.QuickConfig()
 	}
 	base.Seed = *seed
-	if *shards < 0 || *shards > 1024 {
-		return fmt.Errorf("-shards %d outside [0, 1024] (0 = serial engine)", *shards)
+	if *shards < 1 || *shards > 1024 {
+		return fmt.Errorf("-shards %d outside [1, 1024]", *shards)
 	}
 	base.Shards = *shards
 	base.MAC.ADR = *adr

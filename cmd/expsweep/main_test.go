@@ -36,8 +36,9 @@ func TestFlagValidationErrors(t *testing.T) {
 		{"ablations non-bus", []string{"-fig", "ablations", "-scenario", "sensorgrid"}, "placement ablation needs the bus timetable"},
 		{"fig adr with -adr", []string{"-fig", "adr", "-adr"}, "-fig adr sweeps the MAC modes itself"},
 		{"fig adr with -confirmed", []string{"-fig", "adr", "-confirmed"}, "-fig adr sweeps the MAC modes itself"},
-		{"negative shards", []string{"-shards", "-1"}, "-shards -1 outside [0, 1024]"},
-		{"huge shards", []string{"-shards", "4096"}, "-shards 4096 outside [0, 1024]"},
+		{"zero shards", []string{"-shards", "0"}, "-shards 0 outside [1, 1024]"},
+		{"negative shards", []string{"-shards", "-1"}, "-shards -1 outside [1, 1024]"},
+		{"huge shards", []string{"-shards", "4096"}, "-shards 4096 outside [1, 1024]"},
 		{"progress non-sweep fig", []string{"-fig", "7", "-progress"}, "has no sweep cells"},
 		{"progress with quiet", []string{"-fig", "8", "-progress", "-quiet"}, "contradictory"},
 		{"spans clashes with trace", []string{"-fig", "8", "-spans", "t.jsonl", "-trace", "t.jsonl"}, "would interleave"},
@@ -149,9 +150,8 @@ func TestConfirmedFlagThreadsThrough(t *testing.T) {
 }
 
 // TestShardsFlagThreadsThrough checks -shards reaches the simulation: the
-// throughput series renders identically on the serial engine's figure path
-// whether the sweep runs on 1 tile or 4 — the CLI-level face of the sharded
-// kernel's shard-count-invariance contract.
+// throughput series renders identically whether the sweep runs on 1 tile or
+// 4 — the CLI-level face of the engine's shard-count-invariance contract.
 func TestShardsFlagThreadsThrough(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick throughput series twice")

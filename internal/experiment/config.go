@@ -140,14 +140,11 @@ type Config struct {
 	// paper's setting; every existing figure is byte-identical under it.
 	MAC MACConfig
 
-	// Shards selects the execution engine. 0 (the zero value) runs the
-	// original single-threaded kernel, byte-identical to every committed
-	// golden. N ≥ 1 partitions the city into N spatial tiles and runs one
-	// event kernel per tile on its own goroutine, synchronised by
-	// conservative-lookahead windows; sharded results are bit-identical
-	// for every N and every tile boundary (Shards=1 is the reference),
-	// but intentionally distinct from the serial engine — see the README
-	// "Sharded runs" determinism contract.
+	// Shards is the number of spatial tiles the city is partitioned into,
+	// in [1, 1024]; the zero value selects 1. Each tile runs one event
+	// kernel on its own goroutine, synchronised by conservative-lookahead
+	// windows; results are bit-identical for every N and every tile
+	// boundary — see the README "Sharded runs" determinism contract.
 	Shards int
 }
 
@@ -274,7 +271,7 @@ type TelemetryOptions struct {
 	// does not alter any measurement.
 	Trace *telemetry.Tracer
 	// Spans, when non-nil, receives wall-clock phase spans: per-window
-	// kernel/resolve/deliver and merge timings from the sharded engine,
+	// kernel/resolve/deliver and merge timings from the engine's tiles,
 	// one labelled "cell" timing per job from Grid.Sweep (every sweep
 	// grid: figure, outage, ADR). Span timing lives entirely in
 	// the sink (internal/obs.FlightRecorder) — the engines never read the
@@ -370,6 +367,9 @@ func (c *Config) Normalize() {
 	}
 	if c.QueueMax == 0 {
 		c.QueueMax = def.QueueMax
+	}
+	if c.Shards == 0 {
+		c.Shards = 1
 	}
 	if c.Alpha == 0 {
 		c.Alpha = def.Alpha
@@ -481,7 +481,7 @@ func (c *Config) Validate() error {
 		return err
 	}
 	if c.Shards < 0 || c.Shards > 1024 {
-		return fmt.Errorf("experiment: Shards %d outside [0, 1024] (0 = serial engine)", c.Shards)
+		return fmt.Errorf("experiment: Shards %d outside [1, 1024] (0 selects 1)", c.Shards)
 	}
 	return nil
 }

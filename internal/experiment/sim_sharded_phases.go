@@ -7,23 +7,43 @@ import (
 	"mlorass/internal/eventsim"
 	"mlorass/internal/geo"
 	"mlorass/internal/lorawan"
+	"mlorass/internal/mobility"
 	"mlorass/internal/netserver"
 	"mlorass/internal/radio"
 	"mlorass/internal/rng"
 	"mlorass/internal/telemetry"
 )
 
-// shard is one spatial tile: a kernel over the devices it owns, with its
-// own event queue, radio-medium view, spatial index and telemetry recorder.
-// All cross-tile state flows through the out*/in* window buffers, exchanged
-// at the coordinator's barriers — no shard ever writes another shard's
-// state. Phase B reads other tiles' devices only where that state is fixed
-// for the phase: flight intervals, listen fractions, trajectories, the plan.
+// shard is one spatial tile: an event kernel over the devices it owns, with
+// its own event queue, radio-medium view, spatial index and telemetry
+// recorder, running the device protocol (kernel.go) on them. All cross-tile
+// state flows through the out*/in* window buffers, exchanged at the
+// coordinator's barriers — no shard ever writes another shard's state.
+// Phase B reads other tiles' devices only where that state is fixed for the
+// phase: flight intervals, listen fractions, trajectories, the plan.
 type shard struct {
-	kernel
-	coord *sharded
-	idx   int
-	err   error
+	*world
+	coord  *sharded
+	idx    int
+	es     *eventsim.Simulator
+	medium *radio.Medium
+	// rec is the tile's own recorder; the world's belongs to the
+	// coordinator.
+	rec *telemetry.Recorder
+	err error
+
+	// activeList holds the in-service device ids, in activation order;
+	// spatial-index rebuilds read it.
+	activeList []int
+	activeDead int
+	ix         *devIndex
+	// motionFn is the prebuilt motion source for index rebuilds, so no
+	// per-rebuild closure exists.
+	motionFn motionSource
+
+	// gwCands is the gateway-candidate scratch reused by every
+	// receiveAtGateways call.
+	gwCands []gwCand
 
 	causality   uint64
 	lateRetries uint64
@@ -56,6 +76,28 @@ type shard struct {
 	// coordinator, and this tile's own missed handovers.
 	inPlan   []netserver.DownlinkPlan
 	inSettle []settleRec
+}
+
+// newShard builds tile idx of the coordinator e.
+func newShard(e *sharded, idx int) (*shard, error) {
+	w := &e.world
+	medium, err := radio.NewMedium(w.mediumConfig())
+	if err != nil {
+		return nil, err
+	}
+	s := &shard{
+		world: w, coord: e, idx: idx, es: eventsim.New(), medium: medium,
+		rec: telemetry.NewRecorder(), ix: w.newIndex(),
+		motionFn: func(id int, now, mid time.Duration) (mobility.Motion, bool) {
+			return indexMotion(w.devices[id], now, mid)
+		},
+	}
+	// The kernel probe is wired only while tracing: its per-event interface
+	// call is measurable, the plain recorders are not.
+	if w.tracer != nil {
+		s.es.SetProbe(s.rec)
+	}
+	return s, nil
 }
 
 // ---------------------------------------------------------------- phase A
@@ -134,9 +176,9 @@ func (s *shard) runResolve() {
 			continue
 		}
 		if r.kind == rkUplink {
-			r.dev.resolveFn(r.at)
+			s.resolveUp(r.dev, r.at)
 		} else {
-			r.dev.dlFn(r.at)
+			s.resolveDownlink(r.dev, r.at)
 		}
 	}
 	s.resolves = kept
@@ -225,15 +267,9 @@ func (s *shard) runDeliver() {
 	}
 }
 
-// The tile engine's side of the engine seam: intrinsic message identity, a
-// buffered trace, receptiveness from flight intervals and the disruption
-// plan, resolutions in phase B, and draws keyed on (frame, receiver).
-
-//mlorass:hotpath
-func (s *shard) msgID(d *device) uint64 {
-	d.msgSeq++
-	return intrinsicMsgID(d.id, d.msgSeq)
-}
+// The tile machinery the device protocol calls: a buffered trace, retries
+// clamped to the window grid, receptiveness from flight intervals and the
+// disruption plan, resolutions in phase B, and keyed reception draws.
 
 // trace buffers a sampled event for the coordinator's sorted flush.
 //
@@ -257,17 +293,12 @@ func (s *shard) schedule(at time.Duration, fn eventsim.Event) bool {
 	return err == nil
 }
 
+// receptive reports whether d is alive and off the air at instant at.
+//
 //mlorass:hotpath
 func (s *shard) receptive(d *device, at time.Duration) bool {
 	return !d.busyAt(at) && s.alive(d, at)
 }
-
-// peerPos reads the stateless trajectory: the device may live on any tile.
-func (s *shard) peerPos(d *device, at time.Duration) (geo.Point, bool) { return d.node.PositionAt(at) }
-
-// liveFrom is the window start: phase C of this window still overhears at
-// instants from there on.
-func (s *shard) liveFrom() time.Duration { return s.coord.windowStart }
 
 // began records the transmission for the window's import and this tile's
 // phase B, and an uplink's flight interval and airtime.
@@ -296,21 +327,3 @@ func (s *shard) began(d *device, tx *radio.Transmission, kind uint8) {
 func (s *shard) receive(tx *radio.Transmission, pos geo.Point, fk uint64, rx int) radio.Reception {
 	return s.medium.ReceiveKeyed(tx, pos, rng.Key2(s.coord.gwShadowSeed, fk, uint64(rx+1)), s.coord.windowStart)
 }
-
-//mlorass:hotpath
-func (s *shard) listenDraw(z *device, fk uint64) float64 {
-	src := rng.Seeded(rng.Key2(s.coord.listenSeed, fk, uint64(z.id+1)))
-	return src.Float64()
-}
-
-// skipShadow does nothing: a declined neighbour's key is never drawn.
-func (s *shard) skipShadow() {}
-
-//mlorass:hotpath
-func (s *shard) overheardRSSI(z *device, fk uint64, pow radio.DBm, dist float64) radio.DBm {
-	src := rng.Seeded(rng.Key2(s.coord.d2dSeed, fk, uint64(z.id+1)))
-	return s.loss.RSSI(pow, radio.Meters(dist), &src)
-}
-
-// mac queues the operation for the coordinator's replay in intrinsic order.
-func (s *shard) mac(op macOp) { s.outMac = append(s.outMac, op) }

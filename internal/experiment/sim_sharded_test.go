@@ -369,17 +369,17 @@ func TestShardEquivalenceADRTable(t *testing.T) {
 	}
 }
 
-// TestShardGoldenReport locks the shards=1 reference output the same way
-// TestGoldenQuickReports locks the serial engine's (Shards = 0, the
-// default); this file is the sharded contract's anchor. Regenerate with
-// -update.
+// TestShardGoldenReport locks Result.Report() for QuickConfig at seed 1
+// across all three schemes, with Shards unset (one tile): determinism or
+// formatting regressions fail here before they corrupt a figure. This file
+// is the tile contract's anchor; every shard count must reproduce it.
+// Regenerate with -update.
 func TestShardGoldenReport(t *testing.T) {
 	var rep string
 	for _, scheme := range Schemes() {
 		cfg := QuickConfig()
 		cfg.Seed = 1
 		cfg.Scheme = scheme
-		cfg.Shards = 1
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -387,36 +387,6 @@ func TestShardGoldenReport(t *testing.T) {
 		rep += res.Report()
 	}
 	goldenCompare(t, "report_quick_shards1.golden", rep)
-}
-
-// TestShardSerialSameWorkload: the two engines draw different channel
-// randomness but must run the same workload — the same devices active,
-// churned and generating the same messages. bench/check.go's references
-// match Generated exactly across engines on this guarantee.
-func TestShardSerialSameWorkload(t *testing.T) {
-	for name, mut := range shardTestVariants() {
-		for seed := uint64(1); seed <= 3; seed++ {
-			base := shardTestBase()
-			mut(&base)
-			base.Seed = seed
-			var res [2]*Result
-			for i := range res {
-				cfg := base
-				cfg.Shards = i
-				r, err := Run(cfg)
-				if err != nil {
-					t.Fatalf("%s seed %d shards=%d: %v", name, seed, i, err)
-				}
-				res[i] = r
-			}
-			s, k := res[0], res[1]
-			if s.Generated != k.Generated || s.ActiveDevices != k.ActiveDevices || s.DeviceFailures != k.DeviceFailures {
-				t.Errorf("%s seed %d: serial generated/active/failed %d/%d/%d, shards=1 %d/%d/%d",
-					name, seed, s.Generated, s.ActiveDevices, s.DeviceFailures,
-					k.Generated, k.ActiveDevices, k.DeviceFailures)
-			}
-		}
-	}
 }
 
 // TestShardKernelLoopAllocInvariant extends the PR 4 hot-path allocation
@@ -548,11 +518,11 @@ func TestMergeRuns(t *testing.T) {
 	}
 }
 
-// TestShardEngineFingerprints locks both engines' output for every variant
+// TestShardEngineFingerprints locks the engine's output for every variant
 // of the device protocol: the SHA-256 of Report() and of a full-sampling
-// JSONL trace, at Shards = 0 (serial) and Shards = 1, against
-// testdata/engine_fingerprints.golden. A refactor of the shared device code
-// must leave every line as it is. Regenerate with -update.
+// JSONL trace at Shards = 1, against testdata/engine_fingerprints.golden. A
+// refactor of the device code must leave every line as it is. Regenerate
+// with -update.
 func TestShardEngineFingerprints(t *testing.T) {
 	variants := shardTestVariants()
 	names := make([]string, 0, len(variants))
@@ -562,23 +532,21 @@ func TestShardEngineFingerprints(t *testing.T) {
 	slices.Sort(names)
 	var b strings.Builder
 	for _, name := range names {
-		for _, shards := range []int{0, 1} {
-			cfg := shardTestBase()
-			variants[name](&cfg)
-			cfg.Shards = shards
-			trace := sha256.New()
-			sink := telemetry.NewJSONLSink(trace)
-			cfg.Telemetry.Trace = telemetry.NewTracer(sink, 1)
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
-			}
-			if err := sink.Close(); err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, "%s shards=%d report %x\n", name, shards, sha256.Sum256([]byte(res.Report())))
-			fmt.Fprintf(&b, "%s shards=%d trace  %x\n", name, shards, trace.Sum(nil))
+		cfg := shardTestBase()
+		variants[name](&cfg)
+		cfg.Shards = 1
+		trace := sha256.New()
+		sink := telemetry.NewJSONLSink(trace)
+		cfg.Telemetry.Trace = telemetry.NewTracer(sink, 1)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s shards=1 report %x\n", name, sha256.Sum256([]byte(res.Report())))
+		fmt.Fprintf(&b, "%s shards=1 trace  %x\n", name, trace.Sum(nil))
 	}
 	goldenCompare(t, "engine_fingerprints.golden", b.String())
 }

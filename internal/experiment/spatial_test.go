@@ -453,10 +453,10 @@ func TestDevIndexSupersetOfTrueNeighbours(t *testing.T) {
 }
 
 // TestOverhearCertificatesHold runs the quick urban fig-8 grid's forwarding
-// cells on both engines, and the waypoint and sensor-grid scenarios, with a
+// cells on one tile and two, and the waypoint and sensor-grid scenarios, with a
 // hook on every index hit that an overhear loop trusts as certified in
 // range: each must be in service within the radius by its model's
-// stateless position. The tile engine calls the hook from every tile.
+// stateless position. The hook is called from every tile.
 func TestOverhearCertificatesHold(t *testing.T) {
 	var mu sync.Mutex
 	checked, bad := 0, []string(nil)
@@ -480,7 +480,7 @@ func TestOverhearCertificatesHold(t *testing.T) {
 		}
 	}
 	cfgs = append(cfgs, tinyScenario(MobilityRandomWaypoint), tinyScenario(MobilitySensorGrid))
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{1, 2} {
 		for _, cfg := range cfgs {
 			cfg.Shards = shards
 			before := checked
@@ -501,13 +501,13 @@ func TestOverhearCertificatesHold(t *testing.T) {
 
 // TestRunIndependentOfIndexPeriod: queries return a superset of the true
 // neighbours whatever the rebuild period, so a run's bytes cannot depend on
-// it — on either engine, with device churn in play.
+// it — on one tile or two, with device churn in play.
 func TestRunIndependentOfIndexPeriod(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick scenario four times")
 	}
 	defer func(p time.Duration) { ixRebuildEvery = p }(ixRebuildEvery)
-	for _, shards := range []int{0, 2} {
+	for _, shards := range []int{1, 2} {
 		cfg := QuickConfig()
 		cfg.Seed = 1
 		cfg.Scheme = routing.SchemeROBC

@@ -39,14 +39,17 @@ import (
 // Version 6: the artefact is the Result's own JSON form, and each recorder
 // tally (generated, queue drops, handovers, the MAC counts) is stored once,
 // in the telemetry counters; the handover counters are new there.
+//
+// Config.Shards has since left the key (one engine remains, and its results
+// are the same for every tile count); keys written before that miss, but no
+// artefact byte changed, so the version stayed.
 const storeSchemaVersion = 6
 
 // storeKey is the canonical, deterministic description of everything that
 // determines a Run's Result. Field order is fixed by the struct; every
 // semantic Config field appears, and only non-semantic ones (trace sink,
-// progress plumbing) are omitted. Shards keys the engine, not the tile
-// count: 0 is the serial engine, and every N ≥ 1 keys as 1 because the tile
-// engine's results are bit-identical for every N.
+// progress plumbing, the tile count, which leaves results bit-identical)
+// are omitted.
 type storeKey struct {
 	Schema          int                   `json:"schema"`
 	Seed            uint64                `json:"seed"`
@@ -73,7 +76,6 @@ type storeKey struct {
 	CaptureDB       float64               `json:"capture_db"`
 	ThroughputBin   time.Duration         `json:"throughput_bin"`
 	MAC             MACConfig             `json:"mac"`
-	Shards          int                   `json:"shards"`
 }
 
 // cacheKey returns the run store key for cfg. ok is false when the config
@@ -110,7 +112,6 @@ func cacheKey(cfg Config) (key string, ok bool) {
 		CaptureDB:       cfg.CaptureDB,
 		ThroughputBin:   cfg.ThroughputBin,
 		MAC:             cfg.MAC,
-		Shards:          min(cfg.Shards, 1),
 	}
 	b, err := json.Marshal(k)
 	if err != nil {

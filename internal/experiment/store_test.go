@@ -51,18 +51,12 @@ func TestCacheKeyDeterministicAndSensitive(t *testing.T) {
 			t.Errorf("%s change did not change the cache key", name)
 		}
 	}
-	// The key names the engine, not the tile count: every Shards ≥ 1 is one
-	// key, distinct from the serial engine's (cfg.Shards is 0).
+	// The tile count leaves results bit-identical, so it is not keyed.
 	tiles := cfg
-	tiles.Shards = 1
-	kTiles, _ := cacheKey(tiles)
-	if kTiles == k1 {
-		t.Error("Shards 1 shares the serial engine's cache key")
-	}
-	for _, n := range []int{2, 8} {
+	for _, n := range []int{1, 2, 8} {
 		tiles.Shards = n
-		if kn, _ := cacheKey(tiles); kn != kTiles {
-			t.Errorf("Shards %d keys differently from Shards 1", n)
+		if kn, _ := cacheKey(tiles); kn != k1 {
+			t.Errorf("Shards %d keys differently from the default", n)
 		}
 	}
 	// An explicit dataset is uncacheable.
@@ -75,7 +69,7 @@ func TestCacheKeyDeterministicAndSensitive(t *testing.T) {
 
 // roundTripConfigs are the configurations the artefact round trip and its
 // integrity invariants are checked on: every subsystem that adds fields to
-// a Result, both engines, and a run that delivers nothing. A real artefact failing decodeResult's invariants would be
+// a Result, two tiles, and a run that delivers nothing. A real artefact failing decodeResult's invariants would be
 // recomputed on every load, so each must decode.
 func roundTripConfigs() map[string]Config {
 	adr, confirmed := macTestConfig(), macTestConfig()

@@ -20,11 +20,10 @@ import (
 	"mlorass/internal/telemetry"
 )
 
-// This file is the world both execution engines run: the fleet, gateways,
-// link model, network server and MAC plane, the device table, and the Result
-// they collect into. Each engine builds one world, and every kernel it runs
-// (kernel.go) reads it: the engines share the world and the device protocol,
-// and differ only behind the engine seam and in how they order a run.
+// This file is the world a run simulates: the fleet, gateways, link model,
+// network server and MAC plane, the device table, and the Result they
+// collect into. The engine builds one world, and every tile it runs
+// (kernel.go) reads it.
 
 // world is one run's assembled scenario, built once by newWorld.
 type world struct {
@@ -61,8 +60,8 @@ type world struct {
 	throughput *stats.TimeSeries
 
 	// plan is the compiled disruption schedule (nil when the disruption
-	// layer is off): both engines look gateway availability and device
-	// liveness up in it by instant.
+	// layer is off): gateway availability and device liveness are looked
+	// up in it by instant.
 	plan *disruption.Plan
 
 	// Disruption diagnostics.
@@ -90,7 +89,7 @@ type world struct {
 
 // newWorld builds the world for a normalized, validated cfg, taking a
 // generated city from cities (nil generates it). Devices are built
-// separately (buildDevices), once the engine's kernels exist.
+// separately (buildDevices), once the engine's tiles exist.
 func newWorld(cfg Config, cities *citySet) (world, error) {
 	fleet, ds, err := buildFleet(&cfg, cities)
 	if err != nil {
@@ -165,9 +164,8 @@ func newWorld(cfg Config, cities *citySet) (world, error) {
 
 // setupMAC assembles the MAC control plane: per-DR PHY tables, the downlink
 // airtime cache, the network server's ADR controller and per-gateway
-// downlink scheduler. The plane is global in both engines: one controller
-// and one scheduler, driven in event order (serial) or in the intrinsic
-// order of the windowed macOp stream (tiles).
+// downlink scheduler. The plane is global: one controller and one
+// scheduler, driven in the intrinsic order of the windowed macOp stream.
 func (w *world) setupMAC() error {
 	w.macOn = true
 	w.confirmed = w.cfg.MAC.Confirmed
@@ -203,7 +201,7 @@ func (w *world) setupMAC() error {
 	return nil
 }
 
-// mediumConfig is the radio medium every engine's channel view uses.
+// mediumConfig is the radio medium every tile's channel view uses.
 func (w *world) mediumConfig() radio.MediumConfig {
 	return radio.MediumConfig{
 		Loss: w.loss,
@@ -212,7 +210,6 @@ func (w *world) mediumConfig() radio.MediumConfig {
 		// and Eq. (5) consumes the raw RSSI.
 		SensitivityDBm: -1e9,
 		CaptureDB:      radio.DB(w.cfg.CaptureDB),
-		Seed:           w.cfg.Seed ^ 0x51ab,
 	}
 }
 
@@ -224,11 +221,10 @@ func (w *world) newIndex() *devIndex {
 
 // buildDevices creates, in id order, every device whose service window
 // opens before the horizon, and hands each to place, which wires the
-// engine's event closures and, when serves is true, schedules the device's
-// activation, deactivation and first slot at instant first on its kernel.
+// device's event closures and, when serves is true, schedules its
+// activation, deactivation and first slot at instant first on its tile.
 // A dormant device is never built, but still takes its draw from the root
-// stream, so every device's stream is the same for any engine and tile
-// layout.
+// stream, so every device's stream is the same for any tile layout.
 func (w *world) buildDevices(place func(d *device, first time.Duration, serves bool) error) error {
 	cfg := &w.cfg
 	var joinDR lorawan.DataRate
@@ -310,8 +306,8 @@ func (w *world) rxTiming(d *device) netserver.RxTiming {
 	}
 }
 
-// collect gathers the Result once the engine's kernels have quiesced, from
-// the engine's channel statistics and its merged telemetry snapshot, whose
+// collect gathers the Result once the engine's tiles have quiesced, from
+// their merged channel statistics and telemetry snapshot, whose
 // counters are the run's only tallies, and checks its accounting invariants.
 func (w *world) collect(ms radio.MediumStats, snap telemetry.Snapshot) (*Result, error) {
 	r := &Result{
@@ -364,16 +360,16 @@ func (w *world) collect(ms radio.MediumStats, snap telemetry.Snapshot) (*Result,
 	return r, nil
 }
 
-// compileDisruption is both engines' disruption plan for a run.
+// compileDisruption is the disruption plan for a run.
 func compileDisruption(cfg *Config, gateways, devices int) (*disruption.Plan, error) {
 	return disruption.Compile(cfg.Disruption, cfg.Seed^0xd15c, gateways, devices, cfg.Duration)
 }
 
 // scheduleDisruption compiles the run's disruption plan, which gatewayUp and
 // alive then read, counts its outage windows and device failures, and
-// schedules each built device's failure on the kernel owning it. A disabled
+// schedules each built device's failure on the tile owning it. A disabled
 // config schedules nothing, leaving the run untouched.
-func (w *world) scheduleDisruption(owner func(id int) *kernel) error {
+func (w *world) scheduleDisruption(owner func(id int) *shard) error {
 	if !w.cfg.Disruption.Enabled() {
 		return nil
 	}
@@ -392,10 +388,10 @@ func (w *world) scheduleDisruption(owner func(id int) *kernel) error {
 		if d == nil {
 			continue // dormant: fails before it could ever serve
 		}
-		k := owner(di)
-		if _, err := k.es.At(failAt, func(time.Duration) {
+		s := owner(di)
+		if _, err := s.es.At(failAt, func(time.Duration) {
 			d.failed = true
-			k.deactivate(d)
+			s.deactivate(d)
 		}); err != nil {
 			return err
 		}
@@ -449,20 +445,18 @@ type device struct {
 	busy           bool // a transmission is on the air
 	retryScheduled bool
 
-	// Prebuilt event callbacks: the slot tick, the duty-cycle retry, and
-	// the uplink's resolution at its end are scheduled millions of times
-	// per run, so each device allocates its closures once instead of one
-	// per scheduling.
-	slotFn    eventsim.Event
-	retryFn   eventsim.Event
-	resolveFn eventsim.Event
+	// Prebuilt event callbacks: the slot tick and the duty-cycle retry are
+	// scheduled millions of times per run, so each device allocates its
+	// closures once instead of one per scheduling.
+	slotFn  eventsim.Event
+	retryFn eventsim.Event
 
 	// bundle is the device's frame scratch: the in-flight transmission's
 	// messages live here (at most one transmission is on the air per
 	// device), reused across transmissions.
 	bundle []lorawan.Message
 
-	// Pending transmission state consumed by resolveFn: the frame on the
+	// Pending transmission state consumed by resolveUp: the frame on the
 	// air, its radio handle, and its destination (-1 = sink uplink).
 	pendTx    *radio.Transmission
 	pendFrame lorawan.Frame
@@ -505,14 +499,12 @@ type device struct {
 	// Pending downlink addressed to this device — at most one, freshest
 	// wins: if a generous duty cycle lets a new uplink's downlink be
 	// scheduled before the previous one lands, the replacement takes the
-	// slot and the old resolution event no-ops (resolveDownlink matches
-	// the instant against dlTx.End). dlFn resolves it; ackTimeoutFn
-	// closes the ack window.
+	// slot and the old resolution no-ops (resolveDownlink matches the
+	// instant against dlTx.End). ackTimeoutFn closes the ack window.
 	dlTx         *radio.Transmission
 	dlAck        bool
 	dlCmd        lorawan.LinkADRReq
 	dlHasCmd     bool
-	dlFn         eventsim.Event
 	ackTimeoutFn eventsim.Event
 
 	// listenFraction is γx for Queue-based Class-A devices (Eq. 11),
@@ -526,9 +518,9 @@ type device struct {
 	// Intrinsic identities and on-air record, read where message IDs and
 	// draws are keyed and liveness is a function of the instant.
 	//
-	// msgSeq numbers this device's generated messages so message IDs can
-	// be intrinsic — (id+1)<<32|msgSeq, see intrinsicMsgID — instead of a
-	// global counter whose value depends on cross-device event
+	// msgSeq numbers this device's generated messages so message IDs are
+	// intrinsic — (id+1)<<32|msgSeq, see intrinsicMsgID — instead of a
+	// global counter whose value would depend on cross-device event
 	// interleaving. dlSeq numbers the downlinks sent to it, keying their
 	// reception draws. The flight intervals record the device's current
 	// and previous uplink on-air spans so a receiver can answer "was this
@@ -619,11 +611,11 @@ func (d *device) bannedSendBack(id int) bool {
 	return false
 }
 
-// indexMotion is both engines' motion source for the spatial index: device
-// d's motion at the instant nearest mid inside its service window. Devices
-// whose window has closed by now are left out. Churned devices stay in: the
-// overhear loops check liveness exactly, and the tile engine's may still ask
-// about instants before the failure.
+// indexMotion is the spatial index's motion source: device d's motion at the
+// instant nearest mid inside its service window. Devices whose window has
+// closed by now are left out. Churned devices stay in: the overhear loops
+// check liveness exactly, and may still ask about instants before the
+// failure.
 //
 //mlorass:hotpath
 func indexMotion(d *device, now, mid time.Duration) (mobility.Motion, bool) {

@@ -78,8 +78,6 @@ type MediumConfig struct {
 	// The paper gates device↔gateway links at 1 km and device↔device
 	// links at 0.5 km (urban) or 1 km (rural).
 	MaxRangeM Meters
-	// Seed seeds the shadowing stream.
-	Seed uint64
 }
 
 // Medium is a single shared LoRa channel: it tracks in-flight transmissions
@@ -89,7 +87,6 @@ type MediumConfig struct {
 // concurrent use; it lives on the single-threaded simulator.
 type Medium struct {
 	cfg    MediumConfig
-	shadow *rng.Source
 	active []*Transmission
 	nextID uint64
 
@@ -128,7 +125,7 @@ func NewMedium(cfg MediumConfig) (*Medium, error) {
 	if cfg.CaptureDB < 0 {
 		return nil, fmt.Errorf("radio: capture threshold %v must be non-negative", cfg.CaptureDB)
 	}
-	return &Medium{cfg: cfg, shadow: rng.New(cfg.Seed)}, nil
+	return &Medium{cfg: cfg}, nil
 }
 
 // Config returns the medium's configuration.
@@ -138,11 +135,11 @@ func (m *Medium) Config() MediumConfig { return m.cfg }
 func (m *Medium) Stats() MediumStats { return m.stats }
 
 // Begin registers a transmission that occupies the channel from start to
-// end. The returned Transmission must be passed to Receive by interested
-// receivers at its end time; old transmissions are pruned lazily.
+// end. The returned Transmission must be passed to ReceiveKeyed by
+// interested receivers at its end time; old transmissions are pruned lazily.
 //
 // The medium owns the returned Transmission: once it has ended and a later
-// Receive prunes it, the value is recycled by a subsequent Begin. Callers
+// ReceiveKeyed prunes it, the value is recycled by a subsequent Begin. Callers
 // must not retain the pointer past the event that resolves the
 // transmission (virtual time reaching End).
 //
@@ -173,7 +170,7 @@ func (m *Medium) Begin(from int, pos geo.Point, power DBm, start, end time.Durat
 }
 
 // prune recycles transmissions that ended strictly before cutoff, keeping
-// the active list short. Called internally from Receive.
+// the active list short. Called internally from ReceiveKeyed.
 //
 //mlorass:hotpath
 func (m *Medium) prune(cutoff time.Duration) {
@@ -223,40 +220,26 @@ func (m *Medium) ImportTx(from int, pos geo.Point, power DBm, start, end time.Du
 	m.active = append(m.active, tx)
 }
 
-// Receive evaluates whether a receiver at rxPos decodes tx. Call it at the
-// transmission's end time so all overlapping interferers are registered.
-// Each call makes one shadowing draw, so runs remain deterministic given
-// deterministic event order.
+// ReceiveKeyed evaluates whether a receiver at rxPos decodes tx. Call it at
+// the transmission's end time so all overlapping interferers are registered.
+// The shadowing draw comes from a stream derived from key: keys mixed from
+// intrinsic identities (seed, sender, frame sequence, receiver) make the
+// draw independent of the order receptions are resolved in, which is what
+// lets tiled runs produce tile-count-invariant results.
 //
-//mlorass:hotpath
-func (m *Medium) Receive(tx *Transmission, rxPos geo.Point) Reception {
-	return m.receive(tx, rxPos, m.shadow, tx.Start)
-}
-
-// ReceiveKeyed is Receive with the shadowing draw taken from a stream
-// derived from key instead of the medium's sequential shadow stream. Keys
-// mixed from intrinsic identities (seed, sender, frame sequence, receiver)
-// make the draw independent of global draw order, which is what lets
-// sharded runs produce shard-count-invariant results.
-//
-// keepSince replaces Receive's tx.Start prune cutoff: only transmissions
-// ending before it are evicted before the capture scan. Receive's cutoff is
-// execution-order dependent — a short frame that starts late but resolves
-// early evicts interferers that still overlap a longer, later-resolving
-// frame — which is fine for one shared pool but partition-dependent when
-// each shard prunes its own. Callers pass an epoch all shards share (the
-// sharded engine's window start), making the interferer set a pure function
-// of the global transmission history.
+// Transmissions ending before keepSince are evicted before the capture
+// scan. The cutoff must not depend on execution order: a per-frame cutoff
+// such as tx.Start lets a short frame that starts late but resolves early
+// evict interferers that still overlap a longer, later-resolving frame, so
+// the interferer set would depend on which frames share a tile's pool.
+// Callers pass an epoch all tiles share (the tile engine's window start),
+// making the interferer set a pure function of the global transmission
+// history.
 //
 //mlorass:hotpath
 func (m *Medium) ReceiveKeyed(tx *Transmission, rxPos geo.Point, key uint64, keepSince time.Duration) Reception {
-	src := rng.Seeded(key)
-	return m.receive(tx, rxPos, &src, keepSince)
-}
-
-//mlorass:hotpath
-func (m *Medium) receive(tx *Transmission, rxPos geo.Point, shadow *rng.Source, pruneCutoff time.Duration) Reception {
-	m.prune(pruneCutoff)
+	m.prune(keepSince)
+	shadow := rng.Seeded(key)
 
 	dist := Meters(tx.Pos.Dist(rxPos))
 	if m.cfg.MaxRangeM > 0 && dist > m.cfg.MaxRangeM {
@@ -264,7 +247,7 @@ func (m *Medium) receive(tx *Transmission, rxPos geo.Point, shadow *rng.Source, 
 		return Reception{Outcome: OutcomeOutOfRange}
 	}
 
-	rssi := m.cfg.Loss.RSSI(tx.PowerDBm, dist, shadow)
+	rssi := m.cfg.Loss.RSSI(tx.PowerDBm, dist, &shadow)
 	if rssi < m.cfg.SensitivityDBm {
 		m.stats.BelowSensitivity++
 		return Reception{Outcome: OutcomeBelowSensitivity, RSSIDBm: rssi}

@@ -8,13 +8,12 @@ import (
 	"mlorass/internal/rng"
 )
 
-func shardTestMedium(t *testing.T, seed uint64) *Medium {
+func shardTestMedium(t *testing.T) *Medium {
 	t.Helper()
 	m, err := NewMedium(MediumConfig{
 		Loss:           DefaultPathLoss(),
 		SensitivityDBm: -1e9,
 		CaptureDB:      6,
-		Seed:           seed,
 	})
 	if err != nil {
 		t.Fatalf("NewMedium: %v", err)
@@ -22,24 +21,21 @@ func shardTestMedium(t *testing.T, seed uint64) *Medium {
 	return m
 }
 
-// TestReceiveKeyedMatchesSequentialDraw pins ReceiveKeyed to the same
-// decode logic as Receive: with an identical shadowing stream the two paths
-// must agree bit for bit. rng.Seeded(k) equals *rng.New(k), so a medium
-// whose sequential stream starts at k sees the same draw ReceiveKeyed(k)
-// makes.
+// TestReceiveKeyedMatchesSequentialDraw pins ReceiveKeyed's shadowing to
+// one draw from a fresh stream seeded at the key: rng.Seeded(k) equals
+// *rng.New(k), so the reception's RSSI is the path-loss RSSI drawn from
+// rng.New(key).
 func TestReceiveKeyedMatchesSequentialDraw(t *testing.T) {
 	const key = uint64(0xfeedface)
-	a := shardTestMedium(t, key) // sequential stream seeded at key
-	b := shardTestMedium(t, 999) // unrelated sequential stream
+	m := shardTestMedium(t)
 
 	gw := geo.Point{X: 400, Y: 250}
-	txA := a.Begin(3, geo.Point{X: 0, Y: 0}, 14, 0, time.Second, nil)
-	txB := b.Begin(3, geo.Point{X: 0, Y: 0}, 14, 0, time.Second, nil)
+	tx := m.Begin(3, geo.Point{X: 0, Y: 0}, 14, 0, time.Second, nil)
 
-	ra := a.Receive(txA, gw)
-	rb := b.ReceiveKeyed(txB, gw, key, txB.Start)
-	if ra != rb {
-		t.Fatalf("Receive (fresh stream %#x) = %+v, ReceiveKeyed(key %#x) = %+v", key, ra, key, rb)
+	got := m.ReceiveKeyed(tx, gw, key, tx.Start)
+	want := DefaultPathLoss().RSSI(14, Meters(tx.Pos.Dist(gw)), rng.New(key))
+	if !got.OK() || got.RSSIDBm != want {
+		t.Fatalf("ReceiveKeyed(key %#x) = %+v, want a reception at %v (one draw from rng.New(key))", key, got, want)
 	}
 }
 
@@ -50,11 +46,11 @@ func TestReceiveKeyedOrderIndependent(t *testing.T) {
 	gw := geo.Point{X: 123, Y: 456}
 
 	run := func(extraDraws int) Reception {
-		m := shardTestMedium(t, 77)
+		m := shardTestMedium(t)
 		for i := 0; i < extraDraws; i++ {
 			tx := m.Begin(100+i, geo.Point{X: 5000, Y: 5000}, 14,
 				time.Duration(i)*time.Hour, time.Duration(i)*time.Hour+time.Millisecond, nil)
-			m.Receive(tx, gw) // burn sequential shadow draws
+			m.ReceiveKeyed(tx, gw, uint64(i), tx.Start) // earlier receptions
 		}
 		tx := m.Begin(1, geo.Point{X: 0, Y: 0}, 14, 100*time.Hour, 100*time.Hour+time.Second, nil)
 		return m.ReceiveKeyed(tx, gw, rng.Key3(77, 1, 42, 9), tx.Start)
@@ -76,16 +72,16 @@ func TestImportTxInterferesWithoutCounting(t *testing.T) {
 	gw := geo.Point{X: 100, Y: 0}
 
 	// Reference: two local overlapping transmissions at equal distance.
-	ref := shardTestMedium(t, 5)
+	ref := shardTestMedium(t)
 	refTx := ref.Begin(1, geo.Point{X: 0, Y: 0}, 14, 0, time.Second, nil)
 	ref.Begin(2, geo.Point{X: 200, Y: 0}, 14, 0, time.Second, nil)
-	want := ref.Receive(refTx, gw)
+	want := ref.ReceiveKeyed(refTx, gw, 5, refTx.Start)
 
 	// Same scene with the interferer imported from a foreign shard.
-	m := shardTestMedium(t, 5)
+	m := shardTestMedium(t)
 	tx := m.Begin(1, geo.Point{X: 0, Y: 0}, 14, 0, time.Second, nil)
 	m.ImportTx(2, geo.Point{X: 200, Y: 0}, 14, 0, time.Second)
-	got := m.Receive(tx, gw)
+	got := m.ReceiveKeyed(tx, gw, 5, tx.Start)
 
 	if got.Outcome != want.Outcome {
 		t.Fatalf("imported interferer outcome %v, local interferer outcome %v", got.Outcome, want.Outcome)
@@ -105,14 +101,14 @@ func TestImportTxInterferesWithoutCounting(t *testing.T) {
 func TestImportTxSelfCopySkipped(t *testing.T) {
 	gw := geo.Point{X: 100, Y: 0}
 
-	solo := shardTestMedium(t, 11)
+	solo := shardTestMedium(t)
 	soloTx := solo.Begin(1, geo.Point{X: 0, Y: 0}, 14, 0, time.Second, nil)
-	want := solo.Receive(soloTx, gw)
+	want := solo.ReceiveKeyed(soloTx, gw, 11, soloTx.Start)
 
-	m := shardTestMedium(t, 11)
+	m := shardTestMedium(t)
 	tx := m.Begin(1, geo.Point{X: 0, Y: 0}, 14, 0, time.Second, nil)
 	m.ImportTx(1, geo.Point{X: 0, Y: 0}, 14, 0, time.Second) // own copy echoed back
-	got := m.Receive(tx, gw)
+	got := m.ReceiveKeyed(tx, gw, 11, tx.Start)
 
 	if got != want {
 		t.Fatalf("own imported copy changed reception: got %+v, want %+v", got, want)
@@ -121,17 +117,16 @@ func TestImportTxSelfCopySkipped(t *testing.T) {
 
 // TestReceiveKeyedPruneEpoch pins the keepSince contract: an interferer that
 // overlaps a long frame must survive an interleaved receive of a short frame
-// that starts after the interferer ends. Receive's per-frame cutoff evicts
-// it (acceptable for one shared pool, where the interleaving is fixed);
-// ReceiveKeyed with a shared epoch must not, or the interferer set would
-// depend on which frames share a shard's pool — the divergence that broke
-// shard-count invariance at full-day scale.
+// that starts after the interferer ends. A per-frame cutoff (the short
+// frame's start) would evict it; a shared epoch must not, or the interferer
+// set would depend on which frames share a shard's pool — the divergence
+// that broke shard-count invariance at full-day scale.
 func TestReceiveKeyedPruneEpoch(t *testing.T) {
 	gw := geo.Point{X: 100, Y: 0}
 	const epoch = 0 * time.Second // window start shared by every receive
 
 	build := func() (*Medium, *Transmission, *Transmission) {
-		m := shardTestMedium(t, 7)
+		m := shardTestMedium(t)
 		// Interferer: on air [0, 300ms), strong (close to the receiver).
 		m.ImportTx(9, geo.Point{X: 120, Y: 0}, 14, 0, 300*time.Millisecond)
 		// Long frame overlapping the interferer: [100ms, 1s).
@@ -161,12 +156,12 @@ func TestReceiveKeyedPruneEpoch(t *testing.T) {
 // TestImportTxRecycled pins that imported transmissions flow through the
 // same prune/pool recycling as local ones (no leak across windows).
 func TestImportTxRecycled(t *testing.T) {
-	m := shardTestMedium(t, 1)
+	m := shardTestMedium(t)
 	for w := 0; w < 100; w++ {
 		at := time.Duration(w) * time.Minute
 		m.ImportTx(9, geo.Point{X: 1, Y: 1}, 14, at, at+time.Millisecond)
 		tx := m.Begin(1, geo.Point{X: 0, Y: 0}, 14, at+time.Second, at+2*time.Second, nil)
-		m.Receive(tx, geo.Point{X: 50, Y: 0})
+		m.ReceiveKeyed(tx, geo.Point{X: 50, Y: 0}, 1, tx.Start)
 	}
 	if n := m.ActiveCount(); n > 4 {
 		t.Fatalf("active list grew to %d entries; imported transmissions not pruned", n)

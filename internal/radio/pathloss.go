@@ -66,18 +66,6 @@ func (pl PathLoss) LossDB(d Meters, r *rng.Source) DB {
 	return loss
 }
 
-// SkipShadow advances r exactly as LossDB's shadowing draw would, without
-// computing the loss: for a caller that needs no RSSI for this reception
-// but must keep r's stream where a full LossDB would leave it. It draws
-// nothing when r is nil or shadowing is off.
-//
-//mlorass:hotpath
-func (pl PathLoss) SkipShadow(r *rng.Source) {
-	if r != nil && pl.ShadowSigmaDB > 0 {
-		r.SkipNorm()
-	}
-}
-
 // RSSI returns the received signal strength in dBm for a transmit power of
 // tx at distance d, with one shadowing draw from r (nil r => mean).
 func (pl PathLoss) RSSI(tx DBm, d Meters, r *rng.Source) DBm {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mlorass/internal/geo"
-	"mlorass/internal/rng"
 )
 
 func TestSpreadingFactorValid(t *testing.T) {
@@ -148,29 +147,6 @@ func TestRSSIShadowingZeroSigmaDeterministic(t *testing.T) {
 	}
 }
 
-// TestSkipShadow: SkipShadow leaves a stream where LossDB's shadowing draw
-// does, and draws nothing when shadowing is off or there is no stream.
-func TestSkipShadow(t *testing.T) {
-	pl := DefaultPathLoss()
-	for seed := uint64(0); seed < 100; seed++ {
-		took, skipped := rng.New(seed), rng.New(seed)
-		pl.LossDB(Meters(40+seed), took)
-		pl.SkipShadow(skipped)
-		if *took != *skipped {
-			t.Fatalf("seed %d: SkipShadow left the stream elsewhere than LossDB", seed)
-		}
-	}
-	pl.ShadowSigmaDB = 0
-	r := rng.New(1)
-	before := *r
-	pl.SkipShadow(r)
-	if *r != before {
-		t.Fatal("SkipShadow drew with shadowing off")
-	}
-	pl.ShadowSigmaDB = 7.8
-	pl.SkipShadow(nil) // must not panic
-}
-
 func newTestMedium(t *testing.T, maxRange Meters) *Medium {
 	t.Helper()
 	loss := DefaultPathLoss()
@@ -180,7 +156,6 @@ func newTestMedium(t *testing.T, maxRange Meters) *Medium {
 		SensitivityDBm: SF7.Sensitivity(),
 		CaptureDB:      6,
 		MaxRangeM:      maxRange,
-		Seed:           1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +166,7 @@ func newTestMedium(t *testing.T, maxRange Meters) *Medium {
 func TestMediumSimpleReception(t *testing.T) {
 	m := newTestMedium(t, 1000)
 	tx := m.Begin(1, pt(0, 0), 14, 0, 100*time.Millisecond, "frame")
-	rec := m.Receive(tx, pt(500, 0))
+	rec := receive(m, tx, pt(500, 0))
 	if !rec.OK() {
 		t.Fatalf("outcome = %v, want received", rec.Outcome)
 	}
@@ -206,7 +181,7 @@ func TestMediumSimpleReception(t *testing.T) {
 func TestMediumRangeGate(t *testing.T) {
 	m := newTestMedium(t, 1000)
 	tx := m.Begin(1, pt(0, 0), 14, 0, time.Millisecond, nil)
-	rec := m.Receive(tx, pt(1001, 0))
+	rec := receive(m, tx, pt(1001, 0))
 	if rec.Outcome != OutcomeOutOfRange {
 		t.Fatalf("outcome = %v, want out-of-range", rec.Outcome)
 	}
@@ -216,7 +191,7 @@ func TestMediumNoRangeGate(t *testing.T) {
 	m := newTestMedium(t, 0)
 	tx := m.Begin(1, pt(0, 0), 14, 0, time.Millisecond, nil)
 	// 800 m: inside the SF7 mean range (~833 m), no hard gate configured.
-	if rec := m.Receive(tx, pt(800, 0)); !rec.OK() {
+	if rec := receive(m, tx, pt(800, 0)); !rec.OK() {
 		t.Fatalf("outcome = %v at 800 m without gate", rec.Outcome)
 	}
 }
@@ -224,7 +199,7 @@ func TestMediumNoRangeGate(t *testing.T) {
 func TestMediumBelowSensitivity(t *testing.T) {
 	m := newTestMedium(t, 0)
 	tx := m.Begin(1, pt(0, 0), 14, 0, time.Millisecond, nil)
-	rec := m.Receive(tx, pt(100000, 0)) // 100 km
+	rec := receive(m, tx, pt(100000, 0)) // 100 km
 	if rec.Outcome != OutcomeBelowSensitivity {
 		t.Fatalf("outcome = %v, want below-sensitivity", rec.Outcome)
 	}
@@ -235,7 +210,7 @@ func TestMediumCollision(t *testing.T) {
 	// Two equidistant overlapping transmitters: neither captures.
 	tx1 := m.Begin(1, pt(0, 0), 14, 0, 100*time.Millisecond, nil)
 	m.Begin(2, pt(1000, 0), 14, 50*time.Millisecond, 150*time.Millisecond, nil)
-	rec := m.Receive(tx1, pt(500, 0))
+	rec := receive(m, tx1, pt(500, 0))
 	if rec.Outcome != OutcomeCollision {
 		t.Fatalf("outcome = %v, want collision", rec.Outcome)
 	}
@@ -247,7 +222,7 @@ func TestMediumCaptureEffect(t *testing.T) {
 	// receiver: capture succeeds.
 	tx1 := m.Begin(1, pt(450, 0), 14, 0, 100*time.Millisecond, nil)
 	m.Begin(2, pt(5000, 0), 14, 0, 100*time.Millisecond, nil)
-	rec := m.Receive(tx1, pt(500, 0))
+	rec := receive(m, tx1, pt(500, 0))
 	if !rec.OK() {
 		t.Fatalf("outcome = %v, want captured reception", rec.Outcome)
 	}
@@ -258,7 +233,7 @@ func TestMediumNonOverlappingNoCollision(t *testing.T) {
 	tx1 := m.Begin(1, pt(0, 0), 14, 0, 100*time.Millisecond, nil)
 	// Second transmission starts exactly when the first ends: no overlap.
 	m.Begin(2, pt(10, 0), 14, 100*time.Millisecond, 200*time.Millisecond, nil)
-	if rec := m.Receive(tx1, pt(500, 0)); !rec.OK() {
+	if rec := receive(m, tx1, pt(500, 0)); !rec.OK() {
 		t.Fatalf("outcome = %v, want received", rec.Outcome)
 	}
 }
@@ -269,7 +244,7 @@ func TestMediumSameSourceNoSelfInterference(t *testing.T) {
 	// interfere with themselves.
 	tx1 := m.Begin(1, pt(0, 0), 14, 0, 100*time.Millisecond, nil)
 	m.Begin(1, pt(0, 0), 14, 0, 100*time.Millisecond, nil)
-	if rec := m.Receive(tx1, pt(500, 0)); !rec.OK() {
+	if rec := receive(m, tx1, pt(500, 0)); !rec.OK() {
 		t.Fatalf("outcome = %v, want received", rec.Outcome)
 	}
 }
@@ -279,7 +254,7 @@ func TestMediumPrunesOldTransmissions(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		start := time.Duration(i) * time.Second
 		tx := m.Begin(i, pt(0, 0), 14, start, start+10*time.Millisecond, nil)
-		m.Receive(tx, pt(100, 0))
+		receive(m, tx, pt(100, 0))
 	}
 	if n := m.ActiveCount(); n > 2 {
 		t.Fatalf("active list grew to %d, pruning broken", n)
@@ -335,7 +310,7 @@ func BenchmarkAirtime(b *testing.B) {
 
 func BenchmarkMediumReceive(b *testing.B) {
 	loss := DefaultPathLoss()
-	m, err := NewMedium(MediumConfig{Loss: loss, SensitivityDBm: SF7.Sensitivity(), CaptureDB: 6, Seed: 1})
+	m, err := NewMedium(MediumConfig{Loss: loss, SensitivityDBm: SF7.Sensitivity(), CaptureDB: 6})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,8 +318,14 @@ func BenchmarkMediumReceive(b *testing.B) {
 	rx := pt(400, 300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Receive(tx, rx)
+		receive(m, tx, rx)
 	}
+}
+
+// receive resolves tx at rx with a fixed shadowing key and the frame's own
+// start as the prune cutoff.
+func receive(m *Medium, tx *Transmission, rx geo.Point) Reception {
+	return m.ReceiveKeyed(tx, rx, 1, tx.Start)
 }
 
 func pt(x, y float64) geo.Point { return geo.Point{X: x, Y: y} }
