@@ -50,8 +50,10 @@ type shard struct {
 
 	// resolves are the tile's pending transmission resolutions, executed in
 	// (time, device, kind) order by phase B once due; entries beyond the
-	// horizon carry over (an airtime may span windows).
-	resolves []resolveRef
+	// horizon carry over (an airtime may span windows). resolvesUnsorted
+	// notes an entry appended out of that order, so phase B sorts only then.
+	resolves         []resolveRef
+	resolvesUnsorted bool
 
 	// msgArena holds this window's resolved message bundles; broadcast,
 	// ingest, and settlement records span into it. Reset each phase B,
@@ -59,13 +61,15 @@ type shard struct {
 	msgArena []lorawan.Message
 
 	// Outboxes. outTx and outAir fill in phase A (outAir is sorted at its
-	// end), the rest in phase B in resolve order, so the coordinator merges
-	// all but outTx without sorting.
-	outTx    []txRec
-	outAir   []airRec
-	outFresh []ingestRec
-	outBcast []bcastRec
-	outMac   []macOp
+	// end when airUnsorted notes an out-of-order entry), the rest in phase B
+	// in resolve order, so the coordinator merges all but outTx without
+	// sorting. outTx stays empty on a lone tile: no other tile imports it.
+	outTx       []txRec
+	outAir      []airRec
+	airUnsorted bool
+	outFresh    []ingestRec
+	outBcast    []bcastRec
+	outMac      []macOp
 
 	// outTrace holds sampled events not yet flushed; those before
 	// traceMark belong to the window being flushed.
@@ -143,7 +147,10 @@ func (s *shard) runKernel() {
 	}
 	// Same-instant transmissions leave the kernel in scheduling order; the
 	// coordinator merges airtimes in (time, device) order.
-	slices.SortFunc(s.outAir, cmpAir)
+	if s.airUnsorted {
+		slices.SortFunc(s.outAir, cmpAir)
+		s.airUnsorted = false
+	}
 }
 
 // ---------------------------------------------------------------- phase B
@@ -168,7 +175,10 @@ func (s *shard) runResolve() {
 		}
 		s.medium.ImportTx(t.from, t.pos, t.pow, t.start, t.end)
 	}
-	slices.SortFunc(s.resolves, cmpResolveRef)
+	if s.resolvesUnsorted {
+		slices.SortFunc(s.resolves, cmpResolveRef)
+		s.resolvesUnsorted = false
+	}
 	kept := s.resolves[:0]
 	for _, r := range s.resolves {
 		if r.at > h {
@@ -305,15 +315,25 @@ func (s *shard) receptive(d *device, at time.Duration) bool {
 //
 //mlorass:hotpath
 func (s *shard) began(d *device, tx *radio.Transmission, kind uint8) {
-	s.outTx = append(s.outTx, txRec{
-		shard: int32(s.idx), from: tx.From, pos: tx.Pos, pow: tx.PowerDBm,
-		start: tx.Start, end: tx.End,
-	})
-	s.resolves = append(s.resolves, resolveRef{at: tx.End, dev: d, kind: kind})
+	if len(s.coord.shards) > 1 {
+		s.outTx = append(s.outTx, txRec{
+			shard: int32(s.idx), from: tx.From, pos: tx.Pos, pow: tx.PowerDBm,
+			start: tx.Start, end: tx.End,
+		})
+	}
+	r := resolveRef{at: tx.End, dev: d, kind: kind}
+	if n := len(s.resolves); n > 0 && cmpResolveRef(s.resolves[n-1], r) > 0 {
+		s.resolvesUnsorted = true
+	}
+	s.resolves = append(s.resolves, r)
 	if kind == rkUplink {
 		d.prevFlightSta, d.prevFlightEnd = d.flightStart, d.flightEnd
 		d.flightStart, d.flightEnd = tx.Start, tx.End
-		s.outAir = append(s.outAir, airRec{at: tx.Start, dev: d.id, sec: (tx.End - tx.Start).Seconds()})
+		a := airRec{at: tx.Start, dev: d.id, sec: (tx.End - tx.Start).Seconds()}
+		if n := len(s.outAir); n > 0 && cmpAir(s.outAir[n-1], a) > 0 {
+			s.airUnsorted = true
+		}
+		s.outAir = append(s.outAir, a)
 	}
 }
 
