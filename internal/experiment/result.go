@@ -61,10 +61,10 @@ type Result struct {
 	HandoverAttempts  uint64 `json:"-"`
 	HandoverSuccesses uint64 `json:"-"`
 	HandoverMsgs      uint64 `json:"-"`
-	// HandoverLostMsgs counts messages in handover frames the target
+	// HandoverMissedMsgs counts messages in handover frames the target
 	// missed. They are not lost: the sender returns them to its queue head
 	// and sends them again.
-	HandoverLostMsgs uint64 `json:"-"`
+	HandoverMissedMsgs uint64 `json:"-"`
 
 	// MAC-subsystem measurements (all zero when Config.MAC is
 	// zero-valued — the paper's uplink-only model).
@@ -156,7 +156,7 @@ func (r *Result) fillTallies() {
 	r.HandoverAttempts = c.HandoverAttempts
 	r.HandoverSuccesses = c.HandoverSuccesses
 	r.HandoverMsgs = c.RelayHops
-	r.HandoverLostMsgs = c.HandoverMissedMsgs
+	r.HandoverMissedMsgs = c.HandoverMissedMsgs
 	r.Downlinks = c.Downlinks
 	r.DownlinkDeliveries = c.DownlinkDeliveries
 	r.DownlinkDrops = c.DownlinkDrops
@@ -297,7 +297,7 @@ func (r *Result) Report() string {
 	fmt.Fprintf(&b, "  frames per node         %.1f\n", r.FramesPerNode.Mean())
 	fmt.Fprintf(&b, "  radio-on per node       %s\n", time.Duration(r.RadioOnPerNode.Mean()*float64(time.Second)).Round(time.Second))
 	fmt.Fprintf(&b, "  channel: tx=%d rx=%d collisions=%d\n", r.Medium.Transmissions, r.Medium.Receptions, r.Medium.Collisions)
-	fmt.Fprintf(&b, "  handovers: %d/%d ok, %d msgs moved, %d msgs lost\n", r.HandoverSuccesses, r.HandoverAttempts, r.HandoverMsgs, r.HandoverLostMsgs)
+	fmt.Fprintf(&b, "  handovers: %d/%d ok, %d msgs moved, %d msgs requeued\n", r.HandoverSuccesses, r.HandoverAttempts, r.HandoverMsgs, r.HandoverMissedMsgs)
 	fmt.Fprintf(&b, "  delay direct %.0fs (n=%d) vs relayed %.0fs (n=%d)\n",
 		r.DirectDelay.Mean(), r.DirectDelay.N(), r.RelayedDelay.Mean(), r.RelayedDelay.N())
 	// Disruption lines appear only for disrupted runs so paper-default
