@@ -200,28 +200,6 @@ func TestADRHighDutyFreshestDownlinkWins(t *testing.T) {
 	}
 }
 
-// TestADRCommandsCounterConsistency: the recorder counts the ADR commands the
-// network server issues (regression: the counter used to stay 0), and the
-// Result reads its MAC tallies from the recorder.
-func TestADRCommandsCounterConsistency(t *testing.T) {
-	cfg := macTestConfig()
-	cfg.MAC.ADR = true
-	cfg.MAC.InitialSF = radio.SF12
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ADRCommands == 0 {
-		t.Fatal("no commands issued — consistency check vacuous")
-	}
-	if got := res.Telemetry.Counters.ADRCommands; got != res.ADRCommands {
-		t.Fatalf("telemetry ADRCommands %d != result %d", got, res.ADRCommands)
-	}
-	if got := res.Telemetry.Counters.ADRApplied; got != res.ADRApplied {
-		t.Fatalf("telemetry ADRApplied %d != result %d", got, res.ADRApplied)
-	}
-}
-
 // TestADRMonotoneMarginEffect: raising the installation margin (less
 // aggressive adaptation) must not speed the network up — the sim-level echo
 // of the mac package's monotonicity property.
