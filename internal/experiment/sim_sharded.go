@@ -15,9 +15,9 @@ import (
 )
 
 // This file is the execution engine: the city is partitioned into
-// Config.Shards spatial tiles (one by default), each tile runs its own event kernel on its
-// own goroutine, and the tiles advance in lockstep through conservative
-// lookahead windows. Window j covers (W, W+L] and costs two barriers:
+// Config.Shards spatial tiles (one by default), each tile runs its own event
+// kernel on its own goroutine, and the tiles advance in lockstep through
+// conservative lookahead windows. Window j covers (W, W+L] and costs two barriers:
 //
 //   phase B (parallel)  every tile imports the window's foreign
 //                       transmissions into its radio-medium view

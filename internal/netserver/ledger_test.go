@@ -48,8 +48,9 @@ type ingestOp struct {
 	msgs []lorawan.Message
 }
 
-// serialID and tileID are the two engines' message ID schemes: one global
-// counter in row 0, and device dev's own counter in row dev+1.
+// serialID and tileID are two numbering sources the ledger accepts: one
+// global counter in row 0, and device dev's own counter in row dev+1 (the
+// simulator's scheme).
 func serialID(n uint32) uint64        { return uint64(n) }
 func tileID(dev int, n uint32) uint64 { return uint64(dev+1)<<32 | uint64(n) }
 
