@@ -394,11 +394,19 @@ func (e *sharded) startSpan() telemetry.SpanToken {
 	return 0
 }
 
-// endSpan closes a span opened by startSpan.
+// endSpan closes a span opened by startSpan. It is small enough to inline,
+// so a run without a sink pays only the nil check, several times a window.
 func (e *sharded) endSpan(tok telemetry.SpanToken, name string, si int, at time.Duration, attr int) {
-	if sink := e.cfg.Telemetry.Spans; sink != nil {
-		sink.EndSpan(telemetry.SpanEnd{Token: tok, Name: name, Shard: si, At: at, Attr: int64(attr)})
+	if e.cfg.Telemetry.Spans != nil {
+		e.emitSpan(tok, name, si, at, attr)
 	}
+}
+
+// emitSpan stays out of line so that endSpan inlines.
+//
+//go:noinline
+func (e *sharded) emitSpan(tok telemetry.SpanToken, name string, si int, at time.Duration, attr int) {
+	e.cfg.Telemetry.Spans.EndSpan(telemetry.SpanEnd{Token: tok, Name: name, Shard: si, At: at, Attr: int64(attr)})
 }
 
 // run drives the window loop: the first window's kernel, then per window
@@ -570,17 +578,22 @@ type merger[T any] struct {
 }
 
 // merge merges every tile's outbox, each already in cmp order, and returns
-// the result, valid until the next merge.
+// the result, valid until the next merge. A lone tile's outbox is returned
+// in place.
 func (m *merger[T]) merge(shards []*shard, outbox func(*shard) []T, cmp func(a, b T) int) []T {
+	if len(shards) == 1 {
+		run := outbox(shards[0])
+		if assertSortedRuns {
+			checkSortedRuns([][]T{run}, cmp)
+		}
+		return run
+	}
 	m.runs = m.runs[:0]
 	for _, s := range shards {
 		m.runs = append(m.runs, outbox(s))
 	}
-	out := mergeRuns(m.buf, m.runs, cmp)
-	if len(shards) > 1 {
-		m.buf = out
-	}
-	return out
+	m.buf = mergeRuns(m.buf, m.runs, cmp)
+	return m.buf
 }
 
 // assertSortedRuns makes mergeRuns check that every run it merges is in
