@@ -39,10 +39,6 @@ import (
 // Version 6: the artefact is the Result's own JSON form, and each recorder
 // tally (generated, queue drops, handovers, the MAC counts) is stored once,
 // in the telemetry counters; the handover counters are new there.
-//
-// Config.Shards has since left the key (one engine remains, and its results
-// are the same for every tile count); keys written before that miss, but no
-// artefact byte changed, so the version stayed.
 const storeSchemaVersion = 6
 
 // storeKey is the canonical, deterministic description of everything that
