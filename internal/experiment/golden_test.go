@@ -32,6 +32,26 @@ func goldenCompare(t *testing.T, name, got string) {
 	}
 }
 
+// TestGoldenQuickReports locks Result.Report() for QuickConfig at seed 1
+// across all three schemes, with every Config field at its default:
+// determinism or formatting regressions fail here before they corrupt a
+// figure. It shares report_quick_shards1.golden with TestShardGoldenReport,
+// so the default configuration must stay the one-tile run.
+func TestGoldenQuickReports(t *testing.T) {
+	var rep string
+	for _, scheme := range Schemes() {
+		cfg := QuickConfig()
+		cfg.Seed = 1
+		cfg.Scheme = scheme
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep += res.Report()
+	}
+	goldenCompare(t, "report_quick_shards1.golden", rep)
+}
+
 // TestGoldenFigTables locks expsweep's figure-sweep stdout block for a
 // QuickConfig sweep subset (gateway counts 10 and 15, all schemes, one
 // replication) at seed 1, followed by each cell's Report(), which carries

@@ -369,17 +369,17 @@ func TestShardEquivalenceADRTable(t *testing.T) {
 	}
 }
 
-// TestShardGoldenReport locks Result.Report() for QuickConfig at seed 1
-// across all three schemes, with Shards unset (one tile): determinism or
-// formatting regressions fail here before they corrupt a figure. This file
-// is the tile contract's anchor; every shard count must reproduce it.
-// Regenerate with -update.
+// TestShardGoldenReport locks the explicit one-tile run (Shards = 1) to
+// report_quick_shards1.golden, the file TestGoldenQuickReports locks with
+// Shards unset. This file is the tile contract's anchor; every shard count
+// must reproduce it. Regenerate with -update.
 func TestShardGoldenReport(t *testing.T) {
 	var rep string
 	for _, scheme := range Schemes() {
 		cfg := QuickConfig()
 		cfg.Seed = 1
 		cfg.Scheme = scheme
+		cfg.Shards = 1
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
