@@ -24,7 +24,7 @@ func BenchmarkKernelSchedule(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.After(time.Duration(standing)*time.Millisecond, fn); err != nil {
+		if _, err := s.At(s.Now()+time.Duration(standing)*time.Millisecond, fn); err != nil {
 			b.Fatal(err)
 		}
 		if !s.step() {
@@ -47,7 +47,7 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, err := s.After(time.Hour, fn)
+		h, err := s.At(s.Now()+time.Hour, fn)
 		if err != nil {
 			b.Fatal(err)
 		}

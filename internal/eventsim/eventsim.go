@@ -25,10 +25,6 @@ import (
 	"time"
 )
 
-// ErrStopped is returned by Run variants when the simulation was halted by
-// Stop before reaching its scheduled horizon.
-var ErrStopped = errors.New("eventsim: simulation stopped")
-
 // errNilEvent is predeclared so the hot scheduling path allocates nothing
 // even when rejecting a bad call.
 var errNilEvent = errors.New("eventsim: nil event")
@@ -78,8 +74,6 @@ type Simulator struct {
 	free     []int32   // recycled slab slots
 	canceled int       // cancelled entries still occupying heap positions
 	nextSeq  uint64
-	stopped  bool
-	executed uint64
 	probe    Probe
 }
 
@@ -108,16 +102,9 @@ func New() *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
 
-// Pending returns the number of events still queued (excluding cancelled
-// events not yet compacted out of the heap).
-func (s *Simulator) Pending() int { return len(s.heap) - s.canceled }
-
 // QueueLen returns the number of heap entries physically present, including
 // cancelled events awaiting compaction — a diagnostic for queue-bound tests.
 func (s *Simulator) QueueLen() int { return len(s.heap) }
-
-// Executed returns how many events have run so far.
-func (s *Simulator) Executed() uint64 { return s.executed }
 
 // SetProbe installs (or, with nil, removes) the kernel activity probe.
 func (s *Simulator) SetProbe(p Probe) { s.probe = p }
@@ -220,16 +207,6 @@ func (s *Simulator) At(at time.Duration, fn Event) (Handle, error) {
 	return Handle{slot: slot, seq: it.seq}, nil
 }
 
-// After schedules fn to run after delay d from the current virtual time.
-// Negative delays are clamped to zero (run "immediately", after currently
-// queued same-time events).
-func (s *Simulator) After(d time.Duration, fn Event) (Handle, error) {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
-}
-
 // Cancel removes a scheduled event. It reports whether the event was still
 // pending (false when already executed, cancelled, or invalid). The entry is
 // marked in place (O(1)); the heap is compacted once cancelled entries
@@ -290,9 +267,6 @@ func (s *Simulator) popMin() heapEnt {
 	return e
 }
 
-// Stop halts the run loop after the currently executing event returns.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // step executes the next pending event. It reports false when the queue is
 // exhausted.
 //
@@ -311,7 +285,6 @@ func (s *Simulator) step() bool {
 		// reschedule, and reusing the hot slot keeps the slab compact.
 		s.release(e.slot)
 		s.now = at
-		s.executed++
 		fn(at)
 		if s.probe != nil {
 			s.probe.OnEvent(at)
@@ -321,37 +294,19 @@ func (s *Simulator) step() bool {
 	return false
 }
 
-// Run executes events until the queue empties or Stop is called. It returns
-// ErrStopped in the latter case.
-func (s *Simulator) Run() error {
-	s.stopped = false
-	for !s.stopped {
-		if !s.step() {
-			return nil
-		}
-	}
-	return ErrStopped
-}
-
 // RunUntil executes events with scheduled time <= horizon, then advances the
-// clock to horizon. Events scheduled beyond the horizon stay queued. It
-// returns ErrStopped when halted early by Stop.
-func (s *Simulator) RunUntil(horizon time.Duration) error {
-	s.stopped = false
-	for !s.stopped {
+// clock to horizon. Events scheduled beyond the horizon stay queued.
+func (s *Simulator) RunUntil(horizon time.Duration) {
+	for {
 		next, ok := s.peek()
 		if !ok || next > horizon {
 			break
 		}
 		s.step()
 	}
-	if s.stopped {
-		return ErrStopped
-	}
 	if s.now < horizon {
 		s.now = horizon
 	}
-	return nil
 }
 
 // NextAt returns the scheduled time of the next live event, and false when

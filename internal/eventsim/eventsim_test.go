@@ -1,7 +1,7 @@
 package eventsim
 
 import (
-	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,9 +13,7 @@ func TestRunExecutesInTimeOrder(t *testing.T) {
 	mustAt(t, s, 30*time.Second, func(time.Duration) { order = append(order, 3) })
 	mustAt(t, s, 10*time.Second, func(time.Duration) { order = append(order, 1) })
 	mustAt(t, s, 20*time.Second, func(time.Duration) { order = append(order, 2) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(30 * time.Second)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("execution order = %v", order)
 	}
@@ -31,9 +29,7 @@ func TestFIFOTieBreak(t *testing.T) {
 		i := i
 		mustAt(t, s, time.Second, func(time.Duration) { order = append(order, i) })
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(time.Second)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-time events out of FIFO order: %v", order)
@@ -44,9 +40,7 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestSchedulePastRejected(t *testing.T) {
 	s := New()
 	mustAt(t, s, 5*time.Second, func(time.Duration) {})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(5 * time.Second)
 	if _, err := s.At(time.Second, func(time.Duration) {}); err == nil {
 		t.Fatal("scheduling in the past succeeded")
 	}
@@ -56,20 +50,6 @@ func TestNilEventRejected(t *testing.T) {
 	s := New()
 	if _, err := s.At(0, nil); err == nil {
 		t.Fatal("nil event accepted")
-	}
-}
-
-func TestAfterNegativeClamps(t *testing.T) {
-	s := New()
-	ran := false
-	if _, err := s.After(-time.Second, func(time.Duration) { ran = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran || s.Now() != 0 {
-		t.Fatalf("negative After ran=%v at %v", ran, s.Now())
 	}
 }
 
@@ -86,9 +66,7 @@ func TestCancel(t *testing.T) {
 	if s.Cancel(h) {
 		t.Fatal("double Cancel returned true")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(time.Second)
 	if ran {
 		t.Fatal("cancelled event executed")
 	}
@@ -114,7 +92,7 @@ func TestNextAt(t *testing.T) {
 	if at, ok := s.NextAt(); !ok || at != 3*time.Second {
 		t.Fatalf("after cancel NextAt = %v, %v; want 3s, true", at, ok)
 	}
-	if ran || s.Now() != 0 || s.Executed() != 0 {
+	if ran || s.Now() != 0 {
 		t.Fatalf("NextAt ran events or moved the clock: ran=%v now=%v", ran, s.Now())
 	}
 }
@@ -129,27 +107,6 @@ func TestCancelInvalidHandle(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		d := time.Duration(i) * time.Second
-		mustAt(t, s, d, func(time.Duration) {
-			count++
-			if count == 2 {
-				s.Stop()
-			}
-		})
-	}
-	err := s.Run()
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("Run err = %v, want ErrStopped", err)
-	}
-	if count != 2 {
-		t.Fatalf("executed %d events after Stop, want 2", count)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	s := New()
 	var ran []time.Duration
@@ -157,22 +114,18 @@ func TestRunUntil(t *testing.T) {
 		d := d
 		mustAt(t, s, d, func(now time.Duration) { ran = append(ran, now) })
 	}
-	if err := s.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(5 * time.Second)
 	if len(ran) != 2 {
 		t.Fatalf("RunUntil executed %d events, want 2", len(ran))
 	}
 	if s.Now() != 5*time.Second {
 		t.Fatalf("clock = %v, want 5s", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
+	if pending(s) != 1 {
+		t.Fatalf("pending = %d, want 1", pending(s))
 	}
 	// Continue to the end.
-	if err := s.RunUntil(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(20 * time.Second)
 	if len(ran) != 3 || s.Now() != 20*time.Second {
 		t.Fatalf("second RunUntil: ran=%v now=%v", ran, s.Now())
 	}
@@ -183,31 +136,16 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	var order []string
 	mustAt(t, s, time.Second, func(now time.Duration) {
 		order = append(order, "a")
-		if _, err := s.After(time.Second, func(time.Duration) { order = append(order, "b") }); err != nil {
+		if _, err := s.At(now+time.Second, func(time.Duration) { order = append(order, "b") }); err != nil {
 			t.Errorf("inner schedule: %v", err)
 		}
 	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(2 * time.Second)
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("order = %v", order)
 	}
 	if s.Now() != 2*time.Second {
 		t.Fatalf("now = %v", s.Now())
-	}
-}
-
-func TestExecutedCounter(t *testing.T) {
-	s := New()
-	for i := 0; i < 7; i++ {
-		mustAt(t, s, time.Duration(i)*time.Second, func(time.Duration) {})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Executed() != 7 {
-		t.Fatalf("Executed = %d, want 7", s.Executed())
 	}
 }
 
@@ -232,9 +170,7 @@ func TestQuickTimeOrdering(t *testing.T) {
 				return false
 			}
 		}
-		if err := s2.Run(); err != nil {
-			return false
-		}
+		s2.RunUntil(math.MaxUint16 * time.Millisecond)
 		for _, v := range seen {
 			if v < last {
 				ok = false
@@ -247,6 +183,10 @@ func TestQuickTimeOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// pending counts the queued events, leaving out cancelled ones not yet
+// compacted away.
+func pending(s *Simulator) int { return len(s.heap) - s.canceled }
 
 func mustAt(t *testing.T, s *Simulator, at time.Duration, fn Event) {
 	t.Helper()
@@ -261,7 +201,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			_, _ = s.At(time.Duration(j%97)*time.Millisecond, func(time.Duration) {})
 		}
-		_ = s.Run()
+		s.RunUntil(time.Second)
 	}
 }
 
@@ -279,16 +219,16 @@ func TestProbeObservesEveryExecutedEvent(t *testing.T) {
 	s := New()
 	p := &probeRecorder{}
 	s.SetProbe(p)
-	mustAt(t, s, 10*time.Millisecond, func(time.Duration) {})
-	mustAt(t, s, 30*time.Millisecond, func(time.Duration) {})
-	h, err := s.At(20*time.Millisecond, func(time.Duration) {})
+	ran := 0
+	count := func(time.Duration) { ran++ }
+	mustAt(t, s, 10*time.Millisecond, count)
+	mustAt(t, s, 30*time.Millisecond, count)
+	h, err := s.At(20*time.Millisecond, count)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Cancel(h)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(30 * time.Millisecond)
 	want := []time.Duration{10 * time.Millisecond, 30 * time.Millisecond}
 	if len(p.stamps) != len(want) {
 		t.Fatalf("probe saw %d events, want %d", len(p.stamps), len(want))
@@ -298,15 +238,13 @@ func TestProbeObservesEveryExecutedEvent(t *testing.T) {
 			t.Fatalf("stamp[%d] = %v, want %v", i, p.stamps[i], at)
 		}
 	}
-	if s.Executed() != uint64(len(want)) {
-		t.Fatalf("Executed = %d, want %d", s.Executed(), len(want))
+	if ran != len(want) {
+		t.Fatalf("executed %d events, want %d", ran, len(want))
 	}
 	// Removing the probe silences it.
 	s.SetProbe(nil)
 	mustAt(t, s, 40*time.Millisecond, func(time.Duration) {})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(40 * time.Millisecond)
 	if len(p.stamps) != len(want) {
 		t.Fatal("probe saw events after removal")
 	}
@@ -320,9 +258,11 @@ func TestProbeObservesEveryExecutedEvent(t *testing.T) {
 func TestCancelHeavyQueueBounded(t *testing.T) {
 	s := New()
 	const live = 100
+	ran := 0
+	count := func(time.Duration) { ran++ }
 	var keep []Handle
 	for i := 0; i < live; i++ {
-		h, err := s.At(time.Hour+time.Duration(i)*time.Second, func(time.Duration) {})
+		h, err := s.At(time.Hour+time.Duration(i)*time.Second, count)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +271,7 @@ func TestCancelHeavyQueueBounded(t *testing.T) {
 	for round := 0; round < 1000; round++ {
 		var hs []Handle
 		for i := 0; i < 64; i++ {
-			h, err := s.At(2*time.Hour+time.Duration(i)*time.Second, func(time.Duration) {})
+			h, err := s.At(2*time.Hour+time.Duration(i)*time.Second, count)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,8 +282,8 @@ func TestCancelHeavyQueueBounded(t *testing.T) {
 				t.Fatal("cancel of pending event failed")
 			}
 		}
-		if s.Pending() != live {
-			t.Fatalf("round %d: pending = %d, want %d", round, s.Pending(), live)
+		if pending(s) != live {
+			t.Fatalf("round %d: pending = %d, want %d", round, pending(s), live)
 		}
 		// The compaction threshold is 1/2, so the physical queue may
 		// carry up to one cancelled entry per live one (plus the batch
@@ -357,11 +297,9 @@ func TestCancelHeavyQueueBounded(t *testing.T) {
 			t.Fatal("cancel of long-lived event failed")
 		}
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Executed() != 0 {
-		t.Fatalf("executed %d cancelled events", s.Executed())
+	s.RunUntil(3 * time.Hour)
+	if ran != 0 {
+		t.Fatalf("executed %d cancelled events", ran)
 	}
 }
 
@@ -375,9 +313,7 @@ func TestCancelAfterSlotReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(time.Second)
 	// h1's slot is now free; the next schedule reuses it.
 	h2, err := s.At(2*time.Second, func(time.Duration) { ran++ })
 	if err != nil {
@@ -386,9 +322,7 @@ func TestCancelAfterSlotReuse(t *testing.T) {
 	if s.Cancel(h1) {
 		t.Fatal("stale handle cancelled a reused slot")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.RunUntil(2 * time.Second)
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2", ran)
 	}
@@ -411,13 +345,13 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 	}
 	// Warm the slab/heap/free-list past their steady-state size.
 	for i := 0; i < 1024; i++ {
-		if _, err := s.After(time.Second, fn); err != nil {
+		if _, err := s.At(s.Now()+time.Second, fn); err != nil {
 			t.Fatal(err)
 		}
 		s.step()
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := s.After(time.Second, fn); err != nil {
+		if _, err := s.At(s.Now()+time.Second, fn); err != nil {
 			t.Fatal(err)
 		}
 		if !s.step() {
@@ -427,7 +361,7 @@ func TestKernelZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("schedule/pop allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		h, err := s.After(time.Hour, fn)
+		h, err := s.At(s.Now()+time.Hour, fn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -334,9 +334,7 @@ func (e *sharded) execute() (*Result, *shardDiag, error) {
 	}
 
 	e.pool = eventsim.NewPool(len(e.shards), e.phase)
-	if err := e.run(); err != nil {
-		return nil, nil, err
-	}
+	e.run()
 	return e.collect()
 }
 
@@ -412,14 +410,11 @@ func (e *sharded) emitSpan(tok telemetry.SpanToken, name string, si int, at time
 // run drives the window loop: the first window's kernel, then per window
 // phase B, the coordinator's serial section, and phase C fused with the
 // next window's phase A.
-func (e *sharded) run() error {
+func (e *sharded) run() {
 	defer e.pool.Close()
 	e.setWindow(0)
 	e.pool.Run(shardPhaseKernel)
 	for {
-		if err := e.firstErr(); err != nil {
-			return err
-		}
 		w := e.windowStart
 		e.windows++
 		e.gatherTx()
@@ -441,7 +436,7 @@ func (e *sharded) run() error {
 		e.pool.Run(shardPhaseDeliver)
 		e.flushTrace()
 		if !e.kernelDue {
-			return nil
+			return
 		}
 	}
 }
@@ -486,20 +481,9 @@ func (e *sharded) nextWindow() time.Duration {
 	next := (t - 1) / l * l // the grid window (W, W+L] holding t
 	e.skipped += int((next - h) / l)
 	for _, s := range e.shards {
-		if err := s.es.RunUntil(next); err != nil {
-			s.err = err
-		}
+		s.es.RunUntil(next)
 	}
 	return next
-}
-
-func (e *sharded) firstErr() error {
-	for _, s := range e.shards {
-		if s.err != nil {
-			return s.err
-		}
-	}
-	return nil
 }
 
 // gatherTx merges the window's transmissions for phase B's import.

@@ -30,7 +30,6 @@ type shard struct {
 	// rec is the tile's own recorder; the world's belongs to the
 	// coordinator.
 	rec *telemetry.Recorder
-	err error
 
 	// activeList holds the in-service device ids, in activation order;
 	// spatial-index rebuilds read it.
@@ -142,9 +141,7 @@ func (s *shard) runKernel() {
 	}
 	s.inPlan = s.inPlan[:0]
 
-	if err := s.es.RunUntil(e.horizon); err != nil {
-		s.err = err
-	}
+	s.es.RunUntil(e.horizon)
 	// Same-instant transmissions leave the kernel in scheduling order; the
 	// coordinator merges airtimes in (time, device) order.
 	if s.airUnsorted {
