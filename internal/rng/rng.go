@@ -144,30 +144,11 @@ func (r *Source) Uniform(lo, hi float64) float64 {
 // Norm returns a normally distributed float64 with the given mean and
 // standard deviation, using the polar Box–Muller method.
 func (r *Source) Norm(mean, stddev float64) float64 {
-	u, s := r.polar()
-	return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
-}
-
-// SkipNorm advances the stream exactly as Norm does, drawing the same
-// uniforms, without computing the variate: for a caller that must keep its
-// stream in step but has no use for this draw.
-//
-//mlorass:hotpath
-func (r *Source) SkipNorm() { r.polar() }
-
-// polar draws points in the square until one lies strictly inside the unit
-// circle, away from its centre, and returns its first coordinate and
-// squared radius: the rejection loop Norm and SkipNorm share, so both
-// consume the same uniforms.
-//
-//mlorass:hotpath
-func (r *Source) polar() (u, s float64) {
 	for {
-		u = 2*r.Float64() - 1
+		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s = u*u + v*v
-		if s < 1 && s != 0 {
-			return u, s
+		if s := u*u + v*v; s < 1 && s != 0 {
+			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
 }

@@ -130,42 +130,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-// TestSkipNormTracksNorm: over many seeds, a stream that skips a draw
-// ends exactly where one that takes it with Norm does, whether the draws
-// come alone or interleaved with other draws, and the polar loop's
-// rejections are among those skipped.
-func TestSkipNormTracksNorm(t *testing.T) {
-	rejections := 0
-	for seed := uint64(0); seed < 2000; seed++ {
-		a, b := New(seed), New(seed)
-		for k := 0; k < 16; k++ {
-			// Count the pairs the polar loop rejects on this draw, on
-			// a copy of the stream.
-			c := *a
-			for {
-				u, v := 2*c.Float64()-1, 2*c.Float64()-1
-				if s := u*u + v*v; s < 1 && s != 0 {
-					break
-				}
-				rejections++
-			}
-			a.Norm(float64(k), 3)
-			b.SkipNorm()
-			if *a != *b {
-				t.Fatalf("seed %d draw %d: SkipNorm left the stream at %v, Norm at %v", seed, k, b.s, a.s)
-			}
-			if k%5 == 4 {
-				if x, y := a.Uint64(), b.Uint64(); x != y {
-					t.Fatalf("seed %d draw %d: next words %#x and %#x differ", seed, k, x, y)
-				}
-			}
-		}
-	}
-	if rejections == 0 {
-		t.Fatal("no draw rejected a point: the test never exercised the loop")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(23)
 	p := r.Perm(100)
