@@ -6,6 +6,7 @@ import (
 
 	"mlorass/internal/geo"
 	"mlorass/internal/routing"
+	"mlorass/internal/telemetry"
 	"mlorass/internal/tfl"
 )
 
@@ -78,10 +79,7 @@ func crossConfig(scheme routing.Scheme) Config {
 }
 
 func TestDarkRouteDeliversNothingWithoutForwarding(t *testing.T) {
-	res, err := Run(crossConfig(routing.SchemeNoRouting))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, origins := runOrigins(t, crossConfig(routing.SchemeNoRouting))
 	// The gateway grid places the single gateway at the area centre
 	// (5000, 5000): COVERED passes within range, DARK's nearest approach
 	// is (4000, 5000) → 1000 m… place explicitly via geometry: centre of
@@ -91,8 +89,8 @@ func TestDarkRouteDeliversNothingWithoutForwarding(t *testing.T) {
 	if res.Delivered == 0 {
 		t.Fatal("COVERED route should deliver")
 	}
-	darkDelivered := countOriginDeliveries(res, 2) + countOriginDeliveries(res, 3)
-	coveredDelivered := countOriginDeliveries(res, 0) + countOriginDeliveries(res, 1)
+	darkDelivered := origins[2] + origins[3]
+	coveredDelivered := origins[0] + origins[1]
 	if coveredDelivered == 0 {
 		t.Fatal("covered buses delivered nothing")
 	}
@@ -102,16 +100,10 @@ func TestDarkRouteDeliversNothingWithoutForwarding(t *testing.T) {
 }
 
 func TestForwardingRescuesDarkRoute(t *testing.T) {
-	noFwd, err := Run(crossConfig(routing.SchemeNoRouting))
-	if err != nil {
-		t.Fatal(err)
-	}
-	robc, err := Run(crossConfig(routing.SchemeROBC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	darkBase := countOriginDeliveries(noFwd, 2) + countOriginDeliveries(noFwd, 3)
-	darkROBC := countOriginDeliveries(robc, 2) + countOriginDeliveries(robc, 3)
+	_, base := runOrigins(t, crossConfig(routing.SchemeNoRouting))
+	robc, rescued := runOrigins(t, crossConfig(routing.SchemeROBC))
+	darkBase := base[2] + base[3]
+	darkROBC := rescued[2] + rescued[3]
 	if darkROBC <= darkBase {
 		t.Fatalf("ROBC did not rescue the dark route: %d vs baseline %d", darkROBC, darkBase)
 	}
@@ -120,13 +112,25 @@ func TestForwardingRescuesDarkRoute(t *testing.T) {
 	}
 }
 
-// countOriginDeliveries counts delivered messages originated by device id.
-func countOriginDeliveries(r *Result, origin int) int {
-	n := 0
-	for _, h := range r.originDelivered {
-		if h == origin {
-			n++
+// runOrigins runs cfg with every message traced and counts the delivered
+// messages by origin device, read from each message ID's high word.
+func runOrigins(t *testing.T, cfg Config) (*Result, map[int]int) {
+	t.Helper()
+	sink := &telemetry.MemSink{}
+	cfg.Telemetry.Trace = telemetry.NewTracer(sink, 1)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins, total := map[int]int{}, 0
+	for _, e := range sink.Events() {
+		if e.Kind == telemetry.KindDeliver {
+			origins[int(e.Msg>>32)-1]++
+			total++
 		}
 	}
-	return n
+	if total != res.Delivered {
+		t.Fatalf("trace holds %d deliveries, the run %d", total, res.Delivered)
+	}
+	return res, origins
 }

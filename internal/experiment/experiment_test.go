@@ -306,6 +306,7 @@ func TestRouteAwarePlacementEndToEnd(t *testing.T) {
 // build included: the per-cell cost a figure sweep pays 21 times per
 // replication.
 func BenchmarkRunQuickCell(b *testing.B) {
+	withoutSortChecks(b)
 	cfg := QuickConfig()
 	cfg.Scheme = routing.SchemeROBC
 	b.ReportAllocs()

@@ -278,6 +278,7 @@ func TestFarmSweepAbsorbWithoutVerify(t *testing.T) {
 // one pre-encoded quick-cell artefact, which verifies for every cell, so no
 // simulation is timed.
 func BenchmarkFarmCell(b *testing.B) {
+	withoutSortChecks(b)
 	quick := NewFarmSweep(QuickConfig(), Urban, 1)
 	artefact, err := quick.Run(quick.Cells()[0])
 	if err != nil {

@@ -147,7 +147,6 @@ func (s *shard) tick(d *device, now time.Duration) {
 	}
 	if !d.queue.Push(lorawan.Message{
 		ID:      id,
-		Origin:  d.id,
 		Created: now,
 		Via:     -1,
 	}) {

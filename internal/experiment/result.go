@@ -105,9 +105,6 @@ type Result struct {
 	// rawDelays holds every delivered message's delay in seconds, for
 	// percentile analysis (internal diagnostics and sweeps).
 	rawDelays []float64
-	// originDelivered holds the origin device of every delivery, in
-	// arrival order (internal diagnostics).
-	originDelivered []int
 }
 
 // DelayPercentile returns the p-th percentile of delivered-message delays in

@@ -27,6 +27,14 @@ import (
 // place is already the window's order.
 func init() { assertSortedRuns = true }
 
+// withoutSortChecks turns assertSortedRuns off for benchmark b, so that it
+// times runs as production executes them. Benchmarks run after every test,
+// so no test runs without the check.
+func withoutSortChecks(b *testing.B) {
+	assertSortedRuns = false
+	b.Cleanup(func() { assertSortedRuns = true })
+}
+
 // shardTestVariants spans the engine's cross-tile machinery: plain uplinks,
 // handover/overhear forwarding, the keyed Class-A listen gate, the MAC
 // subsystem (confirmed + ADR downlinks through the coordinator), and the
@@ -199,6 +207,45 @@ func TestShardRandomBoundaryInvariance(t *testing.T) {
 			t.Errorf("trial %d (%s, k=%d): partition changed the result:\n--- reference\n%s\n--- got\n%s",
 				trial, kind, k, ref, got)
 		}
+	}
+}
+
+// TestMessageIDsDensePerDevice: the delivery ledger's dense rows rely on
+// every device numbering its messages (dev+1)<<32 | 1..n, consecutively and
+// in generation order. A traced quick cell on two tiles, with forwarding and
+// device churn, must generate exactly that.
+func TestMessageIDsDensePerDevice(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Scheme = routing.SchemeROBC
+	cfg.Disruption.DeviceChurnFraction = 0.25
+	cfg.Shards = 2
+	sink := &telemetry.MemSink{}
+	cfg.Telemetry.Trace = telemetry.NewTracer(sink, 1)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DeviceFailures == 0 || res.HandoverMsgs == 0 {
+		t.Fatalf("cell had %d device failures and %d handovers; the test needs both",
+			res.DeviceFailures, res.HandoverMsgs)
+	}
+	count := map[int]uint64{}
+	for _, e := range sink.Events() {
+		if e.Kind != telemetry.KindGenerate {
+			continue
+		}
+		count[e.Dev]++
+		if want := uint64(e.Dev+1)<<32 | count[e.Dev]; e.Msg != want {
+			t.Fatalf("device %d's message %d generated at %v has ID %#x, want %#x",
+				e.Dev, count[e.Dev], e.T, e.Msg, want)
+		}
+	}
+	total := uint64(0)
+	for _, n := range count {
+		total += n
+	}
+	if total != res.Generated || len(count) < 2 {
+		t.Fatalf("trace holds %d generations by %d devices; the run generated %d", total, len(count), res.Generated)
 	}
 }
 

@@ -39,7 +39,10 @@ import (
 // Version 6: the artefact is the Result's own JSON form, and each recorder
 // tally (generated, queue drops, handovers, the MAC counts) is stored once,
 // in the telemetry counters; the handover counters are new there.
-const storeSchemaVersion = 6
+//
+// Version 7: the origin column is gone; a delivery's origin is its message
+// ID's high word less one.
+const storeSchemaVersion = 7
 
 // storeKey is the canonical, deterministic description of everything that
 // determines a Run's Result. Field order is fixed by the struct; every
@@ -124,16 +127,14 @@ func cacheKey(cfg Config) (key string, ok bool) {
 // bit, so a decoded artefact renders every aggregate table byte-identically
 // to the original run.
 //
-// The two per-delivery columns are most of a run's bytes, so they are packed
-// rather than written as JSON number arrays (encoding/json carries []byte as
-// base64, keeping the artefact one JSON document): RawDelays holds each
-// delay's IEEE-754 bits little-endian, 8 bytes per delivery, and
-// OriginDelivered holds each origin as a zigzag varint.
+// The per-delivery delay column is most of a run's bytes, so it is packed
+// rather than written as a JSON number array (encoding/json carries []byte
+// as base64, keeping the artefact one JSON document): RawDelays holds each
+// delay's IEEE-754 bits little-endian, 8 bytes per delivery.
 type resultArtifact struct {
 	Schema int `json:"schema"`
 	Result
-	RawDelays       []byte `json:"raw_delays"`
-	OriginDelivered []byte `json:"origin_delivered"`
+	RawDelays []byte `json:"raw_delays"`
 }
 
 // encodeResult serialises a Result for the run store.
@@ -142,34 +143,28 @@ func encodeResult(r *Result) ([]byte, error) {
 	for _, d := range r.rawDelays {
 		delays = binary.LittleEndian.AppendUint64(delays, math.Float64bits(d))
 	}
-	origins := make([]byte, 0, 2*len(r.originDelivered))
-	for _, o := range r.originDelivered {
-		origins = binary.AppendVarint(origins, int64(o))
-	}
 	return json.Marshal(resultArtifact{
-		Schema:          storeSchemaVersion,
-		Result:          *r,
-		RawDelays:       delays,
-		OriginDelivered: origins,
+		Schema:    storeSchemaVersion,
+		Result:    *r,
+		RawDelays: delays,
 	})
 }
 
 // decodeResult restores a stored artefact as the Result that Run(cfg) would
 // have produced, rejecting artefacts from another schema version and
 // artefacts that parse but fail the invariants every real run satisfies:
-// per-delivery columns sized to the delivery count, and the accounting
+// a per-delivery column sized to the delivery count, and the accounting
 // identities of checkAccounting. The integrity check matters for crash
 // recovery: a truncated or hand-damaged file that still happens to be valid
 // JSON (`{"schema":2}`, say) must read as corruption — to be recomputed and
 // overwritten — not as a cached cell of zeros that silently poisons a sweep.
 func decodeResult(data []byte, cfg Config) (*Result, error) {
-	// The packed columns are taken as raw JSON strings and base64-decoded by
-	// decodeResultColumn: encoding/json would first unquote each one, a pass
-	// over most of the artefact's bytes that base64 text never needs.
+	// The packed column is taken as a raw JSON string and base64-decoded by
+	// decodeResultColumn: encoding/json would first unquote it, a pass over
+	// most of the artefact's bytes that base64 text never needs.
 	var raw struct {
 		resultArtifact
-		RawDelays       json.RawMessage `json:"raw_delays"`
-		OriginDelivered json.RawMessage `json:"origin_delivered"`
+		RawDelays json.RawMessage `json:"raw_delays"`
 	}
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return nil, fmt.Errorf("experiment: stored artefact: %w", err)
@@ -181,9 +176,6 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 	var err error
 	if a.RawDelays, err = decodeResultColumn(raw.RawDelays); err != nil {
 		return nil, fmt.Errorf("experiment: stored artefact raw_delays: %w", err)
-	}
-	if a.OriginDelivered, err = decodeResultColumn(raw.OriginDelivered); err != nil {
-		return nil, fmt.Errorf("experiment: stored artefact origin_delivered: %w", err)
 	}
 	if a.Throughput == nil {
 		return nil, fmt.Errorf("experiment: stored artefact has no throughput series (truncated?)")
@@ -199,24 +191,10 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 	for i := range delays {
 		delays[i] = math.Float64frombits(binary.LittleEndian.Uint64(a.RawDelays[8*i:]))
 	}
-	origins := make([]int, 0, a.Delivered)
-	for rest := a.OriginDelivered; len(rest) > 0; {
-		o, n := binary.Varint(rest)
-		if n <= 0 || len(origins) == a.Delivered {
-			return nil, fmt.Errorf("experiment: stored artefact origin column corrupt after %d of %d entries (truncated?)",
-				len(origins), a.Delivered)
-		}
-		origins = append(origins, int(o))
-		rest = rest[n:]
-	}
-	if len(origins) != a.Delivered {
-		return nil, fmt.Errorf("experiment: stored artefact origin column holds %d entries, delivered %d (truncated?)",
-			len(origins), a.Delivered)
-	}
 	// A copy, so the Result keeps none of the artefact's column bytes alive.
 	r := a.Result
 	r.Config = cfg
-	r.rawDelays, r.originDelivered = delays, origins
+	r.rawDelays = delays
 	r.fillTallies()
 	if err := r.checkAccounting(nil); err != nil {
 		return nil, fmt.Errorf("experiment: stored artefact: %w", err)
@@ -224,7 +202,7 @@ func decodeResult(data []byte, cfg Config) (*Result, error) {
 	return &r, nil
 }
 
-// decodeResultColumn decodes one packed column from its JSON form: null, or
+// decodeResultColumn decodes the packed column from its JSON form: null, or
 // a base64 string. A string holding JSON escapes is rejected; encoding/json
 // never writes one into base64 text.
 func decodeResultColumn(raw json.RawMessage) ([]byte, error) {

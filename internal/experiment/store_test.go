@@ -155,9 +155,6 @@ func requireSameResult(t *testing.T, got, want *Result) {
 	if !slices.EqualFunc(got.rawDelays, want.rawDelays, bitEqual) {
 		t.Fatal("decoded raw delays differ bit for bit")
 	}
-	if !slices.Equal(got.originDelivered, want.originDelivered) {
-		t.Fatal("decoded delivery origins differ")
-	}
 	if got.MatchedDelayMean(100) != want.MatchedDelayMean(100) {
 		t.Fatal("decoded matched-coverage mean differs")
 	}
@@ -170,6 +167,7 @@ func requireSameResult(t *testing.T, got, want *Result) {
 // the encode every store-backed cell pays once, and the decode the farm
 // coordinator pays per Verify and per Absorb.
 func BenchmarkResultCodec(b *testing.B) {
+	withoutSortChecks(b)
 	cfg := QuickConfig()
 	res, err := Run(cfg)
 	if err != nil {
@@ -323,8 +321,8 @@ type corruption struct {
 // corruption.
 func artefactCorruptions(t testing.TB, genuine []byte, res *Result) map[string]corruption {
 	t.Helper()
-	if res.Delivered < 2 {
-		t.Fatalf("genuine artefact delivers %d messages; the corpus needs at least 2", res.Delivered)
+	if res.Delivered == 0 {
+		t.Fatal("genuine artefact delivers nothing; the corpus needs a delivery")
 	}
 	// mutate re-encodes genuine with one field changed.
 	mutate := func(f func(a *resultArtifact)) []byte {
@@ -339,14 +337,6 @@ func artefactCorruptions(t testing.TB, genuine []byte, res *Result) map[string]c
 		}
 		return b
 	}
-	packOrigins := func(origins []int) []byte {
-		var b []byte
-		for _, o := range origins {
-			b = binary.AppendVarint(b, int64(o))
-		}
-		return b
-	}
-	origins := res.originDelivered
 	oneDelay := base64.StdEncoding.EncodeToString(binary.LittleEndian.AppendUint64(nil, math.Float64bits(1)))
 	return map[string]corruption{
 		"empty file":                            {data: []byte{}},
@@ -375,23 +365,22 @@ func artefactCorruptions(t testing.TB, genuine []byte, res *Result) map[string]c
 			data: mutate(func(a *resultArtifact) { a.Delivered += 1 << 61 }),
 			want: "delay column",
 		},
-		"truncated origin varint": {
-			data: mutate(func(a *resultArtifact) {
-				a.OriginDelivered = append(packOrigins(origins[:len(origins)-1]), 0x80)
-			}),
-			want: "origin column corrupt",
-		},
-		"one origin too many": {
-			data: mutate(func(a *resultArtifact) { a.OriginDelivered = packOrigins(append(slices.Clone(origins), 0)) }),
-			want: "origin column corrupt",
-		},
-		"one origin too few": {
-			data: mutate(func(a *resultArtifact) { a.OriginDelivered = packOrigins(origins[:len(origins)-1]) }),
-			want: "origin column holds",
+		"negative delivered": {
+			data: mutate(func(a *resultArtifact) { a.Delivered = -1 }),
+			want: "delay column",
 		},
 		"non-base64 column": {
 			data: bytes.Replace(genuine, []byte(`"raw_delays":"`), []byte(`"raw_delays":"*`), 1),
 			want: "base64",
+		},
+		// encoding/json never writes an escape into base64 text.
+		"escaped column": {
+			data: bytes.Replace(genuine, []byte(`"raw_delays":"`), []byte(`"raw_delays":"\u0041`), 1),
+			want: "base64",
+		},
+		"number array column": {
+			data: bytes.Replace(genuine, []byte(`"raw_delays":"`), []byte(`"raw_delays":[1],"x":"`), 1),
+			want: "not a base64 string",
 		},
 		"generated below delivered": {
 			data: mutate(func(a *resultArtifact) { a.Telemetry.Counters.Generated = uint64(a.Delivered) - 1 }),

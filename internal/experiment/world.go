@@ -146,7 +146,7 @@ func newWorld(cfg Config, cities *citySet) (world, error) {
 		return world{}, err
 	}
 	w.idxSpeed = max(fleet.MaxSpeedMPS(), 11)
-	w.server = netserver.New()
+	w.server = netserver.New(fleet.Len())
 
 	w.rec = telemetry.NewRecorder()
 	w.tracer = cfg.Telemetry.Trace
@@ -321,14 +321,12 @@ func (w *world) collect(ms radio.MediumStats, snap telemetry.Snapshot) (*Result,
 		Telemetry:            snap,
 	}
 	r.fillTallies()
-	// Sized once: grown by append, the two columns would leave about four
-	// times their size in outgrown copies at the run's memory peak.
+	// Sized once: grown by append, the column would leave about four times
+	// its size in outgrown copies at the run's memory peak.
 	r.rawDelays = make([]float64, 0, r.Delivered)
-	r.originDelivered = make([]int, 0, r.Delivered)
 	for del := range w.server.Deliveries() {
 		r.Delay.AddDuration(del.Delay())
 		r.rawDelays = append(r.rawDelays, del.Delay().Seconds())
-		r.originDelivered = append(r.originDelivered, del.Origin)
 		r.Hops.Add(float64(del.Hops))
 		if del.Hops > 1 {
 			r.RelayedDelay.AddDuration(del.Delay())

@@ -29,14 +29,12 @@ const FrameOverheadBytes = 13 + 8
 
 // Message is one application-layer telemetry message.
 type Message struct {
-	// ID is unique across the simulation. Its high word names the
-	// numbering source and its low word counts that source's messages
-	// consecutively: the simulator numbers row dev+1 from device dev's own
-	// counter. The network server's ledger indexes its table by the two
-	// words, so it relies on each row being dense.
+	// ID is unique across the simulation and names the message's origin:
+	// its high word is the originating device's index plus one, and its
+	// low word counts that device's messages consecutively from 1. The
+	// network server's ledger indexes its table by the two words, so it
+	// relies on each device's count being dense.
 	ID uint64
-	// Origin is the device index that generated the message.
-	Origin int
 	// Created is the generation time (virtual).
 	Created time.Duration
 	// Hops counts device-to-device handovers so far; delivery through

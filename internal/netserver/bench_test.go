@@ -13,10 +13,10 @@ import (
 // BenchmarkIngest times the ledger's per-frame work: one full bundle
 // (lorawan.MaxBundle messages) decoded by 1 or by 4 gateways, so the first
 // copy is fresh and the others are deduplicated. Each ledger takes
-// ledgerSpan timed frames and is then replaced; its message IDs restart
-// from 1, as each run's do. A quick ledger starts empty, about a quick
-// cell's size; a day ledger starts holding the ~100k deliveries of a
-// paper-scale day, filled untimed. The fill case times that filling: one op
+// ledgerSpan timed frames and is then replaced; its message IDs restart,
+// as each run's do, and benchDevices devices take turns generating them. A
+// quick ledger starts empty, about a quick cell's size; a day ledger starts
+// holding the ~100k deliveries of a paper-scale day, filled untimed. The fill case times that filling: one op
 // takes an empty ledger to 100k deliveries through one gateway, so its B/op
 // is the ledger's whole allocation over a paper-scale day.
 func BenchmarkIngest(b *testing.B) {
@@ -25,11 +25,11 @@ func BenchmarkIngest(b *testing.B) {
 		b.ReportAllocs()
 		bundle := make([]lorawan.Message, lorawan.MaxBundle)
 		for i := 0; i < b.N; i++ {
-			s := New()
+			s := New(benchDevices)
 			for next := uint64(0); s.Count() < 100_000; {
 				for j := range bundle {
 					next++
-					bundle[j] = lorawan.Message{ID: next, Origin: j, Created: time.Duration(next)}
+					bundle[j] = lorawan.Message{ID: benchID(next), Created: time.Duration(next)}
 				}
 				s.Ingest(time.Duration(next)+time.Minute, 0, bundle)
 			}
@@ -48,14 +48,14 @@ func BenchmarkIngest(b *testing.B) {
 				frame := func(now time.Duration, gws int) {
 					for j := range bundle {
 						next++
-						bundle[j] = lorawan.Message{ID: next, Origin: j, Created: now - time.Minute}
+						bundle[j] = lorawan.Message{ID: benchID(next), Created: now - time.Minute}
 					}
 					for gw := 0; gw < gws; gw++ {
 						s.Ingest(now, gw, bundle)
 					}
 				}
 				fresh := func() {
-					s, next = New(), 0
+					s, next = New(benchDevices), 0
 					for s.Count() < size.held {
 						frame(0, 1)
 					}
@@ -76,6 +76,17 @@ func BenchmarkIngest(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchDevices is the fleet BenchmarkIngest's messages come from: about a
+// quick cell's.
+const benchDevices = 2048
+
+// benchID numbers message n ≥ 1 of BenchmarkIngest's stream: the devices
+// take turns, so each counts its own messages consecutively from 1.
+func benchID(n uint64) uint64 {
+	n--
+	return (n%benchDevices+1)<<32 | (n/benchDevices + 1)
 }
 
 // BenchmarkOnUplink times the MAC reaction to one decoded confirmed uplink

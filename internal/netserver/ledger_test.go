@@ -1,6 +1,7 @@
 package netserver
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func (r *refLedger) ingest(now time.Duration, gw int, msgs []lorawan.Message) in
 		}
 		r.seen[m.ID] = len(r.deliveries)
 		r.deliveries = append(r.deliveries, Delivery{
-			MessageID: m.ID, Origin: m.Origin, Created: m.Created,
+			MessageID: m.ID, Created: m.Created,
 			Arrived: now, Hops: m.Hops + 1, Gateway: gw,
 		})
 		fresh++
@@ -48,18 +49,22 @@ type ingestOp struct {
 	msgs []lorawan.Message
 }
 
-// serialID and tileID are two numbering sources the ledger accepts: one
-// global counter in row 0, and device dev's own counter in row dev+1 (the
-// simulator's scheme).
-func serialID(n uint32) uint64        { return uint64(n) }
-func tileID(dev int, n uint32) uint64 { return uint64(dev+1)<<32 | uint64(n) }
+// devID is device dev's message n (see lorawan.Message.ID).
+func devID(dev int, n uint32) uint64 { return uint64(dev+1)<<32 | uint64(n) }
 
-// checkLedger replays ops on a Server and on the map reference and fails at
-// the first difference in Ingest's fresh counts, the collected Deliveries
-// sequence, Duplicates, or Delivered over every ID in probe.
+// checkLedger replays ops on a Server sized for the devices they name and
+// on the map reference, and fails at the first difference in Ingest's fresh
+// counts, the collected Deliveries sequence, Duplicates, or Delivered over
+// every ID in probe.
 func checkLedger(t *testing.T, ops []ingestOp, probe []uint64) {
 	t.Helper()
-	s, ref := New(), &refLedger{}
+	fleet := 0
+	for _, op := range ops {
+		for _, m := range op.msgs {
+			fleet = max(fleet, int(m.ID>>32))
+		}
+	}
+	s, ref := New(fleet), &refLedger{}
 	for i, op := range ops {
 		if got, want := s.Ingest(op.at, op.gw, op.msgs), ref.ingest(op.at, op.gw, op.msgs); got != want {
 			t.Fatalf("op %d: Ingest fresh = %d, reference %d", i, got, want)
@@ -80,40 +85,41 @@ func checkLedger(t *testing.T, ops []ingestOp, probe []uint64) {
 }
 
 // TestLedgerMatchesMapReference runs the dense table against the map
-// reference over both ID schemes, duplicates, out-of-order arrivals and
-// same-instant ties across gateways.
+// reference over one device's consecutive messages ("serial"), several
+// devices' rows, duplicates, out-of-order arrivals and same-instant ties
+// across gateways. Its probes include IDs of no device in the fleet.
 func TestLedgerMatchesMapReference(t *testing.T) {
 	msg := func(id uint64, hops int) lorawan.Message {
-		return lorawan.Message{ID: id, Origin: int(id >> 32), Created: time.Duration(id&0xff) * time.Second, Hops: hops}
+		return lorawan.Message{ID: id, Created: time.Duration(id&0xff) * time.Second, Hops: hops}
 	}
-	probe := []uint64{0, 1, 2, 3, 7, 8, 99, tileID(0, 0), tileID(0, 1), tileID(2, 5), tileID(4000, 3), tileID(4000, 4), tileID(9999, 1), 1 << 62}
+	probe := []uint64{0, 1, 7, devID(0, 0), devID(0, 1), devID(0, 2), devID(0, 8), devID(0, 99), devID(2, 5), devID(4000, 3), devID(4000, 4), devID(9999, 1), 1 << 62}
 	for _, tc := range []struct {
 		name string
 		ops  []ingestOp
 	}{
 		{"serial in order", []ingestOp{
-			{time.Minute, 0, []lorawan.Message{msg(serialID(1), 0), msg(serialID(2), 0)}},
-			{2 * time.Minute, 1, []lorawan.Message{msg(serialID(3), 1)}},
+			{time.Minute, 0, []lorawan.Message{msg(devID(0, 1), 0), msg(devID(0, 2), 0)}},
+			{2 * time.Minute, 1, []lorawan.Message{msg(devID(0, 3), 1)}},
 		}},
 		{"serial out of order", []ingestOp{
-			{time.Minute, 0, []lorawan.Message{msg(serialID(7), 0), msg(serialID(3), 2)}},
-			{2 * time.Minute, 0, []lorawan.Message{msg(serialID(1), 1), msg(serialID(0), 0)}},
-			{3 * time.Minute, 2, []lorawan.Message{msg(serialID(3), 0), msg(serialID(8), 0)}},
+			{time.Minute, 0, []lorawan.Message{msg(devID(0, 7), 0), msg(devID(0, 3), 2)}},
+			{2 * time.Minute, 0, []lorawan.Message{msg(devID(0, 1), 1), msg(devID(0, 0), 0)}},
+			{3 * time.Minute, 2, []lorawan.Message{msg(devID(0, 3), 0), msg(devID(0, 8), 0)}},
 		}},
 		{"tile rows interleaved", []ingestOp{
-			{time.Second, 0, []lorawan.Message{msg(tileID(4000, 3), 0), msg(tileID(2, 5), 1)}},
-			{time.Second, 1, []lorawan.Message{msg(tileID(2, 5), 0), msg(tileID(0, 1), 0)}},
-			{5 * time.Second, 0, []lorawan.Message{msg(tileID(4000, 4), 2), msg(tileID(4000, 3), 0)}},
+			{time.Second, 0, []lorawan.Message{msg(devID(4000, 3), 0), msg(devID(2, 5), 1)}},
+			{time.Second, 1, []lorawan.Message{msg(devID(2, 5), 0), msg(devID(0, 1), 0)}},
+			{5 * time.Second, 0, []lorawan.Message{msg(devID(4000, 4), 2), msg(devID(4000, 3), 0)}},
 		}},
 		{"same-instant ties", []ingestOp{
-			{time.Hour, 3, []lorawan.Message{msg(serialID(2), 3)}},
-			{time.Hour, 1, []lorawan.Message{msg(serialID(2), 1)}},
-			{time.Hour, 0, []lorawan.Message{msg(serialID(2), 1)}},
-			{time.Hour, 2, []lorawan.Message{msg(serialID(2), 0)}},
-			{time.Hour + 1, 4, []lorawan.Message{msg(serialID(2), 0)}},
+			{time.Hour, 3, []lorawan.Message{msg(devID(0, 2), 3)}},
+			{time.Hour, 1, []lorawan.Message{msg(devID(0, 2), 1)}},
+			{time.Hour, 0, []lorawan.Message{msg(devID(0, 2), 1)}},
+			{time.Hour, 2, []lorawan.Message{msg(devID(0, 2), 0)}},
+			{time.Hour + 1, 4, []lorawan.Message{msg(devID(0, 2), 0)}},
 		}},
 		{"duplicates in one bundle", []ingestOp{
-			{time.Minute, 0, []lorawan.Message{msg(tileID(0, 1), 2), msg(tileID(0, 1), 0), msg(tileID(0, 0), 1)}},
+			{time.Minute, 0, []lorawan.Message{msg(devID(0, 1), 2), msg(devID(0, 1), 0), msg(devID(0, 0), 1)}},
 		}},
 		{"empty bundles", []ingestOp{
 			{0, 0, nil},
@@ -126,50 +132,57 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 }
 
 // pagedOps delivers 2*recordPage+500 messages, enough for three record
-// pages, in bundles of 16 through two gateways, all at one instant and with
-// both ID schemes interleaved. A last copy of the very first message then
-// wins the same-instant hop tie-break, amending a record on the first page.
+// pages, in bundles of 16 through two gateways, all at one instant, with
+// one long device row interleaved with thirteen short ones. A last copy of
+// the very first message then wins the same-instant hop tie-break, amending
+// a record on the first page.
 func pagedOps(msg func(id uint64, hops int) lorawan.Message) []ingestOp {
 	const at = 2 * time.Hour
-	ops := []ingestOp{{at, 0, []lorawan.Message{msg(serialID(0), 4)}}}
+	ops := []ingestOp{{at, 0, []lorawan.Message{msg(devID(13, 0), 4)}}}
 	for n := uint32(1); n < 2*recordPage+500; n++ {
 		if n%16 == 1 {
 			ops = append(ops, ingestOp{at, int(n/16) % 2, nil})
 		}
-		id := serialID(n / 2)
+		id := devID(13, n/2)
 		if n%2 == 1 {
-			id = tileID(int(n%13), n/26)
+			id = devID(int(n%13), n/26)
 		}
 		op := &ops[len(ops)-1]
 		op.msgs = append(op.msgs, msg(id, int(n%3)))
 	}
-	return append(ops, ingestOp{at, 3, []lorawan.Message{msg(serialID(0), 1)}})
+	return append(ops, ingestOp{at, 3, []lorawan.Message{msg(devID(13, 0), 1)}})
 }
 
-// TestLedgerRejectsSparseIDs: an ID far past the table's end, in rows or in
-// its row's columns, breaks the dense-ID contract and panics instead of
-// allocating for the gap; one just inside the bound is accepted.
+// TestLedgerRejectsSparseIDs: an ID far past its row's end breaks the
+// dense-ID contract and panics instead of allocating for the gap, and one
+// naming a device outside the fleet panics too; one just inside the bound
+// is accepted.
 func TestLedgerRejectsSparseIDs(t *testing.T) {
-	s := New()
-	if s.Ingest(0, 0, []lorawan.Message{{ID: maxIDLeap - 1}, {ID: tileID(1000, 1)}}) != 2 {
+	s := New(1001)
+	if s.Ingest(0, 0, []lorawan.Message{{ID: devID(0, maxIDLeap-1)}, {ID: devID(1000, 1)}}) != 2 {
 		t.Fatal("IDs inside the leap bound were not ingested")
 	}
-	for _, id := range []uint64{3 * maxIDLeap, uint64(2*maxIDLeap) << 32, 1 << 63, 0xdeadbeefcafe} {
-		func() {
-			defer func() {
-				if r, _ := recover().(string); !strings.Contains(r, "dense per row") {
-					t.Errorf("ID %#x: recovered %q, want a dense-ID contract panic", id, r)
-				}
-			}()
-			s.Ingest(time.Second, 0, []lorawan.Message{{ID: id}})
-		}()
+	ingest := func(id uint64) (recovered any) {
+		defer func() { recovered = recover() }()
+		s.Ingest(time.Second, 0, []lorawan.Message{{ID: id}})
+		return nil
 	}
-	if s.Count() != 2 || !s.Delivered(maxIDLeap-1) || s.Delivered(1<<63) {
+	for _, id := range []uint64{devID(0, 3*maxIDLeap), devID(1000, 2*maxIDLeap), devID(7, math.MaxUint32)} {
+		if r, _ := ingest(id).(string); !strings.Contains(r, "dense per row") {
+			t.Errorf("ID %#x: recovered %q, want a dense-ID contract panic", id, r)
+		}
+	}
+	for _, id := range []uint64{3 * maxIDLeap, devID(1001, 1), uint64(2*maxIDLeap) << 32, 1 << 63, 0xdeadbeefcafe} {
+		if ingest(id) == nil {
+			t.Errorf("ID %#x names no device in the fleet but was ingested", id)
+		}
+	}
+	if s.Count() != 2 || !s.Delivered(devID(0, maxIDLeap-1)) || s.Delivered(1<<63) || s.Delivered(devID(1001, 1)) {
 		t.Fatalf("rejected IDs changed the ledger: count %d", s.Count())
 	}
 }
 
-// FuzzLedger: over arbitrary ingest sequences mixing both ID schemes, with
+// FuzzLedger: over arbitrary ingest sequences across device rows, with
 // duplicates, out-of-order arrivals and same-instant copies through several
 // gateways, the ledger matches the map reference exactly: fresh counts, the
 // records read back through slices.Collect(Deliveries()), duplicates and
@@ -187,17 +200,17 @@ func FuzzLedger(f *testing.F) {
 }
 
 // ledgerPagesSeed crosses FuzzLedger's widest boundaries: a run of 1,024
-// fresh serial IDs fills the first record page and row 0's first sixteen ID
-// pages, and one tile message opens the second record page. A later serial
-// copy is a duplicate; a run in device 2's row spans its fourth to sixth ID
-// pages, and a shorter run re-delivers some of them at the same instant with
-// fewer hops, amending their records.
+// fresh IDs fills the first record page and device 0's first sixteen ID
+// pages, and one message of device 1 opens the second record page. A later
+// copy of device 0's is a duplicate; a run in device 5's row spans its
+// fourth to sixth ID pages, and a shorter run re-delivers some of them at
+// the same instant with fewer hops, amending their records.
 var ledgerPagesSeed = []byte{
-	0xc0, 0xfc, 0, 0, // new bundle at 0 s via gateway 0: serial IDs 0..1023
-	0x00, 0, 1, 0x20, // device 0's ID 0, one hop
-	0xb5, 1, 0, 7, // new bundle 5 s on via gateway 1: serial ID 199 again
-	0xf0, 0x1e, 5, 0x61, // new bundle via gateway 2: device 2's IDs 193..320, three hops
-	0x70, 0, 5, 0x03, // same bundle: device 2's IDs 195..210 again, no hops
+	0xc0, 0xfc, 0, 0, // new bundle at 0 s via gateway 0: device 0's IDs 0..1023
+	0x00, 0, 1, 0x20, // device 1's ID 0, one hop
+	0xb5, 1, 0, 7, // new bundle 5 s on via gateway 1: device 0's ID 199 again
+	0xf0, 0x1e, 5, 0x61, // new bundle via gateway 2: device 5's IDs 193..320, three hops
+	0x70, 0, 5, 0x03, // same bundle: device 5's IDs 195..210 again, no hops
 }
 
 // ledgerOps decodes FuzzLedger's bytes into ingest calls, plus the IDs to
@@ -208,7 +221,7 @@ var ledgerPagesSeed = []byte{
 //     seconds (0 keeps the instant) and whose gateway is b1&3;
 //   - b0&0x40 makes the group a run of 16·(b1>>2 + 1) consecutive IDs, up
 //     to 1,024: enough for a few groups to cross a record page;
-//   - b2's low bit picks the scheme: row 0, or device (b2>>1)&7's row;
+//   - b2&15 is the device;
 //   - the column is b3&31 plus 64·((b0>>4)&3), up to 223 (with a run, up
 //     to 1,246, so a row's fifth and later ID pages are reachable), and the
 //     hop count is b3>>5.
@@ -229,12 +242,9 @@ func ledgerOps(data []byte) ([]ingestOp, []uint64) {
 		col := uint32(b3&31) + 64*uint32(b0>>4&3)
 		op := &ops[len(ops)-1]
 		for k := uint32(0); k < uint32(n); k++ {
-			id := serialID(col + k)
-			if b2&1 == 1 {
-				id = tileID(int(b2>>1)&7, col+k)
-			}
+			id := devID(int(b2&15), col+k)
 			op.msgs = append(op.msgs, lorawan.Message{
-				ID: id, Origin: int(b2 >> 1), Created: at - time.Minute, Hops: int(b3 >> 5),
+				ID: id, Created: at - time.Minute, Hops: int(b3 >> 5),
 			})
 			probe = append(probe, id, id+1, id^1<<32)
 		}
@@ -263,21 +273,22 @@ func TestLedgerPagesSeedCrossesPages(t *testing.T) {
 
 // TestIngestAllocatesPerPage: ingesting a fresh message allocates only when
 // it opens a record page or an ID-table page, and a duplicate never
-// allocates, over both ID schemes and across four record pages.
+// allocates, over one long device row and seven short ones and across four
+// record pages.
 func TestIngestAllocatesPerPage(t *testing.T) {
 	const at = time.Minute
-	s := New()
+	s := New(8)
 	fresh, dup := make([]lorawan.Message, 1), make([]lorawan.Message, 1)
 	ids := make([]uint64, 3*recordPage+100)
 	for n := range ids {
-		ids[n] = serialID(uint32(n / 2))
+		ids[n] = devID(7, uint32(n/2))
 		if n%2 == 1 {
-			ids[n] = tileID(n%7, uint32(n/14))
+			ids[n] = devID(n%7, uint32(n/14))
 		}
 	}
 	opensIDPage := func(id uint64) bool {
-		r, c := id>>32, id&0xffffffff
-		return r >= uint64(len(s.rows)) || c/idPage >= uint64(len(s.rows[r])) || s.rows[r][c/idPage] == nil
+		row, c := s.rows[id>>32-1], id&0xffffffff
+		return c/idPage >= uint64(len(row)) || row[c/idPage] == nil
 	}
 	s.Ingest(at, 0, []lorawan.Message{{ID: ids[0]}})
 	for n := 1; n < len(ids); n++ {

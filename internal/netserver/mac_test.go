@@ -100,7 +100,7 @@ func TestMACOnUplinkBudgetExhaustion(t *testing.T) {
 }
 
 func TestServerAttachMAC(t *testing.T) {
-	s := New()
+	s := New(0)
 	if s.MAC() != nil {
 		t.Fatal("fresh server has a MAC")
 	}

@@ -24,10 +24,9 @@ import (
 
 // Delivery records one message's first arrival at the server.
 type Delivery struct {
-	// MessageID identifies the application message.
+	// MessageID identifies the application message, and through its
+	// high word the device that generated it (see lorawan.Message.ID).
 	MessageID uint64
-	// Origin is the device that generated the message.
-	Origin int
 	// Created is the message generation time.
 	Created time.Duration
 	// Arrived is the first server reception time.
@@ -43,18 +42,17 @@ type Delivery struct {
 // Delay returns the end-to-end delay δt = t_g − t_d (Sec. VII-B).
 func (d Delivery) Delay() time.Duration { return d.Arrived - d.Created }
 
-// record is a Delivery as the ledger stores it: 40 bytes instead of 48,
-// because device, hop and gateway counts fit in 32 bits.
+// record is a Delivery as the ledger stores it: 32 bytes instead of 40,
+// because hop and gateway counts fit in 32 bits.
 type record struct {
 	id               uint64
 	created, arrived time.Duration
-	origin, hops, gw int32
+	hops, gw         int32
 }
 
 func (r *record) delivery() Delivery {
 	return Delivery{
 		MessageID: r.id,
-		Origin:    int(r.origin),
 		Created:   r.created,
 		Arrived:   r.arrived,
 		Hops:      int(r.hops),
@@ -86,19 +84,19 @@ type Observer interface {
 // records. A page is allocated when its first record is written, so the
 // ledger holds at most one partly filled page and never copies a record.
 //
-// The ledger's ID table is dense: it has one row per numbering source, the
-// ID's high word, and one column per message of that source, the low word.
-// A row is cut into pages of idPage columns, allocated when a column in
-// them is first delivered, so a row never moves as it grows and a lookup is
-// three indexed loads. The table stays O(IDs numbered) because sources number
-// their messages consecutively (see lorawan.Message.ID); copies may arrive
-// in any order. An ID landing more than maxIDLeap past the table's end, in
-// rows or in its row's columns, breaks the contract and panics rather than
-// allocating for the gap.
+// The ledger's ID table is dense: it has one row per device, named by the
+// ID's high word less one, and one column per message of that device, the
+// low word. A row is cut into pages of idPage columns, allocated when a
+// column in them is first delivered, so a row never moves as it grows and a
+// lookup is three indexed loads. The table stays O(IDs numbered) because
+// devices number their messages consecutively (see lorawan.Message.ID);
+// copies may arrive in any order. An ID landing more than maxIDLeap past
+// its row's end breaks the contract and panics rather than allocating for
+// the gap, as does one naming a device outside the fleet.
 type Server struct {
-	// rows[ID>>32][c/idPage][c%idPage], c = ID&0xffffffff, is a delivered
-	// message's ledger index plus one; 0, or a nil page, while the message
-	// is undelivered.
+	// rows[ID>>32-1][c/idPage][c%idPage], c = ID&0xffffffff, is a
+	// delivered message's ledger index plus one; 0, or a nil page, while
+	// the message is undelivered.
 	rows [][]*[idPage]int32
 	// records[i/recordPage][i%recordPage] is ledger entry i, for i < count.
 	records    []*[recordPage]record
@@ -111,21 +109,24 @@ type Server struct {
 }
 
 const (
-	// recordPage is the records per ledger page: 40 KiB, so a paper-scale
+	// recordPage is the records per ledger page: 32 KiB, so a paper-scale
 	// day's ~100k deliveries fill about a hundred pages.
 	recordPage = 1024
 	// idPage is the columns per page of an ID-table row: small enough
 	// that the tile engine's per-device rows, a few dozen messages each,
 	// waste little of their last page.
 	idPage = 64
-	// maxIDLeap bounds how far past the ID table's end an ingested ID may
-	// land. Consecutive sources stay far inside it; a sparse or hashed ID
-	// scheme trips it on its first few IDs.
+	// maxIDLeap bounds how far past its row's end an ingested ID may land.
+	// Consecutive counts stay far inside it; a sparse or hashed ID scheme
+	// trips it on its first few IDs.
 	maxIDLeap = 1 << 20
 )
 
-// New returns an empty server.
-func New() *Server { return &Server{} }
+// New returns an empty server for a fleet of the given number of devices:
+// its ID table has one row per device.
+func New(devices int) *Server {
+	return &Server{rows: make([][]*[idPage]int32, devices)}
+}
 
 // SetObserver installs (or, with nil, removes) the ledger observer.
 func (s *Server) SetObserver(obs Observer) { s.obs = obs }
@@ -172,7 +173,6 @@ func (s *Server) Ingest(now time.Duration, gw int, msgs []lorawan.Message) int {
 			id:      m.ID,
 			created: m.Created,
 			arrived: now,
-			origin:  int32(m.Origin),
 			hops:    int32(m.Hops + 1),
 			gw:      int32(gw),
 		}
@@ -184,19 +184,11 @@ func (s *Server) Ingest(now time.Duration, gw int, msgs []lorawan.Message) int {
 	return fresh
 }
 
-// slot returns id's cell in the ID table, growing the table to hold it.
+// slot returns id's cell in the ID table, growing its row to hold it.
 //
 //mlorass:hotpath
 func (s *Server) slot(id uint64) *int32 {
-	r, c := id>>32, id&math.MaxUint32
-	if n := uint64(len(s.rows)); r >= n {
-		if r-n >= maxIDLeap {
-			//lint:ignore hotpathlint cold contract panic
-			panic(fmt.Sprintf("netserver: message ID %#x names row %d, %d past the ledger's; IDs must be dense per row (lorawan.Message.ID)", id, r, r-n))
-		}
-		//lint:ignore hotpathlint one row per numbering source
-		s.rows = append(s.rows, make([][]*[idPage]int32, r+1-n)...)
-	}
+	r, c := id>>32-1, id&math.MaxUint32
 	row := s.rows[r]
 	if end := uint64(len(row)) * idPage; c >= end {
 		if c-end >= maxIDLeap {
@@ -218,7 +210,7 @@ func (s *Server) slot(id uint64) *int32 {
 
 // Delivered reports whether a message has reached the server.
 func (s *Server) Delivered(messageID uint64) bool {
-	r, c := messageID>>32, messageID&math.MaxUint32
+	r, c := messageID>>32-1, messageID&math.MaxUint32
 	if r >= uint64(len(s.rows)) || c/idPage >= uint64(len(s.rows[r])) {
 		return false
 	}
