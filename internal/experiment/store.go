@@ -153,7 +153,7 @@ func encodeResult(r *Result) ([]byte, error) {
 // decodeResult restores a stored artefact as the Result that Run(cfg) would
 // have produced, rejecting artefacts from another schema version and
 // artefacts that parse but fail the invariants every real run satisfies:
-// a per-delivery column sized to the delivery count, and the accounting
+// a delay column sized to the delivery count, and the accounting
 // identities of checkAccounting. The integrity check matters for crash
 // recovery: a truncated or hand-damaged file that still happens to be valid
 // JSON (`{"schema":2}`, say) must read as corruption — to be recomputed and
